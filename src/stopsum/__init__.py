@@ -27,6 +27,7 @@ from .harness import (
 )
 from .models import (
     KINDS,
+    LAWS,
     ModelSpec,
     ModelState,
     StepOutput,

@@ -5,7 +5,8 @@ by flags; the same config and master seed always produce byte-identical
 report files, whatever the worker count.
 
 Config keys: model, n_list, reps, seed, delta, checks, out, format, plus the
-model kind's parameters (m, v / a_lo, a_hi, p_growth / v_lo, v_hi).
+parameters of the model kind (the ``defaults`` of its class in
+``stopsum.models.LAWS``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .harness import (
     rate_fit,
     report_from_batch,
 )
-from .models import KINDS, ModelSpec, derive_seed, init_model
+from .models import KINDS, LAWS, ModelSpec, derive_seed, init_model
 from .sampling import sample_stopped_batch
 from .stopping import lemma1_check, run_path
 
@@ -41,7 +42,8 @@ LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
 ESSEEN_SLACK = 0.02  # quadrature-and-MC allowance on top of the DKW band
 
-_MODEL_PARAM_KEYS = ("m", "v", "a_lo", "a_hi", "p_growth", "v_lo", "v_hi")
+_MODEL_PARAM_KEYS = tuple(dict.fromkeys(
+    key for law in LAWS.values() for key in law.defaults))
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,14 @@ class ExperimentConfig:
             raise ConfigurationError("n_list must be strictly increasing")
         floor = 2.0 * self.model.sigma0_sq_max
         for n in self.n_list:
-            if n < floor:
+            if not floor <= n < math.inf:
                 raise ConfigurationError(
-                    f"n = {n} violates n >= 2 * max sigma^2_0 = {floor}"
+                    f"n = {n} must be finite and >= 2 * max sigma^2_0 = {floor}"
                 )
         if self.reps < 2:
             raise ConfigurationError("reps must be >= 2")
+        if self.master_seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
         bad = set(self.checks) - set(CHECKS)
@@ -143,12 +147,14 @@ def run_experiment(config):
             for name in ("cf7", "cf8", "cf9", "cf_combined"):
                 group = by_name[name]
                 worst = min(group, key=lambda c: c.rhs + 4.0 * c.stderr - c.lhs)
+                failing = [c for c in group if not c.ok]
+                # a FAIL row is flagged only if all its failing points are
+                limited = [c.resolution_limited for c in failing or group]
                 records.append(_record(
                     name, config, n, seed_n,
                     estimate=worst.lhs, stderr=worst.stderr, bound=worst.rhs,
-                    margin=worst.rhs - worst.lhs,
-                    verdict=all(c.ok for c in group),
-                    resolution_limited=any(c.resolution_limited for c in group),
+                    margin=worst.rhs - worst.lhs, verdict=not failing,
+                    resolution_limited=all(limited) if failing else any(limited),
                 ))
             if config.out:
                 files.append(_emit_cf_detail(config, n, probe))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .models import ModelSpec
 from .normal import (
     DEFAULT_DELTA,
     DistanceResult,
@@ -193,8 +192,6 @@ class InequalityCheck:
 @dataclass(frozen=True)
 class CfProbe:
     t_grid: np.ndarray
-    c1: np.ndarray | None
-    c2: np.ndarray | None
     c3: np.ndarray
     c4: np.ndarray | None
     se3: np.ndarray
@@ -217,7 +214,7 @@ class CfProbe:
         for i, t in enumerate(t_grid):
             w = np.exp(1j * t * samples)
             c3[i], se3[i] = _complex_mean(w)
-        return cls(t_grid=t_grid, c1=None, c2=None, c3=c3, c4=None,
+        return cls(t_grid=t_grid, c3=c3, c4=None,
                    se3=se3, r=samples.size)
 
 
@@ -237,7 +234,7 @@ def probe_from_batch(batch, n, t_grid):
 
     For each t the estimates are
         c1 = E exp(i t S_nu / sqrt(n) + (t^2/2n) sum_{p<nu} sigma^2_p)
-        c2 = E exp(i t S_nu / sqrt(n) + t^2/2)
+        c2 = E exp(i t S_nu / sqrt(n) + t^2/2) = e^{t^2/2} c3
         c3 = E exp(i t S_nu / sqrt(n))
         c4 = E exp(i t S'_nu / sqrt(n))
     and the paired differences c1-c2, c3-c4 are averaged per path, which is
@@ -255,10 +252,8 @@ def probe_from_batch(batch, n, t_grid):
     phase_f = batch.s_nu / sqrt_n
     phase_h = batch.s_prime_nu / sqrt_n
     r = batch.size
-    c1 = np.empty(t_grid.size, dtype=complex)
-    c2 = np.empty_like(c1)
-    c3 = np.empty_like(c1)
-    c4 = np.empty_like(c1)
+    c3 = np.empty(t_grid.size, dtype=complex)
+    c4 = np.empty_like(c3)
     se3 = np.empty(t_grid.size)
     checks = []
     for i, t in enumerate(t_grid):
@@ -267,8 +262,7 @@ def probe_from_batch(batch, n, t_grid):
         growth = np.exp((t * t / (2.0 * n)) * batch.v_before)
         w1 = growth * w3
         w2 = math.exp(t * t / 2.0) * w3
-        c1[i], se1 = _complex_mean(w1)
-        c2[i], _ = _complex_mean(w2)
+        c1, se1 = _complex_mean(w1)
         c3[i], se3[i] = _complex_mean(w3)
         c4[i], _ = _complex_mean(w4)
         d12, se12 = _complex_mean(w1 - w2)
@@ -291,7 +285,7 @@ def probe_from_batch(batch, n, t_grid):
             + a * t**4 / (4.0 * n * n)
         )
         for name, lhs, rhs, se in (
-            ("cf7", abs(c1[i] - 1.0), rhs7, se1),
+            ("cf7", abs(c1 - 1.0), rhs7, se1),
             ("cf8", abs(d12), rhs8, se12),
             ("cf9", abs(d34), rhs9, se34),
             ("cf_combined", abs(c3[i] - math.exp(-t * t / 2.0)), rhs_comb, se3[i]),
@@ -301,7 +295,7 @@ def probe_from_batch(batch, n, t_grid):
                 stderr=float(se), resolution_limited=bool(rhs < se),
             ))
     return CfProbe(
-        t_grid=t_grid, c1=c1, c2=c2, c3=c3, c4=c4, se3=se3,
+        t_grid=t_grid, c3=c3, c4=c4, se3=se3,
         checks=tuple(checks), a_n_eval=a, n=float(n), r=r,
     )
 

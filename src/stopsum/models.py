@@ -6,18 +6,12 @@ history *before* the next increment is drawn.  All conditional laws are
 symmetric two-point laws, so conditional moments are available in closed
 form and the hypothesis checks are exact rather than statistical.
 
-Kinds
------
-iid_bounded   X = +/- sqrt(v), constant variance v <= M^2, Y = max(M, 1).
-product       X_{k+1} = A_k * zeta_{k+1} with Rademacher zeta and
-              A_k = a_lo + (a_hi - a_lo) * (1 - 2^{-N_k}) driven by a
-              nondecreasing Bernoulli counting process N_k; Y_k = A_k.
-regime_switch sigma^2_k in {v_lo, v_hi} selected by the sign of the
-              running sum; X_{k+1} = +/- sigma_k; Y = max(1, sqrt(v_hi)).
+A model kind is one ``Law`` subclass, registered by name in ``LAWS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +21,7 @@ from .errors import ConfigurationError, ModelInvalidError, PathOverflowError
 
 __all__ = [
     "KINDS",
+    "LAWS",
     "ModelSpec",
     "ModelState",
     "StepOutput",
@@ -36,13 +31,193 @@ __all__ = [
     "validate_model",
 ]
 
-KINDS = ("iid_bounded", "product", "regime_switch")
 
-_PARAM_DEFAULTS = {
-    "iid_bounded": {"m": 1.0, "v": 1.0},
-    "product": {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05},
-    "regime_switch": {"v_lo": 1.0, "v_hi": 1.0},
-}
+class Law:
+    """One model kind: parameter ``defaults`` checked in ``__init__``, the
+    bounds ``variance_floor`` and ``sigma0_sq_max``, ``step`` giving (X_{k+1},
+    sigma^2_k, Y_k), and ``sample_block`` giving the StoppedBatch columns of
+    paths stopped at nu < cap, or raising PathOverflowError."""
+
+    def start(self, state):
+        """Set the per-path state of a fresh ModelState."""
+
+
+class IidBounded(Law):
+    """X = +/- sqrt(v), constant variance v <= M^2, Y = max(M, 1)."""
+
+    defaults = {"m": 1.0, "v": 1.0}
+
+    def __init__(self, m, v):
+        if m < 1.0:
+            raise ConfigurationError("iid_bounded requires M >= 1")
+        if not 0.0 < v <= m ** 2:
+            raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
+        self.v = self.variance_floor = self.sigma0_sq_max = v
+        self._x, self._y = math.sqrt(v), max(m, 1.0)
+
+    def step(self, state):
+        return state._sign() * self._x, self.v, self._y
+
+    def sample_block(self, n, size, rng, cap):
+        nu, v_before = _constant_crossing(self.v, n, cap)   # same on every path
+        gamma = min(1.0, (n - v_before) / self.v)
+        ones = np.ones(size)
+        s_nu = self._x * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
+        x_next = self._x * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        return {
+            "nu": np.full(size, nu, dtype=np.int64),
+            "gamma": gamma * ones,
+            "s_nu": s_nu,
+            "s_prime_nu": s_nu + math.sqrt(gamma) * x_next,
+            "y_nu": self._y * ones,
+            "v_before": v_before * ones,
+            "sigma_nu_sq": self.v * ones,
+        }
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_crossing(v, n, cap):
+    """(nu, v_before) by the float sums and stopping rule of run_path."""
+    nu, v_before = 1, v                 # the k = 0 step never stops
+    while v_before + v < n and nu < cap:
+        nu, v_before = nu + 1, v_before + v
+    if nu >= cap:
+        raise _overflow(cap, n, "iid_bounded")
+    return nu, v_before
+
+
+def _overflow(cap, n, kind):
+    return PathOverflowError(f"no stop after {cap} steps (n = {n}, {kind})")
+
+
+_PRODUCT_CHUNK = 512  # rows per dense matrix; keeps peak memory modest
+
+
+class Product(Law):
+    """X_{k+1} = A_k * zeta_{k+1} with Rademacher zeta and
+    A_k = a_lo + (a_hi - a_lo) * (1 - 2^{-N_k}) driven by a nondecreasing
+    Bernoulli(p_growth) counting process N_k; Y_k = A_k."""
+
+    defaults = {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05}
+
+    def __init__(self, a_lo, a_hi, p_growth):
+        if a_lo < 1.0 or a_hi < a_lo:
+            raise ConfigurationError("product requires 1 <= a_lo <= a_hi")
+        if not 0.0 <= p_growth <= 1.0:
+            raise ConfigurationError("product requires p_growth in [0, 1]")
+        self.a_lo, self.a_hi, self.p_growth = a_lo, a_hi, p_growth
+        # A_k >= a_lo on every path, and A_0 = a_lo since N_0 = 0
+        self.variance_floor = self.sigma0_sq_max = a_lo ** 2
+
+    def start(self, state):
+        state.a_current = self.a_lo
+
+    def step(self, state):
+        a = state.a_current
+        x = state._sign() * a
+        # advance the counting process for the next step
+        if state._uniform() < self.p_growth and self.a_hi > self.a_lo:
+            state.a_current = self.a_hi - 0.5 * (self.a_hi - a)
+        return x, a * a, max(1.0, a)
+
+    def sample_block(self, n, size, rng, cap):
+        a_lo, a_hi, q = self.a_lo, self.a_hi, self.p_growth
+        chunks = []
+        for start in range(0, size, _PRODUCT_CHUNK):
+            sz = min(_PRODUCT_CHUNK, size - start)
+            grow = rng.random((sz, cap)) < q        # N_k increments, k = 1..cap
+            counts = np.cumsum(grow, axis=1, dtype=np.int32)
+            a = np.empty((sz, cap))
+            a[:, 0] = a_lo                          # A_0: N_0 = 0
+            a[:, 1:] = a_lo + (a_hi - a_lo) * (
+                1.0 - np.exp2(-counts[:, :-1].astype(float))
+            )
+            zeta = 2.0 * rng.integers(0, 2, size=(sz, cap)) - 1.0  # zeta_{k+1}
+            sigma_sq = a * a
+            csum = np.cumsum(sigma_sq, axis=1)
+            if not np.all(csum[:, -1] >= n):
+                raise _overflow(cap, n, "product")
+            nu = np.argmax(csum >= n, axis=1)       # first hit is >= 1 (n >= 2 sigma0^2)
+            rows = np.arange(sz)
+            v_before = csum[rows, nu - 1]
+            sig_nu = sigma_sq[rows, nu]
+            gamma = (n - v_before) / sig_nu
+            x = a * zeta                            # column k holds X_{k+1}
+            mask = np.arange(cap)[None, :] < nu[:, None]
+            s_nu = np.sum(x * mask, axis=1)
+            chunks.append({
+                "nu": nu.astype(np.int64),
+                "gamma": gamma,
+                "s_nu": s_nu,
+                "s_prime_nu": s_nu + np.sqrt(gamma) * x[rows, nu],
+                "y_nu": a[rows, nu],                # max(1, A) = A since a_lo >= 1
+                "v_before": v_before,
+                "sigma_nu_sq": sig_nu,
+            })
+        if len(chunks) == 1:
+            return chunks[0]
+        return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+
+
+class RegimeSwitch(Law):
+    """sigma^2_k in {v_lo, v_hi} selected by the sign of the running sum;
+    X_{k+1} = +/- sigma_k; Y = max(1, sqrt(v_hi))."""
+
+    defaults = {"v_lo": 1.0, "v_hi": 1.0}
+
+    def __init__(self, v_lo, v_hi):
+        if not 0.0 < v_lo <= v_hi:
+            raise ConfigurationError("regime_switch requires 0 < v_lo <= v_hi")
+        self.v_lo, self.v_hi = v_lo, v_hi
+        # S_0 = 0 selects the low regime
+        self.variance_floor = self.sigma0_sq_max = v_lo
+        self._y = max(1.0, math.sqrt(v_hi))
+
+    def step(self, state):
+        sigma_sq = self.v_hi if state.running_sum > 0 else self.v_lo
+        return state._sign() * math.sqrt(sigma_sq), sigma_sq, self._y
+
+    def sample_block(self, n, size, rng, cap):
+        v_lo, v_hi = self.v_lo, self.v_hi
+        out = {
+            "nu": np.zeros(size, dtype=np.int64),
+            "gamma": np.zeros(size),
+            "s_nu": np.zeros(size),
+            "s_prime_nu": np.zeros(size),
+            "y_nu": np.full(size, self._y),
+            "v_before": np.zeros(size),
+            "sigma_nu_sq": np.zeros(size),
+        }
+        s = np.zeros(size)
+        v = np.zeros(size)
+        active = np.arange(size)
+        for k in range(cap):
+            sigma_sq = np.where(s[active] > 0, v_hi, v_lo)
+            x = np.sqrt(sigma_sq) * (2.0 * rng.integers(0, 2, size=active.size) - 1.0)
+            v_new = v[active] + sigma_sq
+            stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
+            if stop.any():
+                idx = active[stop]
+                gamma = (n - v[idx]) / sigma_sq[stop]
+                out["nu"][idx] = k
+                out["gamma"][idx] = gamma
+                out["s_nu"][idx] = s[idx]
+                out["s_prime_nu"][idx] = s[idx] + np.sqrt(gamma) * x[stop]
+                out["v_before"][idx] = v[idx]
+                out["sigma_nu_sq"][idx] = sigma_sq[stop]
+            cont = ~stop
+            keep = active[cont]
+            s[keep] += x[cont]
+            v[keep] = v_new[cont]
+            active = keep
+            if active.size == 0:
+                return out
+        raise _overflow(cap, n, "regime_switch")
+
+
+LAWS = {"iid_bounded": IidBounded, "product": Product,
+        "regime_switch": RegimeSwitch}
+KINDS = tuple(LAWS)
 
 
 @dataclass(frozen=True)
@@ -52,11 +227,12 @@ class ModelSpec:
     kind: str
     params: dict
     max_steps: int = 10_000_000
+    law: Law = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
-        merged = dict(_PARAM_DEFAULTS[self.kind])
+        merged = dict(LAWS[self.kind].defaults)
         unknown = set(self.params) - set(merged)
         if unknown:
             raise ConfigurationError(
@@ -66,40 +242,17 @@ class ModelSpec:
         object.__setattr__(self, "params", merged)
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be positive")
-        p = merged
-        if self.kind == "iid_bounded":
-            if p["m"] < 1.0:
-                raise ConfigurationError("iid_bounded requires M >= 1")
-            if not 0.0 < p["v"] <= p["m"] ** 2:
-                raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
-        elif self.kind == "product":
-            if p["a_lo"] < 1.0 or p["a_hi"] < p["a_lo"]:
-                raise ConfigurationError("product requires 1 <= a_lo <= a_hi")
-            if not 0.0 <= p["p_growth"] <= 1.0:
-                raise ConfigurationError("product requires p_growth in [0, 1]")
-        else:
-            if not 0.0 < p["v_lo"] <= p["v_hi"]:
-                raise ConfigurationError("regime_switch requires 0 < v_lo <= v_hi")
+        object.__setattr__(self, "law", LAWS[self.kind](**merged))
 
     @property
     def variance_floor(self):
         """Lower bound on sigma^2_k, valid on every path."""
-        p = self.params
-        if self.kind == "iid_bounded":
-            return p["v"]
-        if self.kind == "product":
-            return p["a_lo"] ** 2
-        return p["v_lo"]
+        return self.law.variance_floor
 
     @property
     def sigma0_sq_max(self):
         """Largest possible first conditional variance sigma^2_0."""
-        p = self.params
-        if self.kind == "iid_bounded":
-            return p["v"]
-        if self.kind == "product":
-            return p["a_lo"] ** 2  # A_0 = a_lo since N_0 = 0
-        return p["v_lo"]  # S_0 = 0 selects the low regime
+        return self.law.sigma0_sq_max
 
     def step_cap(self, n):
         """Worst-case path length for threshold n, clamped by max_steps."""
@@ -121,7 +274,7 @@ class ModelState:
     step: int
     rng: np.random.Generator
     running_sum: float = 0.0   # S_k, drives the regime_switch variance
-    a_current: float = 1.0     # product model: A_k
+    a_current: float = 1.0     # product model: A_k, set by Product.start
     _bits: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
     _bit_pos: int = 0
     _unif: np.ndarray = field(default_factory=lambda: np.empty(0, float))
@@ -150,8 +303,7 @@ def init_model(spec, seed):
         raise ConfigurationError("spec must be a ModelSpec")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     state = ModelState(spec=spec, step=0, rng=rng)
-    if spec.kind == "product":
-        state.a_current = spec.params["a_lo"]
+    spec.law.start(state)
     return state
 
 
@@ -166,25 +318,7 @@ def step_model(state):
         raise PathOverflowError(
             f"step cap {spec.max_steps} reached for kind {spec.kind}"
         )
-    p = spec.params
-    if spec.kind == "iid_bounded":
-        sigma_sq = p["v"]
-        y = max(p["m"], 1.0)
-        x = state._sign() * math.sqrt(sigma_sq)
-    elif spec.kind == "product":
-        a = state.a_current
-        sigma_sq = a * a
-        y = max(1.0, a)
-        x = state._sign() * a
-        # advance the counting process for the next step
-        if state._uniform() < p["p_growth"]:
-            span = p["a_hi"] - p["a_lo"]
-            gap = p["a_hi"] - a
-            state.a_current = p["a_hi"] - 0.5 * gap if span > 0 else a
-    else:  # regime_switch
-        sigma_sq = p["v_hi"] if state.running_sum > 0 else p["v_lo"]
-        y = max(1.0, math.sqrt(p["v_hi"]))
-        x = state._sign() * math.sqrt(sigma_sq)
+    x, sigma_sq, y = spec.law.step(state)
     state.running_sum += x
     state.step += 1
     return StepOutput(x=x, sigma_sq=sigma_sq, y=y)
@@ -218,7 +352,7 @@ def validate_model(spec, seed, n_paths=1000, path_len=128):
     sq_sums = np.zeros(2)
     count = 0
     for path in range(n_paths):
-        state = init_model(spec, _path_seed(seed, path))
+        state = init_model(spec, derive_seed(seed, path))
         prev_y = 1.0
         s = 0.0
         for _ in range(path_len):
@@ -248,21 +382,18 @@ def validate_model(spec, seed, n_paths=1000, path_len=128):
             s += out.x
             count += 1
     checks = []
-    ok_all = True
     for k, name in enumerate(g_names):
         mean = sums[k] / count
         var = sq_sums[k] / count - mean * mean
         stderr = math.sqrt(max(var, 0.0) / count)
-        ok = abs(mean) <= 4.0 * stderr
-        ok_all = ok_all and ok
-        checks.append((name, mean, stderr, ok))
+        checks.append((name, mean, stderr, abs(mean) <= 4.0 * stderr))
     return ValidationReport(
         kind=spec.kind,
         n_paths=n_paths,
         path_len=path_len,
         steps_checked=count,
         martingale_checks=tuple(checks),
-        passed=ok_all,
+        passed=all(check[3] for check in checks),
     )
 
 
@@ -271,5 +402,3 @@ def derive_seed(seed, *key):
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-_path_seed = derive_seed

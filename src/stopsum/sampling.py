@@ -5,15 +5,14 @@ Philox seeded by SeedSequence(seed, spawn_key=(b,)), so the stream layout
 is a pure function of (spec, n, seed) and never of the worker count.
 Blocks may execute on a thread pool, but results are stored by block index
 and reduced in that fixed order, which keeps every reported digit
-independent of scheduling.
+independent of scheduling.  The kind's ``law.sample_block`` draws a block.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,14 +67,14 @@ def sample_stopped_batch(spec, n, r, seed, workers=None):
     n = float(n)
     blocks = [(b, min(BLOCK_SIZE, r - b * BLOCK_SIZE))
               for b in range((r + BLOCK_SIZE - 1) // BLOCK_SIZE)]
-    sampler = _SAMPLERS[spec.kind]
+    cap = spec.step_cap(n)
 
     def run_block(args):
         b, size = args
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=(b,)))
         )
-        return sampler(spec, n, size, rng)
+        return spec.law.sample_block(n, size, rng, cap)
 
     w = workers if workers is not None else worker_count()
     if w > 1 and len(blocks) > 1:
@@ -84,120 +83,8 @@ def sample_stopped_batch(spec, n, r, seed, workers=None):
     else:
         results = [run_block(args) for args in blocks]
 
-    cols = {
-        name: np.concatenate([res[name] for res in results])
-        for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
-                     "v_before", "sigma_nu_sq")
-    }
-    return StoppedBatch(**cols)
+    return StoppedBatch(**{
+        col.name: np.concatenate([res[col.name] for res in results])
+        for col in fields(StoppedBatch)
+    })
 
-
-def _block_iid(spec, n, size, rng):
-    v = spec.params["v"]
-    sqrt_v = math.sqrt(v)
-    # constant variances make the stopping time deterministic:
-    # nu = min{k >= 1 : (k+1) v >= n}
-    nu = max(1, math.ceil(n / v) - 1)
-    gamma = (n - v * nu) / v
-    ones = np.ones(size)
-    s_nu = sqrt_v * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
-    x_next = sqrt_v * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-    return {
-        "nu": np.full(size, nu, dtype=np.int64),
-        "gamma": gamma * ones,
-        "s_nu": s_nu,
-        "s_prime_nu": s_nu + math.sqrt(gamma) * x_next,
-        "y_nu": max(spec.params["m"], 1.0) * ones,
-        "v_before": (v * nu) * ones,
-        "sigma_nu_sq": v * ones,
-    }
-
-
-_PRODUCT_CHUNK = 512  # rows per dense matrix; keeps peak memory modest
-
-
-def _block_product(spec, n, size, rng):
-    p = spec.params
-    a_lo, a_hi, q = p["a_lo"], p["a_hi"], p["p_growth"]
-    cap = spec.step_cap(n)
-    chunks = []
-    for start in range(0, size, _PRODUCT_CHUNK):
-        sz = min(_PRODUCT_CHUNK, size - start)
-        grow = rng.random((sz, cap)) < q        # N_k increments, k = 1..cap
-        counts = np.cumsum(grow, axis=1, dtype=np.int32)
-        a = np.empty((sz, cap))
-        a[:, 0] = a_lo                          # A_0: N_0 = 0
-        a[:, 1:] = a_lo + (a_hi - a_lo) * (
-            1.0 - np.exp2(-counts[:, :-1].astype(float))
-        )
-        zeta = 2.0 * rng.integers(0, 2, size=(sz, cap)) - 1.0  # zeta_{k+1}
-        sigma_sq = a * a
-        csum = np.cumsum(sigma_sq, axis=1)
-        nu = np.argmax(csum >= n, axis=1)       # first hit is >= 1 (n >= 2 sigma0^2)
-        rows = np.arange(sz)
-        v_before = csum[rows, nu - 1]
-        sig_nu = sigma_sq[rows, nu]
-        gamma = (n - v_before) / sig_nu
-        x = a * zeta                            # column k holds X_{k+1}
-        mask = np.arange(cap)[None, :] < nu[:, None]
-        s_nu = np.sum(x * mask, axis=1)
-        chunks.append({
-            "nu": nu.astype(np.int64),
-            "gamma": gamma,
-            "s_nu": s_nu,
-            "s_prime_nu": s_nu + np.sqrt(gamma) * x[rows, nu],
-            "y_nu": a[rows, nu],                # max(1, A) = A since a_lo >= 1
-            "v_before": v_before,
-            "sigma_nu_sq": sig_nu,
-        })
-    if len(chunks) == 1:
-        return chunks[0]
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-
-
-def _block_regime(spec, n, size, rng):
-    p = spec.params
-    v_lo, v_hi = p["v_lo"], p["v_hi"]
-    y_const = max(1.0, math.sqrt(v_hi))
-    cap = spec.step_cap(n)
-    out = {
-        "nu": np.zeros(size, dtype=np.int64),
-        "gamma": np.zeros(size),
-        "s_nu": np.zeros(size),
-        "s_prime_nu": np.zeros(size),
-        "y_nu": np.full(size, y_const),
-        "v_before": np.zeros(size),
-        "sigma_nu_sq": np.zeros(size),
-    }
-    s = np.zeros(size)
-    v = np.zeros(size)
-    active = np.arange(size)
-    for k in range(cap):
-        sigma_sq = np.where(s[active] > 0, v_hi, v_lo)
-        x = np.sqrt(sigma_sq) * (2.0 * rng.integers(0, 2, size=active.size) - 1.0)
-        v_new = v[active] + sigma_sq
-        stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
-        if stop.any():
-            idx = active[stop]
-            gamma = (n - v[idx]) / sigma_sq[stop]
-            out["nu"][idx] = k
-            out["gamma"][idx] = gamma
-            out["s_nu"][idx] = s[idx]
-            out["s_prime_nu"][idx] = s[idx] + np.sqrt(gamma) * x[stop]
-            out["v_before"][idx] = v[idx]
-            out["sigma_nu_sq"][idx] = sigma_sq[stop]
-        cont = ~stop
-        keep = active[cont]
-        s[keep] += x[cont]
-        v[keep] = v_new[cont]
-        active = keep
-        if active.size == 0:
-            return out
-    raise RuntimeError("regime_switch block failed to stop within the step cap")
-
-
-_SAMPLERS = {
-    "iid_bounded": _block_iid,
-    "product": _block_product,
-    "regime_switch": _block_regime,
-}

@@ -3,7 +3,8 @@
 A path is stepped until the accumulated conditional variance reaches the
 threshold n.  Indexing contract (the one off-by-one hazard, stated once):
 model step i emits (X_{i+1}, sigma^2_i, Y_i); nu is the smallest k >= 1
-with sum_{i=0}^{k} sigma^2_i >= n, so the step at which the threshold is
+with v_before + sigma^2_k >= n, v_before = sum_{i<k} sigma^2_i summed in
+order in floats by every engine, so the step at which the threshold is
 crossed already carries the extra increment X_{nu+1} used by S'_nu.
 """
 
@@ -40,48 +41,28 @@ class StoppedSample:
 
 def compute_gamma(v_before, sigma_nu_sq, n):
     """Fraction of the final conditional variance that lands the total on n."""
-    if sigma_nu_sq <= 0:
-        raise DegenerateStartError(f"sigma_nu_sq = {sigma_nu_sq} must be > 0")
     if not v_before < n <= v_before + sigma_nu_sq:
         raise DegenerateStartError(
             f"need v_before < n <= v_before + sigma_nu_sq, got "
             f"({v_before}, {n}, {v_before + sigma_nu_sq})"
         )
-    return (n - v_before) / sigma_nu_sq
+    # rounding can put n above the exact sum by half an ulp of n
+    return min(1.0, (n - v_before) / sigma_nu_sq)
 
 
 def run_path(state, n, keep_prefix=False):
-    """Run one model path to its stopping time.
-
-    Variance accumulation is Kahan-compensated: nu is defined by a
-    threshold comparison and million-step paths would otherwise drift.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    """Run one model path to its stopping time."""
     if n < 2.0 * state.spec.sigma0_sq_max:
         raise DegenerateStartError(
             f"n = {n} < 2 * max sigma^2_0 = {2.0 * state.spec.sigma0_sq_max}; "
             "the nu = 1 edge could make gamma nonpositive"
         )
     cap = state.spec.step_cap(n)
-    total = 0.0
-    comp = 0.0  # Kahan compensation term
-    s = 0.0
+    v_before = s = 0.0
     prefix = [] if keep_prefix else None
-    k = 0
-    while True:
-        if k >= cap:
-            raise PathOverflowError(
-                f"no stop after {cap} steps (n = {n}, kind = {state.spec.kind})"
-            )
+    for k in range(cap):
         out = step_model(state)  # (X_{k+1}, sigma^2_k, Y_k)
-        v_before = total
-        yv = out.sigma_sq - comp
-        t = total + yv
-        comp = (t - total) - yv
-        total = t
-        if prefix is not None:
-            prefix.append(total)
+        total = v_before + out.sigma_sq
         if k >= 1 and total >= n:
             gamma = compute_gamma(v_before, out.sigma_sq, n)
             return StoppedSample(
@@ -92,13 +73,15 @@ def run_path(state, n, keep_prefix=False):
                 y_nu=out.y,
                 v_before=v_before,
                 sigma_nu_sq=out.sigma_sq,
-                sigma_prefix=(
-                    np.asarray(prefix[:-1], dtype=float)
-                    if prefix is not None else None
-                ),
+                sigma_prefix=None if prefix is None else np.asarray(prefix),
             )
+        if prefix is not None:
+            prefix.append(total)
         s += out.x
-        k += 1
+        v_before = total
+    raise PathOverflowError(
+        f"no stop after {cap} steps (n = {n}, kind = {state.spec.kind})"
+    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from stopsum import ConfigurationError, cli
+from stopsum import ConfigurationError, InequalityCheck, cli
 from stopsum.cli import ExperimentConfig, build_config, emit_report, main
 from stopsum.models import ModelSpec
 
@@ -58,6 +59,9 @@ class TestBuildConfig:
         ["--delta", "1"],
         ["--checks", "nonsense"],
         ["--checks", "rate"],       # rate needs >= 4 n values
+        ["--n-list", "16,inf"],
+        ["--n-list", "16,nan"],
+        ["--seed", "-3"],
     ])
     def test_invalid_values_rejected(self, extra):
         argv = ["--model", "iid_bounded", "--n-list", "16,32",
@@ -84,6 +88,10 @@ class TestMain:
         assert main(["--model", "iid_bounded", "--n-list", "1"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_non_finite_n_exit_2(self, capsys):
+        assert main(["--model", "iid_bounded", "--n-list", "16,inf"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -102,6 +110,43 @@ class TestMain:
         assert (tmp_path / "rep.csv").exists()
         assert (tmp_path / "rep_ecdf_n16.csv").exists()
         assert (tmp_path / "rep_cf_n16.csv").exists()
+
+
+class TestCfGate:
+    """A CF row is flagged resolution-limited, and so excused from the exit
+    status, only if every failing point in it is resolution-limited."""
+
+    def _run(self, monkeypatch, resolved_failure):
+        real = cli.probe_from_batch
+
+        def injected(batch, n, t_grid):
+            probe = real(batch, n, t_grid)
+            checks = list(probe.checks)
+            cf9 = [i for i, c in enumerate(checks) if c.name == "cf9"]
+            # one passing point below resolution, one failing at |t| = 2.83
+            checks[cf9[0]] = InequalityCheck("cf9", checks[cf9[0]].t,
+                                             0.0, 1e-6, 1e-3, True)
+            checks[cf9[-1]] = InequalityCheck(
+                "cf9", 2.83, 1.74, 0.19, 0.0056, not resolved_failure
+            )
+            return dataclasses.replace(probe, checks=tuple(checks))
+
+        monkeypatch.setattr(cli, "probe_from_batch", injected)
+        config = build_config(IID_ARGS + ["--checks", "cf"])
+        status, records, _ = cli.run_experiment(config)
+        return status, [r for r in records if r["check"] == "cf9"]
+
+    def test_resolved_failure_exits_1(self, monkeypatch):
+        status, rows = self._run(monkeypatch, resolved_failure=True)
+        assert status == 1
+        assert all(r["verdict"] == "FAIL" for r in rows)
+        assert not any(r["resolution_limited"] for r in rows)
+
+    def test_unresolved_failure_is_excused(self, monkeypatch):
+        status, rows = self._run(monkeypatch, resolved_failure=False)
+        assert status == 0
+        assert all(r["verdict"] == "FAIL" for r in rows)
+        assert all(r["resolution_limited"] for r in rows)
 
 
 class TestDeterminism:

@@ -1,0 +1,79 @@
+"""Contract that every registered model kind meets, whatever its law."""
+
+import math
+
+import numpy as np
+import pytest
+
+from stopsum import (
+    KINDS,
+    LAWS,
+    ModelSpec,
+    PathOverflowError,
+    init_model,
+    run_path,
+    sample_stopped_batch,
+    step_model,
+)
+
+
+@pytest.fixture(params=KINDS)
+def spec(request):
+    return ModelSpec(request.param, {})
+
+
+def test_registry_names_every_kind():
+    assert KINDS == tuple(LAWS)
+    for kind, law in LAWS.items():
+        assert ModelSpec(kind, {}).params == law.defaults
+
+
+def test_first_variance_is_sigma0_max(spec):
+    for seed in range(20):
+        assert step_model(init_model(spec, seed)).sigma_sq == spec.sigma0_sq_max
+
+
+def test_variances_respect_the_floor(spec):
+    for seed in range(20):
+        state = init_model(spec, seed)
+        for _ in range(300):
+            assert step_model(state).sigma_sq >= spec.variance_floor
+
+
+def test_batch_and_scalar_agree_in_mean(spec):
+    n = 64.0
+    batch = sample_stopped_batch(spec, n, 20_000, 11)
+    scalar = [run_path(init_model(spec, 10_000 + i), n) for i in range(2000)]
+    for name in ("nu", "s_nu"):
+        bvals = getattr(batch, name).astype(float)
+        svals = np.array([getattr(s, name) for s in scalar], dtype=float)
+        se = math.hypot(np.std(bvals) / math.sqrt(bvals.size),
+                        np.std(svals) / math.sqrt(svals.size))
+        assert abs(np.mean(bvals) - np.mean(svals)) <= 6.0 * se + 1e-12, name
+
+
+class TestStepCapOverflow:
+    """nu must stay below step_cap(n); otherwise every engine raises."""
+
+    def test_batch_raises(self, spec):
+        small = ModelSpec(spec.kind, {}, max_steps=5)
+        with pytest.raises(PathOverflowError):
+            sample_stopped_batch(small, 64.0, 64, 0)
+
+    def test_scalar_raises(self, spec):
+        small = ModelSpec(spec.kind, {}, max_steps=5)
+        with pytest.raises(PathOverflowError):
+            run_path(init_model(small, 0), 64.0)
+
+    @pytest.mark.parametrize("max_steps,fits", [(64, True), (63, False)])
+    def test_same_boundary_in_both_engines(self, max_steps, fits):
+        # unit variance at n = 64 stops at nu = 63
+        spec = ModelSpec("iid_bounded", {}, max_steps=max_steps)
+        if fits:
+            assert sample_stopped_batch(spec, 64.0, 8, 0).nu[0] == 63
+            assert run_path(init_model(spec, 0), 64.0).nu == 63
+        else:
+            with pytest.raises(PathOverflowError):
+                sample_stopped_batch(spec, 64.0, 8, 0)
+            with pytest.raises(PathOverflowError):
+                run_path(init_model(spec, 0), 64.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from stopsum import (
     init_model,
     lemma1_check,
     run_path,
+    sample_stopped_batch,
     step_model,
 )
 
@@ -129,6 +131,50 @@ class TestRunPath:
         assert sample.nu == nu_exp
         assert abs(sample.gamma - gamma_exp) <= 1e-9
         assert abs(sample.s_nu) <= sample.nu * math.sqrt(v) + 1e-12
+
+
+class TestTies:
+    """n = k v exactly, in the rounded product or in the summed variances."""
+
+    def test_reported_tie(self):
+        spec = ModelSpec("iid_bounded", {"m": 1.0, "v": 1 / 3})
+        sample = run_path(init_model(spec, 0), 423.0)
+        assert sample.v_before < 423.0 <= sample.v_before + sample.sigma_nu_sq
+        assert 0.0 < sample.gamma <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.sampled_from([1 / 3, 0.1, 0.7, 0.3, 1 / 7]) | st.floats(0.1, 4.0),
+        k=st.integers(2, 1500),
+        summed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ties_keep_the_invariants(self, v, k, summed, seed):
+        n = k * v
+        if summed:
+            n = 0.0
+            for _ in range(k):
+                n += v
+        spec = ModelSpec("iid_bounded", {"m": max(1.0, 2.0 * math.sqrt(v)),
+                                         "v": v})
+        scalar = run_path(init_model(spec, seed), n)
+        batch = sample_stopped_batch(spec, n, 2, seed)
+        for nu, gamma, v_before, sigma_sq in (
+            (scalar.nu, scalar.gamma, scalar.v_before, scalar.sigma_nu_sq),
+            (batch.nu[0], batch.gamma[0], batch.v_before[0],
+             batch.sigma_nu_sq[0]),
+        ):
+            assert nu >= 1
+            assert 0.0 < gamma <= 1.0
+            assert v_before < n <= v_before + sigma_sq
+        assert batch.nu[0] == scalar.nu
+        assert batch.gamma[0] == scalar.gamma
+        assert batch.v_before[0] == scalar.v_before
+        # rounding moves the crossing by at most one step from exact arithmetic
+        exact = 1
+        while (exact + 1) * Fraction(v) < Fraction(n):
+            exact += 1
+        assert abs(scalar.nu - exact) <= 1
 
 
 class TestLemma1:
