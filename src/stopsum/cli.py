@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PathOverflowError
 from .harness import (
     esseen_numeric,
     make_t_grid,
@@ -29,7 +29,9 @@ from .harness import (
 )
 from .models import KINDS, LAWS, ModelSpec, derive_seed, init_model
 from .sampling import sample_stopped_batch
-from .stopping import lemma1_check, run_path
+# run_path stays importable here: the benchmark tracer (perfbench/spans.py)
+# wraps cli.run_path, cli.lemma1_check, cli.init_model and cli.derive_seed
+from .stopping import lemma1_check, run_lockstep, run_path
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -191,22 +193,23 @@ def run_experiment(config):
 
 
 def _lemma1_record(config, n, n_index):
+    """Worst Lemma-1 point over paths, then t: the first strict minimum of
+    the margin, as a path-by-path scan finds it."""
     n_paths = min(config.reps, LEMMA1_MAX_PATHS)
     seed = derive_seed(config.master_seed, 1, n_index)
+    states = (init_model(config.model, derive_seed(seed, path))
+              for path in range(n_paths))
     worst_lhs = 0.0
     worst_rhs = math.inf
     min_margin = math.inf
     violations = 0
-    for path in range(n_paths):
-        state = init_model(config.model, derive_seed(seed, path))
-        sample = run_path(state, n, keep_prefix=True)
-        for t in LEMMA1_T_GRID:
-            res = lemma1_check(sample, t, n)
-            if res.margin < min_margin:
-                min_margin = res.margin
-                worst_lhs, worst_rhs = res.lhs, res.rhs
-            if not res.ok:
-                violations += 1
+    for paths in run_lockstep(states, n):
+        res = lemma1_check(paths, LEMMA1_T_GRID, n)
+        worst = np.unravel_index(np.argmin(res.margin), res.margin.shape)
+        if res.margin[worst] < min_margin:
+            min_margin = res.margin[worst]
+            worst_lhs, worst_rhs = res.lhs[worst], res.rhs[worst]
+        violations += np.count_nonzero(~res.ok)
     return _record(
         "lemma1", config, n, seed,
         estimate=worst_lhs, stderr=0.0, bound=worst_rhs, margin=min_margin,
@@ -360,6 +363,9 @@ def main(argv=None):
         status, records, _files = run_experiment(config)
     except ConfigurationError as exc:
         print(f"stopsum: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except PathOverflowError as exc:
+        print(f"stopsum: path overflow: {exc}", file=sys.stderr)
         return 2
     for rec in records:
         flag = " [resolution-limited]" if rec["resolution_limited"] else ""

@@ -17,15 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelInvalidError, PathOverflowError
+from .errors import (
+    ConfigurationError,
+    DegenerateStartError,
+    ModelInvalidError,
+    PathOverflowError,
+)
 
 __all__ = [
     "KINDS",
     "LAWS",
+    "LaneState",
     "ModelSpec",
     "ModelState",
     "StepOutput",
     "ValidationReport",
+    "compute_gamma",
     "init_model",
     "step_model",
     "validate_model",
@@ -34,12 +41,37 @@ __all__ = [
 
 class Law:
     """One model kind: parameter ``defaults`` checked in ``__init__``, the
-    bounds ``variance_floor`` and ``sigma0_sq_max``, ``step`` giving (X_{k+1},
-    sigma^2_k, Y_k), and ``sample_block`` giving the StoppedBatch columns of
-    paths stopped at nu < cap, or raising PathOverflowError."""
+    bounds ``variance_floor`` and ``sigma0_sq_max``, the sorted array
+    ``variances`` of every value sigma^2_k can take, ``step`` giving
+    (X_{k+1}, sigma^2_k, Y_k), and ``sample_block`` giving the StoppedBatch
+    columns of paths stopped at nu < cap, or raising PathOverflowError.
 
-    def start(self, state):
-        """Set the per-path state of a fresh ModelState."""
+    ``step`` is written once for a ModelState (floats) and a LaneState
+    (one array entry per path): it uses only arithmetic and comparisons,
+    and draws one sign per step and then, if ``uniforms``, one uniform."""
+
+    uniforms = False
+
+
+def _pick(flag, if_one, if_zero):
+    """Exact select for flag in {0.0, 1.0}, on floats and arrays alike:
+    the unselected term is 0.0 * finite = 0.0."""
+    return flag * if_one + (1.0 - flag) * if_zero
+
+
+def compute_gamma(v_before, sigma_nu_sq, n):
+    """Fraction of the final conditional variance that lands the total on n,
+    for one path (floats) or many (arrays)."""
+    v, s = np.broadcast_arrays(np.atleast_1d(v_before), sigma_nu_sq)
+    ok = (v < n) & (n <= v + s)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DegenerateStartError(
+            f"need v_before < n <= v_before + sigma_nu_sq, got "
+            f"({v[i]}, {n}, {v[i] + s[i]})"
+        )
+    # rounding can put n above the exact sum by half an ulp of n
+    return np.minimum(1.0, (n - v_before) / sigma_nu_sq)
 
 
 class IidBounded(Law):
@@ -53,6 +85,7 @@ class IidBounded(Law):
         if not 0.0 < v <= m ** 2:
             raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
         self.v = self.variance_floor = self.sigma0_sq_max = v
+        self.variances = np.array([v])
         self._x, self._y = math.sqrt(v), max(m, 1.0)
 
     def step(self, state):
@@ -60,7 +93,7 @@ class IidBounded(Law):
 
     def sample_block(self, n, size, rng, cap):
         nu, v_before = _constant_crossing(self.v, n, cap)   # same on every path
-        gamma = min(1.0, (n - v_before) / self.v)
+        gamma = compute_gamma(v_before, self.v, n)
         ones = np.ones(size)
         s_nu = self._x * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
         x_next = self._x * (2.0 * rng.integers(0, 2, size=size) - 1.0)
@@ -91,14 +124,18 @@ def _overflow(cap, n, kind):
 
 
 _PRODUCT_CHUNK = 512  # rows per dense matrix; keeps peak memory modest
+# 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
+_PRODUCT_LEVELS = 55
 
 
 class Product(Law):
     """X_{k+1} = A_k * zeta_{k+1} with Rademacher zeta and
     A_k = a_lo + (a_hi - a_lo) * (1 - 2^{-N_k}) driven by a nondecreasing
-    Bernoulli(p_growth) counting process N_k; Y_k = A_k."""
+    Bernoulli(p_growth) counting process N_k; Y_k = A_k.  Every engine keeps
+    the integer N_k and evaluates A_k by ``amplitude``."""
 
     defaults = {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05}
+    uniforms = True
 
     def __init__(self, a_lo, a_hi, p_growth):
         if a_lo < 1.0 or a_hi < a_lo:
@@ -108,30 +145,30 @@ class Product(Law):
         self.a_lo, self.a_hi, self.p_growth = a_lo, a_hi, p_growth
         # A_k >= a_lo on every path, and A_0 = a_lo since N_0 = 0
         self.variance_floor = self.sigma0_sq_max = a_lo ** 2
+        self.variances = np.array(sorted(
+            {a * a for a in map(self.amplitude, range(_PRODUCT_LEVELS))}))
 
-    def start(self, state):
-        state.a_current = self.a_lo
+    def amplitude(self, growth):
+        """A_k for the growth count N_k (an int or an integer array)."""
+        return self.a_lo + (self.a_hi - self.a_lo) * (1.0 - np.ldexp(1.0, -growth))
 
     def step(self, state):
-        a = state.a_current
+        a = self.amplitude(state.growth)
         x = state._sign() * a
         # advance the counting process for the next step
-        if state._uniform() < self.p_growth and self.a_hi > self.a_lo:
-            state.a_current = self.a_hi - 0.5 * (self.a_hi - a)
-        return x, a * a, max(1.0, a)
+        state.growth = state.growth + (state._uniform() < self.p_growth)
+        return x, a * a, a        # Y_k = max(1, A_k) = A_k since a_lo >= 1
 
     def sample_block(self, n, size, rng, cap):
-        a_lo, a_hi, q = self.a_lo, self.a_hi, self.p_growth
+        q = self.p_growth
         chunks = []
         for start in range(0, size, _PRODUCT_CHUNK):
             sz = min(_PRODUCT_CHUNK, size - start)
             grow = rng.random((sz, cap)) < q        # N_k increments, k = 1..cap
             counts = np.cumsum(grow, axis=1, dtype=np.int32)
             a = np.empty((sz, cap))
-            a[:, 0] = a_lo                          # A_0: N_0 = 0
-            a[:, 1:] = a_lo + (a_hi - a_lo) * (
-                1.0 - np.exp2(-counts[:, :-1].astype(float))
-            )
+            a[:, 0] = self.a_lo                     # A_0: N_0 = 0
+            a[:, 1:] = self.amplitude(counts[:, :-1])
             zeta = 2.0 * rng.integers(0, 2, size=(sz, cap)) - 1.0  # zeta_{k+1}
             sigma_sq = a * a
             csum = np.cumsum(sigma_sq, axis=1)
@@ -141,7 +178,7 @@ class Product(Law):
             rows = np.arange(sz)
             v_before = csum[rows, nu - 1]
             sig_nu = sigma_sq[rows, nu]
-            gamma = (n - v_before) / sig_nu
+            gamma = compute_gamma(v_before, sig_nu, n)
             x = a * zeta                            # column k holds X_{k+1}
             mask = np.arange(cap)[None, :] < nu[:, None]
             s_nu = np.sum(x * mask, axis=1)
@@ -171,23 +208,26 @@ class RegimeSwitch(Law):
         self.v_lo, self.v_hi = v_lo, v_hi
         # S_0 = 0 selects the low regime
         self.variance_floor = self.sigma0_sq_max = v_lo
+        self.variances = np.array(sorted({v_lo, v_hi}))
+        self._sd_lo, self._sd_hi = math.sqrt(v_lo), math.sqrt(v_hi)
         self._y = max(1.0, math.sqrt(v_hi))
 
     def step(self, state):
-        sigma_sq = self.v_hi if state.running_sum > 0 else self.v_lo
-        return state._sign() * math.sqrt(sigma_sq), sigma_sq, self._y
+        high = (state.running_sum > 0) * 1.0
+        sigma_sq = _pick(high, self.v_hi, self.v_lo)
+        x = state._sign() * _pick(high, self._sd_hi, self._sd_lo)
+        return x, sigma_sq, self._y
 
     def sample_block(self, n, size, rng, cap):
         v_lo, v_hi = self.v_lo, self.v_hi
         out = {
             "nu": np.zeros(size, dtype=np.int64),
-            "gamma": np.zeros(size),
             "s_nu": np.zeros(size),
-            "s_prime_nu": np.zeros(size),
             "y_nu": np.full(size, self._y),
             "v_before": np.zeros(size),
             "sigma_nu_sq": np.zeros(size),
         }
+        x_nu = np.zeros(size)                       # X_{nu+1}
         s = np.zeros(size)
         v = np.zeros(size)
         active = np.arange(size)
@@ -198,19 +238,20 @@ class RegimeSwitch(Law):
             stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
             if stop.any():
                 idx = active[stop]
-                gamma = (n - v[idx]) / sigma_sq[stop]
                 out["nu"][idx] = k
-                out["gamma"][idx] = gamma
                 out["s_nu"][idx] = s[idx]
-                out["s_prime_nu"][idx] = s[idx] + np.sqrt(gamma) * x[stop]
                 out["v_before"][idx] = v[idx]
                 out["sigma_nu_sq"][idx] = sigma_sq[stop]
+                x_nu[idx] = x[stop]
             cont = ~stop
             keep = active[cont]
             s[keep] += x[cont]
             v[keep] = v_new[cont]
             active = keep
             if active.size == 0:
+                out["gamma"] = compute_gamma(out["v_before"],
+                                             out["sigma_nu_sq"], n)
+                out["s_prime_nu"] = out["s_nu"] + np.sqrt(out["gamma"]) * x_nu
                 return out
         raise _overflow(cap, n, "regime_switch")
 
@@ -261,9 +302,23 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class StepOutput:
+    """Floats for a ModelState; for a LaneState x is one entry per lane,
+    sigma_sq and y are that or one float for every lane."""
+
     x: float        # the increment X_{k+1}
     sigma_sq: float  # sigma^2_k, known before X_{k+1} is drawn
     y: float        # Y_k >= 1, nondecreasing
+
+
+_REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
+
+
+def _draw_signs(rng):
+    return rng.integers(0, 2, size=_REFILL, dtype=np.int8)
+
+
+def _draw_uniforms(rng):
+    return rng.random(_REFILL)
 
 
 @dataclass
@@ -274,7 +329,7 @@ class ModelState:
     step: int
     rng: np.random.Generator
     running_sum: float = 0.0   # S_k, drives the regime_switch variance
-    a_current: float = 1.0     # product model: A_k, set by Product.start
+    growth: int = 0            # product model: the growth count N_k
     _bits: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
     _bit_pos: int = 0
     _unif: np.ndarray = field(default_factory=lambda: np.empty(0, float))
@@ -282,7 +337,7 @@ class ModelState:
 
     def _sign(self):
         if self._bit_pos >= self._bits.size:
-            self._bits = self.rng.integers(0, 2, size=4096, dtype=np.int8)
+            self._bits = _draw_signs(self.rng)
             self._bit_pos = 0
         b = self._bits[self._bit_pos]
         self._bit_pos += 1
@@ -290,11 +345,71 @@ class ModelState:
 
     def _uniform(self):
         if self._unif_pos >= self._unif.size:
-            self._unif = self.rng.random(4096)
+            self._unif = _draw_uniforms(self.rng)
             self._unif_pos = 0
         u = self._unif[self._unif_pos]
         self._unif_pos += 1
         return u
+
+
+class LaneState:
+    """Fresh ModelStates of one spec stepped together, one array entry
+    (lane) per path.  Lane i replays state i's stream: every law draws one
+    sign per step and, if ``law.uniforms``, then one uniform, so a
+    ModelState's buffers draw 4096 signs and then 4096 uniforms at the
+    steps k = 0, 4096, 8192, ...; a lane draws the same blocks in the same
+    order.  Only the draws for steps below ``cap`` are kept, and a
+    generator is dropped once its last such block is drawn: at once when
+    cap <= 4096, so that the states of a chunk need not all be held."""
+
+    def __init__(self, spec, states, size, cap):
+        self.spec, self.cap, self.step = spec, cap, 0
+        self._rngs = self._bits = self._unif = None
+        self._block_end = 0
+        size = self._draw_block(map(self._take_rng, states), size)
+        self.running_sum = np.zeros(size)
+        self.growth = np.zeros(size, dtype=np.int64)
+
+    def _take_rng(self, state):
+        if state.step or state.spec != self.spec:
+            raise ValueError("lanes need fresh states of one spec")
+        return state.rng
+
+    def _draw_block(self, rngs, size):
+        """Draw the block starting at this step for at most ``size``
+        generators; returns how many there were."""
+        width = min(_REFILL, self.cap - self.step)
+        bits = np.empty((width, size), np.int8)        # row j: step + j
+        unif = np.empty((width, size)) if self.spec.law.uniforms else None
+        later = self.step + width < self.cap     # another block follows
+        kept = []
+        count = 0
+        for count, rng in enumerate(rngs, start=1):
+            bits[:, count - 1] = _draw_signs(rng)[:width]
+            if unif is not None:
+                unif[:, count - 1] = _draw_uniforms(rng)[:width]
+            if later:
+                kept.append(rng)
+        self._bits = bits[:, :count]
+        self._unif = None if unif is None else unif[:, :count]
+        self._block_end = self.step + width
+        self._rngs = kept
+        return count
+
+    def _buffers(self):
+        """(row of this step, sign buffer, uniform buffer), refilled when
+        due."""
+        if self.step >= self._block_end:
+            self._draw_block(self._rngs, len(self._rngs))
+        return self.step % _REFILL, self._bits, self._unif
+
+    def _sign(self):
+        row, bits, _ = self._buffers()
+        return 2.0 * bits[row] - 1.0
+
+    def _uniform(self):
+        row, _, unif = self._buffers()
+        return unif[row]
 
 
 def init_model(spec, seed):
@@ -302,13 +417,12 @@ def init_model(spec, seed):
     if not isinstance(spec, ModelSpec):
         raise ConfigurationError("spec must be a ModelSpec")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    state = ModelState(spec=spec, step=0, rng=rng)
-    spec.law.start(state)
-    return state
+    return ModelState(spec=spec, step=0, rng=rng)
 
 
 def step_model(state):
-    """Advance one step, emitting (X_{k+1}, sigma^2_k, Y_k).
+    """Advance one step of a ModelState or a LaneState, emitting
+    (X_{k+1}, sigma^2_k, Y_k), as floats or as one array entry per lane.
 
     sigma^2 and Y are computed from the history alone; the sign driving
     X_{k+1} is drawn afterwards.
@@ -319,7 +433,7 @@ def step_model(state):
             f"step cap {spec.max_steps} reached for kind {spec.kind}"
         )
     x, sigma_sq, y = spec.law.step(state)
-    state.running_sum += x
+    state.running_sum = state.running_sum + x   # a new array: S_k stays valid
     state.step += 1
     return StepOutput(x=x, sigma_sq=sigma_sq, y=y)
 

@@ -97,6 +97,17 @@ class TestMain:
         path.write_text("{not json")
         assert main(["--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("checks", ["distance", "lemma1"])
+    def test_path_overflow_exit_2(self, monkeypatch, capsys, checks):
+        # a step cap below n / v stands in for n beyond the default max_steps
+        monkeypatch.setattr(
+            cli, "ModelSpec",
+            lambda kind, params: ModelSpec(kind, params, max_steps=20))
+        assert main(IID_ARGS + ["--checks", checks]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopsum: path overflow:")
+        assert "Traceback" not in err
+
     def test_all_checks_small_run(self, tmp_path, capsys):
         out = tmp_path / "rep"
         argv = ["--model", "iid_bounded", "--n-list", "16,24,32,48",

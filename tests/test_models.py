@@ -13,6 +13,7 @@ from stopsum import (
     step_model,
     validate_model,
 )
+from stopsum.models import LaneState
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -113,6 +114,30 @@ class TestStepSemantics:
         assert all(1.0 <= y <= 2.0 for y in ys)
         assert all(b >= a for a, b in zip(ys, ys[1:]))
         assert ys[-1] > ys[0]  # the counting process actually moves
+
+    def test_product_amplitude_same_in_every_engine(self):
+        # non-dyadic a_lo, a_hi: A_N = a_hi - (a_hi - A_{N-1}) / 2 differs
+        # from the closed form in the last bit at N = 3, 5, 7
+        spec = ModelSpec("product", {"a_lo": 1.1, "a_hi": 1.3,
+                                     "p_growth": 0.5})
+        growth = np.arange(61)
+        scalar = []
+        for g in growth.tolist():
+            state = init_model(spec, 0)
+            state.growth = g
+            scalar.append(step_model(state).sigma_sq)
+        lanes = LaneState(spec, (init_model(spec, s) for s in range(61)),
+                          61, 8)
+        lanes.growth = growth
+        lane = step_model(lanes).sigma_sq
+        block = spec.law.amplitude(growth.astype(np.int32))  # block counts
+        assert lane.tolist() == scalar == (block * block).tolist()
+        assert set(scalar) == set(spec.law.variances.tolist())
+
+    def test_every_variance_is_listed(self):
+        for spec in ALL_SPECS:
+            for out in take(spec, 17, 2000):
+                assert out.sigma_sq in spec.law.variances
 
     def test_regime_switch_variances(self):
         outs = take(REGIME, 13, 2000)

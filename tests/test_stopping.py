@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -10,13 +11,17 @@ from hypothesis import strategies as st
 from stopsum import (
     DegenerateStartError,
     ModelSpec,
+    PathOverflowError,
     compute_gamma,
+    derive_seed,
     init_model,
     lemma1_check,
     run_path,
     sample_stopped_batch,
     step_model,
+    stopping,
 )
+from stopsum.cli import LEMMA1_T_GRID, build_config, run_experiment
 
 mpmath.mp.dps = 40
 
@@ -52,6 +57,13 @@ class TestComputeGamma:
             compute_gamma(5.0, 1.0, 4.0)   # n <= v_before
         with pytest.raises(DegenerateStartError):
             compute_gamma(1.0, 1.0, 3.0)   # n > v_before + sigma^2
+
+    def test_many_paths(self):
+        gamma = compute_gamma(np.array([9.0, 8.0, 9.5]),
+                              np.array([1.0, 4.0, 1.0]), 10.0)
+        assert gamma.tolist() == [1.0, 0.5, 0.5]
+        with pytest.raises(DegenerateStartError):   # one path out of window
+            compute_gamma(np.array([9.0, 10.0]), np.array([1.0, 1.0]), 10.0)
 
 
 class TestRunPath:
@@ -177,6 +189,22 @@ class TestTies:
         assert abs(scalar.nu - exact) <= 1
 
 
+    @pytest.mark.parametrize("kind,params", [
+        ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}),
+        ("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}),
+    ])
+    def test_block_samplers_keep_gamma_at_most_one(self, kind, params):
+        # n = k v_lo with non-dyadic variances: the float sum can land on n
+        # a rounding step above n - v_before = sigma^2_nu
+        spec = ModelSpec(kind, params)
+        for k in range(3, 40):
+            n = k * spec.variance_floor
+            batch = sample_stopped_batch(spec, n, 500, k)
+            assert np.all((batch.gamma > 0.0) & (batch.gamma <= 1.0)), k
+            assert np.all((batch.v_before < n)
+                          & (n <= batch.v_before + batch.sigma_nu_sq)), k
+
+
 class TestLemma1:
     def test_zero_t(self):
         sample = run_path(init_model(IID, 5), 10.0, keep_prefix=True)
@@ -219,3 +247,115 @@ class TestLemma1:
         sample = run_path(init_model(IID, 5), 10.0, keep_prefix=True)
         with pytest.raises(ValueError):
             lemma1_check(sample, math.inf, 10.0)
+
+
+def _lemma1_oracle(prefix, y, t, n):
+    """The single-path Lemma-1 formula: one 1-D np.sum over the prefix."""
+    c = t * t / (2.0 * n)
+    lhs = float(np.sum(np.exp(c * prefix) * c * np.diff(prefix, prepend=0.0)))
+    return lhs, math.exp(t * t / 2.0) * (1.0 + y**2 * t * t / n)
+
+
+def _lockstep(spec, seeds, n):
+    """Concatenated columns and per-path prefixes of run_lockstep."""
+    cols = {name: [] for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
+                                  "v_before", "sigma_nu_sq")}
+    prefixes, checks = [], []
+    for paths in stopping.run_lockstep(
+            (init_model(spec, seed) for seed in seeds), n):
+        for name in cols:
+            cols[name].append(getattr(paths, name))
+        by_row = {}
+        for rows, prefix in paths.prefixes():
+            by_row.update(zip(rows.tolist(), prefix))
+        prefixes += [by_row[i] for i in range(paths.nu.size)]
+        checks.append(lemma1_check(paths, LEMMA1_T_GRID, n))
+    cols = {name: np.concatenate(vals) for name, vals in cols.items()}
+    lhs = np.concatenate([res.lhs for res in checks])
+    rhs = np.concatenate([res.rhs for res in checks])
+    return cols, prefixes, lhs, rhs
+
+
+class TestLockstep:
+    """run_lockstep replays each path of run_path bit for bit."""
+
+    @pytest.mark.parametrize("kind,params,n,n_paths", [
+        ("iid_bounded", {}, 64.0, 40),
+        ("iid_bounded", {"m": 1.0, "v": 0.25}, 1100.0, 6),   # nu > 4096
+        ("product", {}, 64.0, 40),
+        ("product", {"a_lo": 1.0, "a_hi": 1.1, "p_growth": 0.5}, 5200.0, 6),
+        ("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}, 90.0, 40),
+        ("regime_switch", {}, 64.0, 40),
+        ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 128.0, 40),
+        ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 1500.0, 6),
+    ])
+    def test_agrees_with_run_path(self, monkeypatch, kind, params, n, n_paths):
+        monkeypatch.setattr(stopping, "LOCKSTEP_PATHS", 16)   # several chunks
+        spec = ModelSpec(kind, params)
+        seeds = [derive_seed(29, path) for path in range(n_paths)]
+        cols, prefixes, lhs, rhs = _lockstep(spec, seeds, n)
+        if n > 1000:
+            assert cols["nu"].max() > 4096   # a second block of draws
+        for i, seed in enumerate(seeds):
+            sample = run_path(init_model(spec, seed), n, keep_prefix=True)
+            for name, col in cols.items():
+                assert col[i] == getattr(sample, name), (i, name)
+            assert np.array_equal(prefixes[i], sample.sigma_prefix), i
+            for j, t in enumerate(LEMMA1_T_GRID):
+                oracle = _lemma1_oracle(sample.sigma_prefix, sample.y_nu, t, n)
+                assert (lhs[i, j], rhs[i, j]) == oracle, (i, t)
+
+    def test_same_threshold_rule(self):
+        with pytest.raises(DegenerateStartError):   # n < 2 sigma_0^2
+            next(stopping.run_lockstep([init_model(IID, 0)], 1.5))
+        small = ModelSpec("iid_bounded", {}, max_steps=63)
+        with pytest.raises(PathOverflowError):      # nu would be 63
+            next(stopping.run_lockstep([init_model(small, 0)], 64.0))
+        fits = ModelSpec("iid_bounded", {}, max_steps=64)
+        assert next(stopping.run_lockstep([init_model(fits, 0)], 64.0)).nu[0] == 63
+
+    def test_lanes_need_fresh_states(self):
+        state = init_model(IID, 0)
+        step_model(state)
+        with pytest.raises(ValueError):
+            next(stopping.run_lockstep([init_model(IID, 1), state], 10.0))
+
+    def test_shapes_follow_the_inputs(self):
+        spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
+        paths = next(stopping.run_lockstep(
+            (init_model(spec, seed) for seed in range(5)), 32.0))
+        assert lemma1_check(paths, LEMMA1_T_GRID, 32.0).lhs.shape == (5, 5)
+        assert lemma1_check(paths, 2.0, 32.0).lhs.shape == (5,)
+        sample = run_path(init_model(spec, 0), 32.0, keep_prefix=True)
+        assert lemma1_check(sample, LEMMA1_T_GRID, 32.0).lhs.shape == (5,)
+        assert isinstance(lemma1_check(sample, 2.0, 32.0).lhs, float)
+
+
+# lemma1 rows at R = 500, seed 3, n = 16 and 64, as the path-by-path engine
+# printed them: (estimate, bound, margin) per threshold.
+_DEFAULT_ROWS = (
+    (0.12481651914939823, 1.1508538976459954, 1.0260373784965973),
+    (0.13106534260737887, 1.1375748142116187, 1.0065094716042398),
+)
+
+
+class TestLemma1Records:
+    @pytest.mark.parametrize("params,rows", [
+        ({"model": "iid_bounded"}, _DEFAULT_ROWS),
+        ({"model": "product"}, _DEFAULT_ROWS),
+        ({"model": "regime_switch"}, _DEFAULT_ROWS),
+        ({"model": "regime_switch", "v_lo": 0.25, "v_hi": 4.0}, (
+            (0.1325560736439386, 1.203970231383503, 1.0714141577395644),
+            (0.13308695996123837, 1.1508538976459954, 1.0177669376847571),
+        )),
+    ])
+    def test_pinned_rows(self, tmp_path, params, rows):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(params))
+        config = build_config(["--config", str(path), "--n-list", "16,64",
+                               "--reps", "500", "--seed", "3",
+                               "--checks", "lemma1"])
+        status, records, _ = run_experiment(config)
+        assert status == 0
+        got = [(r["estimate"], r["bound"], r["margin"]) for r in records]
+        assert got == list(rows)
