@@ -42,6 +42,9 @@ CSV_COLUMNS = (
 )
 LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
+# a threshold holds its whole batch and the CF probe's temporaries at once,
+# about 180 bytes per path at peak (1.8 GB at this ceiling)
+MAX_REPS = 10**7
 ESSEEN_SLACK = 0.02  # quadrature-and-MC allowance on top of the DKW band
 
 _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
@@ -70,8 +73,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"n = {n} must be finite and >= 2 * max sigma^2_0 = {floor}"
                 )
-        if self.reps < 2:
-            raise ConfigurationError("reps must be >= 2")
+        if not 2 <= self.reps <= MAX_REPS:
+            raise ConfigurationError(f"reps must lie in [2, {MAX_REPS}]")
         if self.master_seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if not 0.0 < self.delta < 1.0:

@@ -207,15 +207,58 @@ class CfProbe:
     @classmethod
     def from_samples(cls, samples, t_grid):
         """CF-only probe of raw normalized samples (e.g. injected Gaussians)."""
-        t_grid = np.asarray(t_grid, dtype=float)
+        grid = _AbsTGrid(t_grid)
         samples = np.asarray(samples, dtype=float)
-        c3 = np.empty(t_grid.size, dtype=complex)
-        se3 = np.empty(t_grid.size)
-        for i, t in enumerate(t_grid):
-            w = np.exp(1j * t * samples)
-            c3[i], se3[i] = _complex_mean(w)
-        return cls(t_grid=t_grid, c3=c3, c4=None,
-                   se3=se3, r=samples.size)
+        x = _Distinct(samples)
+        means = [_complex_mean(x.cis(t)) for t in grid.values]
+        return cls(t_grid=grid.t_grid,
+                   c3=grid.complex([c for c, _ in means]), c4=None,
+                   se3=grid.real([se for _, se in means]), r=samples.size)
+
+
+class _AbsTGrid:
+    """A t grid evaluated once per distinct |t|.
+
+    The samples are real, so the estimate at -t is the complex conjugate of
+    the one at |t| (cos is even, sin is odd, and sums and products of
+    negated terms round to the negated result), and its stderrs, lhs and
+    rhs are those of |t|.
+    """
+
+    def __init__(self, t_grid):
+        self.t_grid = np.asarray(t_grid, dtype=float)
+        self.values, self.which = np.unique(np.abs(self.t_grid),
+                                            return_inverse=True)
+
+    def real(self, per_abs_t):
+        """Per-|t| values, one per grid point."""
+        return np.asarray(per_abs_t, dtype=float)[self.which]
+
+    def complex(self, per_abs_t):
+        """Per-|t| estimates, one per grid point, conjugated where t < 0."""
+        c = np.asarray(per_abs_t, dtype=complex)[self.which]
+        return np.where(self.t_grid < 0, c.conj(), c)
+
+
+class _Distinct:
+    """A real sample as its distinct values and the indices that rebuild it.
+
+    An exponential is computed once per distinct value and gathered back;
+    equal inputs give equal outputs, so the result is bit for bit the
+    elementwise exponential of the whole sample.  Stopped sums of the iid
+    and regime kinds lie on a lattice with far fewer values than paths.
+    """
+
+    def __init__(self, x):
+        self.values, self.inverse = np.unique(x, return_inverse=True)
+
+    def cis(self, t):
+        """exp(i t x) for every x of the sample."""
+        return np.exp(1j * t * self.values)[self.inverse]
+
+    def exp(self, c):
+        """exp(c x) for every x of the sample."""
+        return np.exp(c * self.values)[self.inverse]
 
 
 def _complex_mean(w):
@@ -232,13 +275,19 @@ def _complex_mean(w):
 def probe_from_batch(batch, n, t_grid):
     """Evaluate the three proof inequalities on an existing batch.
 
-    For each t the estimates are
-        c1 = E exp(i t S_nu / sqrt(n) + (t^2/2n) sum_{p<nu} sigma^2_p)
-        c2 = E exp(i t S_nu / sqrt(n) + t^2/2) = e^{t^2/2} c3
-        c3 = E exp(i t S_nu / sqrt(n))
-        c4 = E exp(i t S'_nu / sqrt(n))
-    and the paired differences c1-c2, c3-c4 are averaged per path, which is
-    what makes the O(t^2/n) right-hand sides resolvable at desk-scale r.
+    With S = S_nu / sqrt(n), S' = S'_nu / sqrt(n) and V = sum_{p<nu}
+    sigma^2_p, each path gives at t
+        w1 = exp(i t S + (t^2/2n) V),  w2 = e^{t^2/2} w3,
+        w3 = exp(i t S),               w4 = exp(i t S'),
+    and the estimates are the means c1 = E w1, c3 = E w3, c4 = E w4 and the
+    paired differences E(w1 - w2) and E(w3 - w4), averaged per path, which
+    is what makes the O(t^2/n) right-hand sides resolvable at desk-scale r.
+    The checks are cf7 |c1 - 1|, cf8 |E(w1 - w2)|, cf9 |E(w3 - w4)| and
+    cf_combined |c3 - e^{-t^2/2}|, four per grid point in grid order.
+
+    Each |t| is evaluated once: the rows at -t are those at |t| with c3 and
+    c4 conjugated.  Each exponential is computed once per distinct value of
+    S, S' and V.  The floats are those of evaluating every t on every path.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     a_hat, a_se = estimate_a_n(batch.y_nu)
@@ -249,54 +298,59 @@ def probe_from_batch(batch, n, t_grid):
             f"t grid exceeds the smoothing range [-y, y] with y = {y:.6g}"
         )
     sqrt_n = math.sqrt(n)
-    phase_f = batch.s_nu / sqrt_n
-    phase_h = batch.s_prime_nu / sqrt_n
-    r = batch.size
-    c3 = np.empty(t_grid.size, dtype=complex)
-    c4 = np.empty_like(c3)
-    se3 = np.empty(t_grid.size)
-    checks = []
-    for i, t in enumerate(t_grid):
-        w3 = np.exp(1j * t * phase_f)
-        w4 = np.exp(1j * t * phase_h)
-        growth = np.exp((t * t / (2.0 * n)) * batch.v_before)
+    grid = _AbsTGrid(t_grid)
+    phase_f = _Distinct(batch.s_nu / sqrt_n)
+    phase_h = _Distinct(batch.s_prime_nu / sqrt_n)
+    v_before = _Distinct(batch.v_before)
+    c3, c4, se3, points = [], [], [], []
+    for t in grid.values:  # t = |t| >= 0
+        w3 = phase_f.cis(t)
+        w4 = phase_h.cis(t)
+        growth = v_before.exp(t * t / (2.0 * n))
         w1 = growth * w3
         w2 = math.exp(t * t / 2.0) * w3
         c1, se1 = _complex_mean(w1)
-        c3[i], se3[i] = _complex_mean(w3)
-        c4[i], _ = _complex_mean(w4)
+        c3_t, se3_t = _complex_mean(w3)
+        c3.append(c3_t)
+        se3.append(se3_t)
+        c4.append(_complex_mean(w4)[0])
         d12, se12 = _complex_mean(w1 - w2)
         d34, se34 = _complex_mean(w3 - w4)
 
-        abs_t = abs(t)
         e_half = math.exp(t * t / 2.0)
         rhs7 = a * e_half * (
-            abs_t / (3.0 * sqrt_n)
+            t / (3.0 * sqrt_n)
             + t * t / (4.0 * n)
-            + a * abs_t**3 / (3.0 * n**1.5)
+            + a * t**3 / (3.0 * n**1.5)
             + a * t**4 / (4.0 * n * n)
         )
         rhs8 = a * t * t / (2.0 * n) * e_half
         rhs9 = 3.0 * a * t * t / (2.0 * n)
         rhs_comb = a * (
-            abs_t / (3.0 * sqrt_n)
+            t / (3.0 * sqrt_n)
             + 3.0 * t * t / (4.0 * n)
-            + a * abs_t**3 / (3.0 * n**1.5)
+            + a * t**3 / (3.0 * n**1.5)
             + a * t**4 / (4.0 * n * n)
         )
-        for name, lhs, rhs, se in (
+        points.append((
             ("cf7", abs(c1 - 1.0), rhs7, se1),
             ("cf8", abs(d12), rhs8, se12),
             ("cf9", abs(d34), rhs9, se34),
-            ("cf_combined", abs(c3[i] - math.exp(-t * t / 2.0)), rhs_comb, se3[i]),
-        ):
-            checks.append(InequalityCheck(
-                name=name, t=float(t), lhs=float(lhs), rhs=float(rhs),
-                stderr=float(se), resolution_limited=bool(rhs < se),
-            ))
+            ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
+             se3_t),
+        ))
+    checks = tuple(
+        InequalityCheck(
+            name=name, t=float(t), lhs=float(lhs), rhs=float(rhs),
+            stderr=float(se), resolution_limited=bool(rhs < se),
+        )
+        for t, j in zip(t_grid, grid.which)
+        for name, lhs, rhs, se in points[j]
+    )
     return CfProbe(
-        t_grid=t_grid, c3=c3, c4=c4, se3=se3,
-        checks=tuple(checks), a_n_eval=a, n=float(n), r=r,
+        t_grid=t_grid, c3=grid.complex(c3), c4=grid.complex(c4),
+        se3=grid.real(se3), checks=checks, a_n_eval=a, n=float(n),
+        r=batch.size,
     )
 
 

@@ -62,6 +62,8 @@ class TestBuildConfig:
         ["--n-list", "16,inf"],
         ["--n-list", "16,nan"],
         ["--seed", "-3"],
+        ["--reps", str(cli.MAX_REPS + 1)],
+        ["--reps", str(10**12)],
     ])
     def test_invalid_values_rejected(self, extra):
         argv = ["--model", "iid_bounded", "--n-list", "16,32",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from stopsum import (
     CfProbe,
+    InequalityCheck,
     ModelSpec,
     cf_probe,
     esseen_numeric,
@@ -19,6 +21,8 @@ from stopsum import (
     theorem_bound_F,
     theorem_bound_H,
 )
+from stopsum.harness import _complex_mean
+from stopsum.models import KINDS
 
 mpmath.mp.dps = 40
 
@@ -172,6 +176,124 @@ class TestCfProbe:
         probe = cf_probe(REGIME, 256.0, 50_000,
                          np.array([-2.0, -0.5, 0.5, 2.0]), seed=8)
         assert probe.passed
+
+
+def reference_probe(batch, n, t_grid):
+    """The CF probe as one loop over every t and every path: the reference
+    the probe must match bit for bit."""
+    a_hat, a_se = estimate_a_n(batch.y_nu)
+    a = a_hat + 3.0 * a_se
+    sqrt_n = math.sqrt(n)
+    phase_f = batch.s_nu / sqrt_n
+    phase_h = batch.s_prime_nu / sqrt_n
+    c3 = np.empty(t_grid.size, dtype=complex)
+    c4 = np.empty_like(c3)
+    se3 = np.empty(t_grid.size)
+    checks = []
+    for i, t in enumerate(t_grid):
+        w3 = np.exp(1j * t * phase_f)
+        w4 = np.exp(1j * t * phase_h)
+        growth = np.exp((t * t / (2.0 * n)) * batch.v_before)
+        w1 = growth * w3
+        w2 = math.exp(t * t / 2.0) * w3
+        c1, se1 = _complex_mean(w1)
+        c3[i], se3[i] = _complex_mean(w3)
+        c4[i], _ = _complex_mean(w4)
+        d12, se12 = _complex_mean(w1 - w2)
+        d34, se34 = _complex_mean(w3 - w4)
+        abs_t = abs(t)
+        e_half = math.exp(t * t / 2.0)
+        rhs7 = a * e_half * (
+            abs_t / (3.0 * sqrt_n)
+            + t * t / (4.0 * n)
+            + a * abs_t**3 / (3.0 * n**1.5)
+            + a * t**4 / (4.0 * n * n)
+        )
+        rhs8 = a * t * t / (2.0 * n) * e_half
+        rhs9 = 3.0 * a * t * t / (2.0 * n)
+        rhs_comb = a * (
+            abs_t / (3.0 * sqrt_n)
+            + 3.0 * t * t / (4.0 * n)
+            + a * abs_t**3 / (3.0 * n**1.5)
+            + a * t**4 / (4.0 * n * n)
+        )
+        for name, lhs, rhs, se in (
+            ("cf7", abs(c1 - 1.0), rhs7, se1),
+            ("cf8", abs(d12), rhs8, se12),
+            ("cf9", abs(d34), rhs9, se34),
+            ("cf_combined", abs(c3[i] - math.exp(-t * t / 2.0)), rhs_comb,
+             se3[i]),
+        ):
+            checks.append(InequalityCheck(
+                name=name, t=float(t), lhs=float(lhs), rhs=float(rhs),
+                stderr=float(se), resolution_limited=bool(rhs < se),
+            ))
+    return c3, c4, se3, tuple(checks)
+
+
+def check_fields(check):
+    return [getattr(check, f.name) for f in dataclasses.fields(check)]
+
+
+PROBE_N = 300.0  # y > 2 for every kind; not a power of two, so t^2/2n rounds
+PROBE_SPECS = [ModelSpec(kind, {}) for kind in KINDS] + [REGIME]
+
+
+@pytest.fixture(scope="module", params=PROBE_SPECS,
+                ids=lambda spec: f"{spec.kind}-{sorted(spec.params.items())}")
+def probe_batch(request):
+    return sample_stopped_batch(request.param, PROBE_N, 3000, 17)
+
+
+class TestProbeMatchesPerTLoop:
+    """Evaluating once per |t| and once per distinct sample value gives the
+    floats of the per-t, per-path loop."""
+
+    @pytest.mark.parametrize("grid", ["symmetric", "positive", "negative"])
+    def test_bit_for_bit(self, probe_batch, grid):
+        n = PROBE_N
+        a_hat, a_se = estimate_a_n(probe_batch.y_nu)
+        y = (n / (a_hat + 3.0 * a_se) ** 2) ** 0.25
+        t_grid = {
+            "symmetric": make_t_grid(y),
+            "positive": np.array([0.5, 1.0, 2.0]),
+            "negative": np.array([-1.5]),
+        }[grid]
+        probe = probe_from_batch(probe_batch, n, t_grid)
+        c3, c4, se3, checks = reference_probe(probe_batch, n, t_grid)
+        assert np.array_equal(probe.c3, c3)
+        assert np.array_equal(probe.c4, c4)
+        assert np.array_equal(probe.se3, se3)
+        assert len(probe.checks) == len(checks) == 4 * t_grid.size
+        for got, want in zip(probe.checks, checks):
+            for a, b in zip(check_fields(got), check_fields(want)):
+                assert np.array_equal(a, b), (got, want)
+
+    def test_negative_t_rows_mirror_positive(self, probe_batch):
+        n = PROBE_N
+        a_hat, a_se = estimate_a_n(probe_batch.y_nu)
+        t_grid = make_t_grid((n / (a_hat + 3.0 * a_se) ** 2) ** 0.25)
+        probe = probe_from_batch(probe_batch, n, t_grid)
+        rows = {(c.name, c.t): c for c in probe.checks}
+        mirrored = 0
+        for (name, t), row in rows.items():
+            if t < 0:
+                twin = rows[(name, -t)]
+                assert dataclasses.replace(row, t=-t) == twin
+                mirrored += 1
+        assert mirrored == 4 * (t_grid.size // 2)
+        neg = t_grid < 0
+        assert np.array_equal(probe.c3[neg], np.conj(probe.c3[::-1][neg]))
+
+    def test_from_samples_bit_for_bit(self):
+        samples = np.round(np.random.default_rng(3).normal(size=5000), 2)
+        t_grid = make_t_grid(10.0)
+        probe = CfProbe.from_samples(samples, t_grid)
+        for i, t in enumerate(t_grid):
+            c, se = _complex_mean(np.exp(1j * t * samples))
+            assert probe.c3[i] == c
+            assert probe.se3[i] == se
+        assert probe.r == samples.size
 
 
 class TestEsseen:
