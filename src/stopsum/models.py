@@ -123,7 +123,9 @@ def _overflow(cap, n, kind):
     return PathOverflowError(f"no stop after {cap} steps (n = {n}, {kind})")
 
 
+_REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
 _PRODUCT_CHUNK = 512  # rows per dense matrix; keeps peak memory modest
+_PRODUCT_TILE = 256   # columns per arithmetic tile
 # 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
 _PRODUCT_LEVELS = 55
 
@@ -160,34 +162,69 @@ class Product(Law):
         return x, a * a, a        # Y_k = max(1, A_k) = A_k since a_lo >= 1
 
     def sample_block(self, n, size, rng, cap):
+        """Draw order, which the report bytes rest on: per chunk of at most
+        512 rows, sz*cap uniforms and then sz*cap signs, each a row-major
+        (sz, cap) matrix whose column k drives step k.  The arithmetic runs
+        in column tiles and stops at the chunk's last crossing."""
         q = self.p_growth
+        # A_k by growth count; N_k < cap, and the lookup equals amplitude(N_k)
+        amp = self.amplitude(np.arange(cap))
+        # masked increments X_{k+1} 1{k < nu}, summed over all cap columns
+        # so that np.sum keeps the pairwise tree of a dense row
+        inc = np.zeros((min(size, _PRODUCT_CHUNK), cap))
+        written = 0                                 # columns the last chunk wrote
         chunks = []
         for start in range(0, size, _PRODUCT_CHUNK):
             sz = min(_PRODUCT_CHUNK, size - start)
-            grow = rng.random((sz, cap)) < q        # N_k increments, k = 1..cap
-            counts = np.cumsum(grow, axis=1, dtype=np.int32)
-            a = np.empty((sz, cap))
-            a[:, 0] = self.a_lo                     # A_0: N_0 = 0
-            a[:, 1:] = self.amplitude(counts[:, :-1])
-            zeta = 2.0 * rng.integers(0, 2, size=(sz, cap)) - 1.0  # zeta_{k+1}
-            sigma_sq = a * a
-            csum = np.cumsum(sigma_sq, axis=1)
-            if not np.all(csum[:, -1] >= n):
+            unif = rng.random((sz, cap))            # column k drives N_{k+1}
+            zeta = rng.integers(0, 2, size=(sz, cap), dtype=np.int32)
+            nu = np.full(sz, cap)                   # cap: not crossed yet
+            v_before, sig_nu, y_nu, x_nu = (np.empty(sz) for _ in range(4))
+            growth = np.zeros(sz, dtype=np.int32)   # N_k at the tile's first k
+            v = np.zeros(sz)                        # sum of sigma^2_j, j < k
+            for c0 in range(0, cap, _PRODUCT_TILE):
+                c1 = min(c0 + _PRODUCT_TILE, cap)
+                counts = np.empty((sz, c1 - c0), dtype=np.int32)
+                counts[:, 0] = growth
+                counts[:, 1:] = unif[:, c0:c1 - 1] < q
+                np.cumsum(counts, axis=1, out=counts)          # N_k
+                growth = counts[:, -1] + (unif[:, c1 - 1] < q)
+                a = amp[counts]
+                sigma_sq = a * a
+                # csum[:, j] = sum of sigma^2 over steps < c0 + j
+                csum = np.empty((sz, c1 - c0 + 1))
+                csum[:, 0] = v
+                csum[:, 1:] = sigma_sq
+                np.cumsum(csum, axis=1, out=csum)
+                v = csum[:, -1]
+                hit = csum[:, 1:] >= n
+                if c0 == 0:
+                    hit[:, 0] = False               # the k = 0 step never stops
+                j = np.argmax(hit, axis=1)
+                rows = np.flatnonzero((nu == cap) & hit[np.arange(sz), j])
+                j = j[rows]
+                x = a * (2.0 * zeta[:, c0:c1] - 1.0)   # column k holds X_{k+1}
+                nu[rows] = c0 + j
+                v_before[rows] = csum[rows, j]
+                sig_nu[rows] = sigma_sq[rows, j]
+                y_nu[rows] = a[rows, j]             # max(1, A) = A since a_lo >= 1
+                x_nu[rows] = x[rows, j]
+                np.multiply(x, np.arange(c0, c1) < nu[:, None],
+                            out=inc[:sz, c0:c1])
+                if np.all(nu < cap):
+                    break
+            else:
                 raise _overflow(cap, n, "product")
-            nu = np.argmax(csum >= n, axis=1)       # first hit is >= 1 (n >= 2 sigma0^2)
-            rows = np.arange(sz)
-            v_before = csum[rows, nu - 1]
-            sig_nu = sigma_sq[rows, nu]
+            inc[:sz, c1:written] = 0.0
+            written = c1
             gamma = compute_gamma(v_before, sig_nu, n)
-            x = a * zeta                            # column k holds X_{k+1}
-            mask = np.arange(cap)[None, :] < nu[:, None]
-            s_nu = np.sum(x * mask, axis=1)
+            s_nu = np.sum(inc[:sz], axis=1)
             chunks.append({
                 "nu": nu.astype(np.int64),
                 "gamma": gamma,
                 "s_nu": s_nu,
-                "s_prime_nu": s_nu + np.sqrt(gamma) * x[rows, nu],
-                "y_nu": a[rows, nu],                # max(1, A) = A since a_lo >= 1
+                "s_prime_nu": s_nu + np.sqrt(gamma) * x_nu,
+                "y_nu": y_nu,
                 "v_before": v_before,
                 "sigma_nu_sq": sig_nu,
             })
@@ -219,7 +256,10 @@ class RegimeSwitch(Law):
         return x, sigma_sq, self._y
 
     def sample_block(self, n, size, rng, cap):
-        v_lo, v_hi = self.v_lo, self.v_hi
+        """Draw order, which the report bytes rest on: one sign per live row
+        at each step, in row order, taken from 32-bit draws in 4096-sign
+        refills; the stream is the same however the draws are split."""
+        v_lo, v_hi, sd_lo, sd_hi = self.v_lo, self.v_hi, self._sd_lo, self._sd_hi
         out = {
             "nu": np.zeros(size, dtype=np.int64),
             "s_nu": np.zeros(size),
@@ -228,27 +268,36 @@ class RegimeSwitch(Law):
             "sigma_nu_sq": np.zeros(size),
         }
         x_nu = np.zeros(size)                       # X_{nu+1}
-        s = np.zeros(size)
-        v = np.zeros(size)
-        active = np.arange(size)
+        live = np.arange(size)                      # rows not yet stopped
+        s = np.zeros(size)                          # S_k of each live row
+        v = np.zeros(size)                          # sum of sigma^2_j, j < k
+        signs, pos = np.empty(0), 0
         for k in range(cap):
-            sigma_sq = np.where(s[active] > 0, v_hi, v_lo)
-            x = np.sqrt(sigma_sq) * (2.0 * rng.integers(0, 2, size=active.size) - 1.0)
-            v_new = v[active] + sigma_sq
-            stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
-            if stop.any():
-                idx = active[stop]
-                out["nu"][idx] = k
-                out["s_nu"][idx] = s[idx]
-                out["v_before"][idx] = v[idx]
-                out["sigma_nu_sq"][idx] = sigma_sq[stop]
-                x_nu[idx] = x[stop]
+            m = live.size
+            if pos + m > signs.size:
+                bits = rng.integers(0, 2, size=max(_REFILL, m), dtype=np.int32)
+                signs, pos = np.concatenate((signs[pos:], 2.0 * bits - 1.0)), 0
+            high = s > 0
+            sigma_sq = np.where(high, v_hi, v_lo)
+            x = np.where(high, sd_hi, sd_lo) * signs[pos:pos + m]
+            pos += m
+            v_new = v + sigma_sq
+            stop = v_new >= n
+            if k == 0 or not stop.any():            # the k = 0 step never stops
+                s += x
+                v = v_new
+                continue
+            idx = live[stop]
+            out["nu"][idx] = k
+            out["s_nu"][idx] = s[stop]
+            out["v_before"][idx] = v[stop]
+            out["sigma_nu_sq"][idx] = sigma_sq[stop]
+            x_nu[idx] = x[stop]
             cont = ~stop
-            keep = active[cont]
-            s[keep] += x[cont]
-            v[keep] = v_new[cont]
-            active = keep
-            if active.size == 0:
+            live = live[cont]
+            s = s[cont] + x[cont]
+            v = v_new[cont]
+            if live.size == 0:
                 out["gamma"] = compute_gamma(out["v_before"],
                                              out["sigma_nu_sq"], n)
                 out["s_prime_nu"] = out["s_nu"] + np.sqrt(out["gamma"]) * x_nu
@@ -308,9 +357,6 @@ class StepOutput:
     x: float        # the increment X_{k+1}
     sigma_sq: float  # sigma^2_k, known before X_{k+1} is drawn
     y: float        # Y_k >= 1, nondecreasing
-
-
-_REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
 
 
 def _draw_signs(rng):

@@ -8,6 +8,7 @@ import pytest
 from stopsum import (
     KINDS,
     LAWS,
+    DegenerateStartError,
     ModelSpec,
     PathOverflowError,
     init_model,
@@ -50,6 +51,15 @@ def test_batch_and_scalar_agree_in_mean(spec):
         se = math.hypot(np.std(bvals) / math.sqrt(bvals.size),
                         np.std(svals) / math.sqrt(svals.size))
         assert abs(np.mean(bvals) - np.mean(svals)) <= 6.0 * se + 1e-12, name
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_block_sampler_rejects_n_at_most_sigma0(spec, scale):
+    # the k = 0 step never stops, so the first stop has v_before >= n
+    n = scale * spec.sigma0_sq_max
+    rng = np.random.Generator(np.random.Philox(0))
+    with pytest.raises(DegenerateStartError):
+        spec.law.sample_block(n, 8, rng, spec.step_cap(n))
 
 
 class TestStepCapOverflow:

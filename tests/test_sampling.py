@@ -7,10 +7,12 @@ from stopsum import (
     BLOCK_SIZE,
     DegenerateStartError,
     ModelSpec,
+    PathOverflowError,
     init_model,
     run_path,
     sample_stopped_batch,
 )
+from stopsum.models import compute_gamma
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -18,9 +20,12 @@ REGIME = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
 ALL_SPECS = (IID, PRODUCT, REGIME)
 
 
+COLUMNS = ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu", "v_before",
+           "sigma_nu_sq")
+
+
 def assert_batch_equal(a, b):
-    for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
-                 "v_before", "sigma_nu_sq"):
+    for name in COLUMNS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -122,3 +127,174 @@ class TestScalarAgreement:
         scalar = run_path(init_model(IID, 0), 10.0)
         assert scalar.nu == batch.nu[0]
         assert scalar.gamma == batch.gamma[0]
+
+
+def reference_product(law, n, size, rng, cap):
+    """The product block sampler as one dense (sz, cap) matrix per 512-row
+    chunk: the reference the tiled sampler must match bit for bit."""
+    q = law.p_growth
+    chunks = []
+    for start in range(0, size, 512):
+        sz = min(512, size - start)
+        grow = rng.random((sz, cap)) < q
+        counts = np.cumsum(grow, axis=1, dtype=np.int32)
+        a = np.empty((sz, cap))
+        a[:, 0] = law.a_lo
+        a[:, 1:] = law.amplitude(counts[:, :-1])
+        zeta = 2.0 * rng.integers(0, 2, size=(sz, cap)) - 1.0
+        sigma_sq = a * a
+        csum = np.cumsum(sigma_sq, axis=1)
+        if not np.all(csum[:, -1] >= n):
+            raise PathOverflowError("reference product")
+        nu = np.argmax(csum >= n, axis=1)
+        rows = np.arange(sz)
+        v_before = csum[rows, nu - 1]
+        sig_nu = sigma_sq[rows, nu]
+        gamma = compute_gamma(v_before, sig_nu, n)
+        x = a * zeta
+        mask = np.arange(cap)[None, :] < nu[:, None]
+        s_nu = np.sum(x * mask, axis=1)
+        chunks.append({
+            "nu": nu.astype(np.int64),
+            "gamma": gamma,
+            "s_nu": s_nu,
+            "s_prime_nu": s_nu + np.sqrt(gamma) * x[rows, nu],
+            "y_nu": a[rows, nu],
+            "v_before": v_before,
+            "sigma_nu_sq": sig_nu,
+        })
+    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+
+
+def reference_regime(law, n, size, rng, cap):
+    """The regime block sampler with one sign draw per step and scattered
+    updates: the reference the buffered sampler must match bit for bit."""
+    out = {
+        "nu": np.zeros(size, dtype=np.int64),
+        "s_nu": np.zeros(size),
+        "y_nu": np.full(size, law._y),
+        "v_before": np.zeros(size),
+        "sigma_nu_sq": np.zeros(size),
+    }
+    x_nu = np.zeros(size)
+    s = np.zeros(size)
+    v = np.zeros(size)
+    active = np.arange(size)
+    for k in range(cap):
+        sigma_sq = np.where(s[active] > 0, law.v_hi, law.v_lo)
+        x = np.sqrt(sigma_sq) * (2.0 * rng.integers(0, 2, size=active.size) - 1.0)
+        v_new = v[active] + sigma_sq
+        stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
+        if stop.any():
+            idx = active[stop]
+            out["nu"][idx] = k
+            out["s_nu"][idx] = s[idx]
+            out["v_before"][idx] = v[idx]
+            out["sigma_nu_sq"][idx] = sigma_sq[stop]
+            x_nu[idx] = x[stop]
+        cont = ~stop
+        keep = active[cont]
+        s[keep] += x[cont]
+        v[keep] = v_new[cont]
+        active = keep
+        if active.size == 0:
+            out["gamma"] = compute_gamma(out["v_before"], out["sigma_nu_sq"], n)
+            out["s_prime_nu"] = out["s_nu"] + np.sqrt(out["gamma"]) * x_nu
+            return out
+    raise PathOverflowError("reference regime")
+
+
+REFERENCES = {"product": reference_product, "regime_switch": reference_regime}
+
+
+def assert_columns_identical(got, want):
+    for name in COLUMNS:
+        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), name
+
+
+def block_rng():
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
+
+
+# (kind, params, n, block sizes).  Product caps of 66 and 302 sit below one
+# 256-column tile and end in a partial one; at n = 1500 a later chunk stops
+# a tile earlier than an earlier one, so a stale buffer tail would show.
+ORACLE_CASES = [
+    ("product", {}, 1024.0, (4096,)),
+    ("product", {}, 2048.0, (4096,)),
+    ("product", {}, 1500.0, (4096, 1000)),
+    ("product", {}, 64.0, (4096, 1000, 7)),
+    ("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}, 333.3, (4096, 1000, 7)),
+    ("product", {"p_growth": 0.0}, 300.0, (1000, 7)),
+    ("product", {"p_growth": 1.0}, 700.0, (1000, 7)),
+    ("product", {"a_lo": 1.1, "p_growth": 0.0}, 200 * 1.1 ** 2, (1000, 7)),
+    ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 512.0, (4096,)),
+    ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 1024.0, (4096,)),
+    ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 64.0, (4096, 1000, 7)),
+    ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 100.0, (4096, 1000, 7)),
+    ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 150 * (1 / 3), (1000, 7)),
+]
+
+
+class TestBitIdentity:
+    """The block samplers draw the reference samplers' Philox values in the
+    same order and reproduce every column bit for bit, signed zeros too."""
+
+    @pytest.mark.parametrize(
+        "kind,params,n,size",
+        [(k, p, n, sz) for k, p, n, sizes in ORACLE_CASES for sz in sizes],
+        ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+    def test_block_matches_reference(self, kind, params, n, size):
+        spec = ModelSpec(kind, params)
+        cap = spec.step_cap(n)
+        got = spec.law.sample_block(n, size, block_rng(), cap)
+        want = REFERENCES[kind](spec.law, n, size, block_rng(), cap)
+        assert_columns_identical(got, want)
+
+    def test_philox_int32_signs_split_freely(self):
+        # the regime sampler refills 4096 signs at a time with 32-bit draws
+        # where the reference drew one int64 call per step; both take one
+        # 32-bit half of a Philox output per sign, and the spare half
+        # carries over between calls
+        sizes = (3, 4096, 1, 77)
+        whole = block_rng().integers(0, 2, size=sum(sizes), dtype=np.int32)
+        rng = block_rng()
+        parts = [rng.integers(0, 2, size=k) for k in sizes]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
+class TestOverflowBoundary:
+    """nu = cap - 1 still fits the block samplers; nu = cap overflows."""
+
+    def test_regime_cap_at_max_nu(self):
+        n, r = 64.0, 3000
+        free = sample_stopped_batch(REGIME, n, r, 4)
+        top = int(free.nu.max())
+        assert top + 1 < REGIME.step_cap(n)
+        fits = ModelSpec(REGIME.kind, REGIME.params, max_steps=top + 1)
+        assert_batch_equal(sample_stopped_batch(fits, n, r, 4), free)
+        short = ModelSpec(REGIME.kind, REGIME.params, max_steps=top)
+        with pytest.raises(PathOverflowError):
+            sample_stopped_batch(short, n, r, 4)
+
+    # the product draw layout is (rows, cap), so a new cap redraws every
+    # row; growth probability 0 or 1 fixes nu on every path, and the capped
+    # batch is checked against the reference at the same cap
+    @pytest.mark.parametrize("p_growth,n", [(0.0, 300.0), (1.0, 1100.0)])
+    def test_product_cap_at_nu(self, p_growth, n):
+        params = {"p_growth": p_growth}
+        nu = sample_stopped_batch(ModelSpec("product", params), n, 600, 4).nu
+        assert nu.min() == nu.max() > 256
+        top = int(nu[0])
+        fits = ModelSpec("product", params, max_steps=top + 1)
+        batch = sample_stopped_batch(fits, n, 600, 4)
+        assert np.all(batch.nu == top)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(4, spawn_key=(0,))))
+        want = reference_product(fits.law, n, 600, rng, top + 1)
+        assert_columns_identical(
+            {name: getattr(batch, name) for name in COLUMNS}, want)
+        short = ModelSpec("product", params, max_steps=top)
+        with pytest.raises(PathOverflowError):
+            sample_stopped_batch(short, n, 600, 4)
