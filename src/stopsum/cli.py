@@ -29,9 +29,11 @@ from .harness import (
 )
 from .models import KINDS, LAWS, ModelSpec, derive_seed, init_model
 from .sampling import sample_stopped_batch
-# run_path stays importable here: the benchmark tracer (perfbench/spans.py)
-# wraps cli.run_path, cli.lemma1_check, cli.init_model and cli.derive_seed
+# init_model and run_path stay importable here although the CLI no longer
+# calls them: the benchmark tracer (perfbench/spans.py) wraps cli.run_path,
+# cli.lemma1_check, cli.init_model and cli.derive_seed
 from .stopping import lemma1_check, run_lockstep, run_path
+from .streams import derive_seeds
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -200,13 +202,11 @@ def _lemma1_record(config, n, n_index):
     the margin, as a path-by-path scan finds it."""
     n_paths = min(config.reps, LEMMA1_MAX_PATHS)
     seed = derive_seed(config.master_seed, 1, n_index)
-    states = (init_model(config.model, derive_seed(seed, path))
-              for path in range(n_paths))
     worst_lhs = 0.0
     worst_rhs = math.inf
     min_margin = math.inf
     violations = 0
-    for paths in run_lockstep(states, n):
+    for paths in run_lockstep(config.model, derive_seeds(seed, n_paths), n):
         res = lemma1_check(paths, LEMMA1_T_GRID, n)
         worst = np.unravel_index(np.argmin(res.margin), res.margin.shape)
         if res.margin[worst] < min_margin:

@@ -23,11 +23,12 @@ from .errors import (
     ModelInvalidError,
     PathOverflowError,
 )
+from .streams import coins, doubles, philox_keys, philox_words
 
 __all__ = [
     "KINDS",
     "LAWS",
-    "LaneState",
+    "Lanes",
     "ModelSpec",
     "ModelState",
     "StepOutput",
@@ -46,9 +47,11 @@ class Law:
     (X_{k+1}, sigma^2_k, Y_k), and ``sample_block`` giving the StoppedBatch
     columns of paths stopped at nu < cap, or raising PathOverflowError.
 
-    ``step`` is written once for a ModelState (floats) and a LaneState
-    (one array entry per path): it uses only arithmetic and comparisons,
-    and draws one sign per step and then, if ``uniforms``, one uniform."""
+    ``step`` is written once for a ModelState (floats, drawn by numpy's
+    Generator) and for Lanes (one array entry per path, drawn from the same
+    streams evaluated counter-based): it uses only arithmetic and
+    comparisons, and draws one sign per step and then, if ``uniforms``, one
+    uniform."""
 
     uniforms = False
 
@@ -351,7 +354,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Floats for a ModelState; for a LaneState x is one entry per lane,
+    """Floats for a ModelState; for Lanes x is one entry per lane,
     sigma_sq and y are that or one float for every lane."""
 
     x: float        # the increment X_{k+1}
@@ -398,64 +401,54 @@ class ModelState:
         return u
 
 
-class LaneState:
-    """Fresh ModelStates of one spec stepped together, one array entry
-    (lane) per path.  Lane i replays state i's stream: every law draws one
-    sign per step and, if ``law.uniforms``, then one uniform, so a
-    ModelState's buffers draw 4096 signs and then 4096 uniforms at the
-    steps k = 0, 4096, 8192, ...; a lane draws the same blocks in the same
-    order.  Only the draws for steps below ``cap`` are kept, and a
-    generator is dropped once its last such block is drawn: at once when
-    cap <= 4096, so that the states of a chunk need not all be held."""
+_TILE = 32    # steps whose draws lanes compute at once: one block of signs
 
-    def __init__(self, spec, states, size, cap):
+
+class Lanes:
+    """Paths of one spec stepped together, one array entry (lane) per path;
+    lane i draws what ``init_model(spec, seeds[i])`` draws, evaluated from
+    the stream's counter rather than by a Generator.
+
+    A ModelState refills 4096 signs and then, if ``law.uniforms``, 4096
+    uniforms at the steps k = 0, 4096, 8192, ..., so refill b starts at
+    64-bit output b*512, or b*4608 with uniforms.  int8 ``integers(0, 2)``
+    keeps bit 7 of each byte of its 32-bit draws, low byte first, so the
+    sign of step k is bit 7 of byte k mod 4096 of the refill's 512 sign
+    words; ``random`` gives (word >> 11) * 2^-53 from the 4096 words that
+    follow.  The draws are computed _TILE steps at a time."""
+
+    def __init__(self, spec, seeds, cap):
         self.spec, self.cap, self.step = spec, cap, 0
-        self._rngs = self._bits = self._unif = None
-        self._block_end = 0
-        size = self._draw_block(map(self._take_rng, states), size)
+        self._keys = philox_keys(seeds)
+        size = self._keys.shape[1]
         self.running_sum = np.zeros(size)
         self.growth = np.zeros(size, dtype=np.int64)
+        self._tile_end = 0
+        self._bits = self._unif = None
 
-    def _take_rng(self, state):
-        if state.step or state.spec != self.spec:
-            raise ValueError("lanes need fresh states of one spec")
-        return state.rng
+    def _draw_tile(self):
+        refill, pos = divmod(self.step, _REFILL)   # the step is a tile start
+        uniforms = self.spec.law.uniforms
+        base = refill * (_REFILL // 8 + uniforms * _REFILL)  # in 64-bit words
+        self._bits = coins(philox_words(self._keys, (base + pos // 8) // 4,
+                                        _TILE // 32))
+        if uniforms:
+            first = (base + _REFILL // 8 + pos) // 4
+            self._unif = doubles(philox_words(self._keys, first, _TILE // 4))
+        self._tile_end = self.step + _TILE
 
-    def _draw_block(self, rngs, size):
-        """Draw the block starting at this step for at most ``size``
-        generators; returns how many there were."""
-        width = min(_REFILL, self.cap - self.step)
-        bits = np.empty((width, size), np.int8)        # row j: step + j
-        unif = np.empty((width, size)) if self.spec.law.uniforms else None
-        later = self.step + width < self.cap     # another block follows
-        kept = []
-        count = 0
-        for count, rng in enumerate(rngs, start=1):
-            bits[:, count - 1] = _draw_signs(rng)[:width]
-            if unif is not None:
-                unif[:, count - 1] = _draw_uniforms(rng)[:width]
-            if later:
-                kept.append(rng)
-        self._bits = bits[:, :count]
-        self._unif = None if unif is None else unif[:, :count]
-        self._block_end = self.step + width
-        self._rngs = kept
-        return count
-
-    def _buffers(self):
-        """(row of this step, sign buffer, uniform buffer), refilled when
-        due."""
-        if self.step >= self._block_end:
-            self._draw_block(self._rngs, len(self._rngs))
-        return self.step % _REFILL, self._bits, self._unif
+    def _row(self):
+        if self.step >= self._tile_end:
+            self._draw_tile()
+        return self.step % _TILE
 
     def _sign(self):
-        row, bits, _ = self._buffers()
-        return 2.0 * bits[row] - 1.0
+        row = self._row()
+        return 2.0 * self._bits[row] - 1.0
 
     def _uniform(self):
-        row, _, unif = self._buffers()
-        return unif[row]
+        row = self._row()
+        return self._unif[row]
 
 
 def init_model(spec, seed):
@@ -467,7 +460,7 @@ def init_model(spec, seed):
 
 
 def step_model(state):
-    """Advance one step of a ModelState or a LaneState, emitting
+    """Advance one step of a ModelState or of Lanes, emitting
     (X_{k+1}, sigma^2_k, Y_k), as floats or as one array entry per lane.
 
     sigma^2 and Y are computed from the history alone; the sign driving

@@ -7,20 +7,22 @@ with v_before + sigma^2_k >= n, v_before = sum_{i<k} sigma^2_i summed in
 order in floats by every engine, so the step at which the threshold is
 crossed already carries the extra increment X_{nu+1} used by S'_nu.
 
-``run_path`` steps one path; ``run_lockstep`` steps many paths of one spec
-together and gives, path by path, the same floats.
+``run_path`` steps one path of a ModelState, whose draws come from numpy's
+Generator; it is the oracle.  ``run_lockstep`` steps many paths of one
+spec together, given their seeds, evaluates each path's Philox stream from
+its counter (``models.Lanes``) and gives, path by path, the same floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStartError, PathOverflowError
-from .models import _REFILL, LaneState, compute_gamma, step_model
+from .models import _TILE, Lanes, compute_gamma, step_model
+from .streams import seed_array
 
 __all__ = [
     "StoppedSample",
@@ -32,7 +34,6 @@ __all__ = [
     "lemma1_check",
 ]
 
-LOCKSTEP_PATHS = 256        # paths stepped together, at most
 _LOCKSTEP_BYTES = 4 << 20   # bound on the draws and levels one chunk keeps
 _PREFIX_VALUES = 1 << 11    # bound on the prefix values rebuilt at once
 
@@ -127,30 +128,30 @@ def run_path(state, n, keep_prefix=False):
     )
 
 
-def _lanes_per_chunk(cap):
-    """Paths per chunk: each keeps cap int8 levels plus a sign (1 byte) and
-    a uniform (8 bytes) for each step of its current draw block."""
-    per_path = cap + 9 * min(cap, _REFILL)
-    return max(1, min(LOCKSTEP_PATHS, _LOCKSTEP_BYTES // per_path))
+def _lanes_per_chunk(spec, cap):
+    """Paths per chunk: each keeps cap int8 levels and one tile of draws, a
+    sign byte and, if the law draws them, an 8-byte uniform per step,
+    counted four times over for the temporaries that compute them."""
+    per_step = 1 + 8 * spec.law.uniforms
+    return max(1, _LOCKSTEP_BYTES // (cap + 4 * per_step * _TILE))
 
 
-def run_lockstep(states, n):
-    """Run fresh ModelStates of one spec to their stopping times, a chunk of
-    paths at a time, yielding one StoppedPaths per chunk in input order.
+def run_lockstep(spec, seeds, n):
+    """Run the paths of ``spec`` with the given seeds, integers in
+    [0, 2^64), to their stopping times, a chunk of paths at a time,
+    yielding one StoppedPaths per chunk in seed order.
 
     Path by path, nu, the sums, gamma, Y_nu, v_before, sigma^2_nu and the
-    prefix equal those of ``run_path(state, n, keep_prefix=True)``: the
-    lanes replay each state's stream, and every float is computed by the
-    same operations in the same order.  The states are consumed lazily.
+    prefix equal those of ``run_path(init_model(spec, seed), n,
+    keep_prefix=True)``: the lanes draw each seed's stream, and every float
+    is computed by the same operations in the same order.
     """
-    states = iter(states)
-    for first in states:
-        spec = first.spec
-        _check_threshold(spec, n)
-        cap = spec.step_cap(n)
-        size = _lanes_per_chunk(cap)
-        chunk = itertools.chain([first], itertools.islice(states, size - 1))
-        yield _run_lanes(LaneState(spec, chunk, size, cap), n)
+    seeds = seed_array(seeds)
+    _check_threshold(spec, n)
+    cap = spec.step_cap(n)
+    size = _lanes_per_chunk(spec, cap)
+    for start in range(0, seeds.size, size):
+        yield _run_lanes(Lanes(spec, seeds[start:start + size], cap), n)
 
 
 def _run_lanes(lanes, n):
@@ -244,8 +245,10 @@ def lemma1_check(paths, t, n):
     lhs = np.empty((y_nu.size, ts.size))
     for rows, prefix in paths.prefixes():
         lhs[rows] = _lemma1_lhs(prefix, c)
+    # Y_nu takes few values (one per variance level at most)
+    ys, which = np.unique(y_nu, return_inverse=True)
     rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
-                     for tj in ts.tolist()] for y in y_nu.tolist()])
+                     for tj in ts.tolist()] for y in ys.tolist()])[which]
     shape = np.shape(paths.y_nu) + t.shape
     lhs, rhs = lhs.reshape(shape), rhs.reshape(shape)
     if not shape:

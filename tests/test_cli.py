@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from stopsum import ConfigurationError, InequalityCheck, cli
+from stopsum import ConfigurationError, InequalityCheck, cli, harness
 from stopsum.cli import ExperimentConfig, build_config, emit_report, main
 from stopsum.models import ModelSpec
 
@@ -230,3 +232,19 @@ class TestEmitReport:
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             emit_report([], "yaml", str(tmp_path / "x"))
+
+
+def test_tracer_targets_exist():
+    """Every (module, attribute) that the benchmark tracer wraps is bound:
+    a missing one makes each traced run raise AttributeError.  The CLI
+    keeps init_model and run_path imported for this reason alone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"cli": cli, "harness": harness}
+    targets = [(mod, attr) for mod, attr, _, _ in spans._TARGETS]
+    assert ("cli", "init_model") in targets and ("cli", "run_path") in targets
+    for mod, attr in targets:
+        assert callable(getattr(modules[mod], attr, None)), (mod, attr)
+

@@ -13,7 +13,7 @@ from stopsum import (
     step_model,
     validate_model,
 )
-from stopsum.models import LaneState
+from stopsum.models import Lanes
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -126,8 +126,7 @@ class TestStepSemantics:
             state = init_model(spec, 0)
             state.growth = g
             scalar.append(step_model(state).sigma_sq)
-        lanes = LaneState(spec, (init_model(spec, s) for s in range(61)),
-                          61, 8)
+        lanes = Lanes(spec, np.arange(61), 8)
         lanes.growth = growth
         lane = step_model(lanes).sigma_sq
         block = spec.law.amplitude(growth.astype(np.int32))  # block counts

@@ -261,8 +261,7 @@ def _lockstep(spec, seeds, n):
     cols = {name: [] for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
                                   "v_before", "sigma_nu_sq")}
     prefixes, checks = [], []
-    for paths in stopping.run_lockstep(
-            (init_model(spec, seed) for seed in seeds), n):
+    for paths in stopping.run_lockstep(spec, seeds, n):
         for name in cols:
             cols[name].append(getattr(paths, name))
         by_row = {}
@@ -290,7 +289,8 @@ class TestLockstep:
         ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 1500.0, 6),
     ])
     def test_agrees_with_run_path(self, monkeypatch, kind, params, n, n_paths):
-        monkeypatch.setattr(stopping, "LOCKSTEP_PATHS", 16)   # several chunks
+        # several chunks
+        monkeypatch.setattr(stopping, "_lanes_per_chunk", lambda spec, cap: 16)
         spec = ModelSpec(kind, params)
         seeds = [derive_seed(29, path) for path in range(n_paths)]
         cols, prefixes, lhs, rhs = _lockstep(spec, seeds, n)
@@ -305,25 +305,53 @@ class TestLockstep:
                 oracle = _lemma1_oracle(sample.sigma_prefix, sample.y_nu, t, n)
                 assert (lhs[i, j], rhs[i, j]) == oracle, (i, t)
 
+    @pytest.mark.parametrize("seeds", [
+        [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],    # Python ints
+        np.array([5, 2**40 + 3], dtype=np.uint64),
+        np.array([7, 11], dtype=np.int64),
+    ])
+    def test_any_seed_in_uint64(self, seeds):
+        spec = ModelSpec("product", {"p_growth": 0.5})
+        cols, prefixes, _, _ = _lockstep(spec, seeds, 40.0)
+        for i, seed in enumerate(int(s) for s in seeds):
+            sample = run_path(init_model(spec, seed), 40.0, keep_prefix=True)
+            for name, col in cols.items():
+                assert col[i] == getattr(sample, name), (i, name)
+            assert np.array_equal(prefixes[i], sample.sigma_prefix), i
+
     def test_same_threshold_rule(self):
         with pytest.raises(DegenerateStartError):   # n < 2 sigma_0^2
-            next(stopping.run_lockstep([init_model(IID, 0)], 1.5))
+            next(stopping.run_lockstep(IID, [0], 1.5))
         small = ModelSpec("iid_bounded", {}, max_steps=63)
         with pytest.raises(PathOverflowError):      # nu would be 63
-            next(stopping.run_lockstep([init_model(small, 0)], 64.0))
+            next(stopping.run_lockstep(small, [0], 64.0))
         fits = ModelSpec("iid_bounded", {}, max_steps=64)
-        assert next(stopping.run_lockstep([init_model(fits, 0)], 64.0)).nu[0] == 63
+        assert next(stopping.run_lockstep(fits, [0], 64.0)).nu[0] == 63
 
-    def test_lanes_need_fresh_states(self):
-        state = init_model(IID, 0)
-        step_model(state)
-        with pytest.raises(ValueError):
-            next(stopping.run_lockstep([init_model(IID, 1), state], 10.0))
+    @pytest.mark.parametrize("seeds,error", [
+        ([-1], ValueError),
+        ([3, 2**64], ValueError),
+        (np.array([4, -2]), ValueError),
+        ([1.0], TypeError),
+    ])
+    def test_seeds_outside_uint64_raise(self, seeds, error):
+        with pytest.raises(error):
+            next(stopping.run_lockstep(IID, seeds, 10.0))
+
+    def test_chunks_stay_within_budget(self):
+        regime = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
+        product = ModelSpec("product", {})
+        for spec, n in ((regime, 128.0), (product, 4096.0), (IID, 1e6)):
+            cap = spec.step_cap(n)
+            size = stopping._lanes_per_chunk(spec, cap)
+            assert size == 1 or size * cap <= stopping._LOCKSTEP_BYTES
+        # the CLI's 1000 paths at n = 128 run as one chunk
+        chunks = list(stopping.run_lockstep(regime, range(1000), 128.0))
+        assert [paths.nu.size for paths in chunks] == [1000]
 
     def test_shapes_follow_the_inputs(self):
         spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
-        paths = next(stopping.run_lockstep(
-            (init_model(spec, seed) for seed in range(5)), 32.0))
+        paths = next(stopping.run_lockstep(spec, range(5), 32.0))
         assert lemma1_check(paths, LEMMA1_T_GRID, 32.0).lhs.shape == (5, 5)
         assert lemma1_check(paths, 2.0, 32.0).lhs.shape == (5,)
         sample = run_path(init_model(spec, 0), 32.0, keep_prefix=True)
