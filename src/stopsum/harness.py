@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .normal import (
     DEFAULT_DELTA,
@@ -313,7 +312,7 @@ def probe_from_batch(batch, n, t_grid):
         c3_t, se3_t = _complex_mean(w3)
         c3.append(c3_t)
         se3.append(se3_t)
-        c4.append(_complex_mean(w4)[0])
+        c4.append(complex(np.mean(w4)))
         d12, se12 = _complex_mean(w1 - w2)
         d34, se34 = _complex_mean(w3 - w4)
 
@@ -422,6 +421,24 @@ def rate_fit(reports):
     ds = np.array([rep.d_f.d_sup for rep in reports])
     if np.any(np.diff(ns) <= 0):
         raise ValueError("reports must be ordered by strictly increasing n")
-    res = stats.linregress(np.log(ns), np.log(ds))
-    return RateFit(slope=float(res.slope), stderr=float(res.stderr),
-                   intercept=float(res.intercept))
+    return _linregress(np.log(ns), np.log(ds))
+
+
+def _linregress(x, y):
+    """Slope, slope stderr and intercept by the float operations of
+    ``scipy.stats.linregress`` (p-value left out), so the report bytes do
+    not depend on which of the two computed them."""
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a slope: every log n is the same")
+    xmean = np.mean(x, None)
+    ymean = np.mean(y, None)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.asarray(np.nan if ssxym == 0 else 0.0)[()]
+    else:
+        # rounding can push |r| above 1
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (x.size - 2))
+    return RateFit(slope=float(slope), stderr=float(stderr),
+                   intercept=float(ymean - slope * xmean))

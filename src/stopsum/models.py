@@ -127,8 +127,13 @@ def _overflow(cap, n, kind):
 
 
 _REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
-_PRODUCT_CHUNK = 512  # rows per dense matrix; keeps peak memory modest
-_PRODUCT_TILE = 256   # columns per arithmetic tile
+_PRODUCT_CHUNK = 512  # rows whose uniforms all precede their signs
+# bytes of a sub-chunk of a chunk's rows, at least one row: 8 per uniform,
+# 4 per int32 sign and 8 per masked increment, cap cells a row
+_PRODUCT_BUDGET = 4 << 20
+_PRODUCT_CELL_BYTES = 20
+_PRODUCT_TILE = 256   # columns per arithmetic tile, or more so that
+_PRODUCT_TILE_CELLS = 1 << 15  # a tile of few rows still has this many cells
 # 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
 _PRODUCT_LEVELS = 55
 
@@ -167,73 +172,117 @@ class Product(Law):
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: per chunk of at most
         512 rows, sz*cap uniforms and then sz*cap signs, each a row-major
-        (sz, cap) matrix whose column k drives step k.  The arithmetic runs
-        in column tiles and stops at the chunk's last crossing."""
-        q = self.p_growth
+        (sz, cap) matrix whose column k drives step k.  A second cursor on
+        the block's stream, sz*cap outputs ahead, draws the signs, so a
+        chunk is drawn and stepped a sub-chunk of rows at a time; the
+        arithmetic runs in column tiles and stops at the sub-chunk's last
+        crossing."""
         # A_k by growth count; N_k < cap, and the lookup equals amplitude(N_k)
         amp = self.amplitude(np.arange(cap))
+        rows = max(1, min(size, _PRODUCT_CHUNK,
+                          _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap)))
+        width = max(_PRODUCT_TILE, _PRODUCT_TILE_CELLS // rows)
+        unif = np.empty((rows, cap))
         # masked increments X_{k+1} 1{k < nu}, summed over all cap columns
-        # so that np.sum keeps the pairwise tree of a dense row
-        inc = np.zeros((min(size, _PRODUCT_CHUNK), cap))
-        written = 0                                 # columns the last chunk wrote
-        chunks = []
+        # so that np.sum keeps the pairwise tree of a dense row; every row
+        # is zero from column `written` on
+        inc = np.zeros((rows, cap))
+        written = 0
+        parts = []
         for start in range(0, size, _PRODUCT_CHUNK):
             sz = min(_PRODUCT_CHUNK, size - start)
-            unif = rng.random((sz, cap))            # column k drives N_{k+1}
-            zeta = rng.integers(0, 2, size=(sz, cap), dtype=np.int32)
-            nu = np.full(sz, cap)                   # cap: not crossed yet
-            v_before, sig_nu, y_nu, x_nu = (np.empty(sz) for _ in range(4))
-            growth = np.zeros(sz, dtype=np.int32)   # N_k at the tile's first k
-            v = np.zeros(sz)                        # sum of sigma^2_j, j < k
-            for c0 in range(0, cap, _PRODUCT_TILE):
-                c1 = min(c0 + _PRODUCT_TILE, cap)
-                counts = np.empty((sz, c1 - c0), dtype=np.int32)
-                counts[:, 0] = growth
-                counts[:, 1:] = unif[:, c0:c1 - 1] < q
-                np.cumsum(counts, axis=1, out=counts)          # N_k
-                growth = counts[:, -1] + (unif[:, c1 - 1] < q)
-                a = amp[counts]
-                sigma_sq = a * a
-                # csum[:, j] = sum of sigma^2 over steps < c0 + j
-                csum = np.empty((sz, c1 - c0 + 1))
-                csum[:, 0] = v
-                csum[:, 1:] = sigma_sq
-                np.cumsum(csum, axis=1, out=csum)
-                v = csum[:, -1]
-                hit = csum[:, 1:] >= n
-                if c0 == 0:
-                    hit[:, 0] = False               # the k = 0 step never stops
-                j = np.argmax(hit, axis=1)
-                rows = np.flatnonzero((nu == cap) & hit[np.arange(sz), j])
-                j = j[rows]
-                x = a * (2.0 * zeta[:, c0:c1] - 1.0)   # column k holds X_{k+1}
-                nu[rows] = c0 + j
-                v_before[rows] = csum[rows, j]
-                sig_nu[rows] = sigma_sq[rows, j]
-                y_nu[rows] = a[rows, j]             # max(1, A) = A since a_lo >= 1
-                x_nu[rows] = x[rows, j]
-                np.multiply(x, np.arange(c0, c1) < nu[:, None],
-                            out=inc[:sz, c0:c1])
-                if np.all(nu < cap):
-                    break
-            else:
-                raise _overflow(cap, n, "product")
-            inc[:sz, c1:written] = 0.0
-            written = c1
-            gamma = compute_gamma(v_before, sig_nu, n)
-            s_nu = np.sum(inc[:sz], axis=1)
-            chunks.append({
-                "nu": nu.astype(np.int64),
-                "gamma": gamma,
-                "s_nu": s_nu,
-                "s_prime_nu": s_nu + np.sqrt(gamma) * x_nu,
-                "y_nu": y_nu,
-                "v_before": v_before,
-                "sigma_nu_sq": sig_nu,
-            })
-        if len(chunks) == 1:
-            return chunks[0]
-        return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+            signs = _cursor(rng, sz * cap)
+            for r0 in range(0, sz, rows):
+                m = min(rows, sz - r0)
+                rng.random(out=unif[:m])            # column k drives N_{k+1}
+                zeta = signs.integers(0, 2, size=(m, cap), dtype=np.int32)
+                part, written = self._step_rows(n, cap, amp, width,
+                                                unif[:m], zeta, inc, written)
+                parts.append(part)
+            rng = signs                             # past the chunk's signs
+        if len(parts) == 1:
+            return parts[0]
+        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+    def _step_rows(self, n, cap, amp, width, unif, zeta, inc, written):
+        """Stopped columns of the rows drawn in unif and zeta, and the end
+        of their last tile, up to which their increments go to the first
+        rows of inc; every row of inc is zero from column `written` on,
+        and from the returned end on when this returns."""
+        q = self.p_growth
+        m = unif.shape[0]
+        nu = np.full(m, cap)                        # cap: not crossed yet
+        v_before, sig_nu, y_nu, x_nu = (np.empty(m) for _ in range(4))
+        growth = np.zeros(m, dtype=np.int32)        # N_k at the tile's first k
+        v = np.zeros(m)                             # sum of sigma^2_j, j < k
+        for c0 in range(0, cap, width):
+            c1 = min(c0 + width, cap)
+            counts = np.empty((m, c1 - c0), dtype=np.int32)
+            counts[:, 0] = growth
+            counts[:, 1:] = unif[:, c0:c1 - 1] < q
+            np.cumsum(counts, axis=1, out=counts)              # N_k
+            growth = counts[:, -1] + (unif[:, c1 - 1] < q)
+            a = amp[counts]
+            sigma_sq = a * a
+            # csum[:, j] = sum of sigma^2 over steps < c0 + j
+            csum = np.empty((m, c1 - c0 + 1))
+            csum[:, 0] = v
+            csum[:, 1:] = sigma_sq
+            np.cumsum(csum, axis=1, out=csum)
+            v = csum[:, -1]
+            hit = csum[:, 1:] >= n
+            if c0 == 0:
+                hit[:, 0] = False               # the k = 0 step never stops
+            j = np.argmax(hit, axis=1)
+            rows = np.flatnonzero((nu == cap) & hit[np.arange(m), j])
+            j = j[rows]
+            x = a * (2.0 * zeta[:, c0:c1] - 1.0)    # column k holds X_{k+1}
+            nu[rows] = c0 + j
+            v_before[rows] = csum[rows, j]
+            sig_nu[rows] = sigma_sq[rows, j]
+            y_nu[rows] = a[rows, j]             # max(1, A) = A since a_lo >= 1
+            x_nu[rows] = x[rows, j]
+            np.multiply(x, np.arange(c0, c1) < nu[:, None],
+                        out=inc[:m, c0:c1])
+            if np.all(nu < cap):
+                break
+        else:
+            raise _overflow(cap, n, "product")
+        inc[:, c1:written] = 0.0
+        gamma = compute_gamma(v_before, sig_nu, n)
+        s_nu = np.sum(inc[:m], axis=1)
+        return {
+            "nu": nu.astype(np.int64),
+            "gamma": gamma,
+            "s_nu": s_nu,
+            "s_prime_nu": s_nu + np.sqrt(gamma) * x_nu,
+            "y_nu": y_nu,
+            "v_before": v_before,
+            "sigma_nu_sq": sig_nu,
+        }, c1
+
+
+def _cursor(rng, skip):
+    """A Generator on the Philox stream of rng, ``skip`` 64-bit outputs
+    ahead of it, holding over the spare 32-bit half that rng holds.
+
+    ``advance(d)`` moves the counter d blocks of 4 outputs and drops the
+    buffered ones, so the outputs left in rng's buffer are skipped first
+    and the remainder of whole blocks is drawn."""
+    state = rng.bit_generator.state
+    ahead = np.random.Philox(key=state["state"]["key"])
+    ahead.state = state
+    head = min(skip, 4 - state["buffer_pos"])       # outputs still buffered
+    ahead.random_raw(head)
+    blocks, rest = divmod(skip - head, 4)
+    if blocks:
+        ahead.advance(blocks)
+    ahead.random_raw(rest)
+    moved = ahead.state
+    moved["has_uint32"], moved["uinteger"] = (state["has_uint32"],
+                                              state["uinteger"])
+    ahead.state = moved
+    return np.random.Generator(ahead)
 
 
 class RegimeSwitch(Law):

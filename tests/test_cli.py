@@ -1,10 +1,14 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stopsum
 from stopsum import ConfigurationError, InequalityCheck, cli, harness
 from stopsum.cli import ExperimentConfig, build_config, emit_report, main
 from stopsum.models import ModelSpec
@@ -248,3 +252,17 @@ def test_tracer_targets_exist():
     for mod, attr in targets:
         assert callable(getattr(modules[mod], attr, None)), (mod, attr)
 
+
+
+def test_cold_import_leaves_scipy_stats_out():
+    """The CLI needs scipy.special alone; scipy.stats would add about a
+    second and 46 MB to every run's start."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(stopsum.__file__).resolve().parents[1]))
+    code = ("import sys, stopsum, stopsum.cli; "
+            "print(stopsum.__file__); print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    where, loaded = proc.stdout.split()
+    assert Path(where).resolve() == Path(stopsum.__file__).resolve()
+    assert loaded == "False"

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from stopsum import (
     CfProbe,
@@ -348,17 +351,61 @@ def fake_report(n, d):
     return SimpleNamespace(n=n, d_f=SimpleNamespace(d_sup=d))
 
 
+def assert_same_float(got, want):
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert np.signbit(got) == np.signbit(want), (got, want)
+
+
+def assert_fit_is_linregress(ns, ds):
+    """rate_fit gives linregress's slope, stderr and intercept bit for bit."""
+    fit = rate_fit([fake_report(n, d) for n, d in zip(ns, ds)])
+    want = stats.linregress(np.log(np.array(ns, dtype=float)),
+                            np.log(np.array(ds, dtype=float)))
+    assert_same_float(fit.slope, float(want.slope))
+    assert_same_float(fit.stderr, float(want.stderr))
+    assert_same_float(fit.intercept, float(want.intercept))
+    return fit
+
+
+@st.composite
+def rate_points(draw):
+    """4 to 12 points with strictly increasing n and positive d."""
+    ns = draw(st.lists(st.floats(2.0, 1e9), min_size=4, max_size=12,
+                       unique=True).map(sorted))
+    ds = draw(st.lists(st.floats(1e-300, 1.0), min_size=len(ns),
+                       max_size=len(ns)))
+    return ns, ds
+
+
 class TestRateFit:
     def test_exact_half_slope(self):
         ns = [64, 256, 1024, 4096]
-        fit = rate_fit([fake_report(n, 3.0 * n**-0.5) for n in ns])
+        fit = assert_fit_is_linregress(ns, [3.0 * n**-0.5 for n in ns])
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.stderr <= 1e-12
 
     def test_exact_quarter_slope(self):
         ns = [64, 256, 1024, 4096]
-        fit = rate_fit([fake_report(n, 3.0 * n**-0.25) for n in ns])
+        fit = assert_fit_is_linregress(ns, [3.0 * n**-0.25 for n in ns])
         assert fit.slope == pytest.approx(-0.25, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rate_points())
+    def test_matches_linregress(self, points):
+        assert_fit_is_linregress(*points)
+
+    def test_rounded_r_is_clipped(self):
+        # here r rounds to -1 - 2^-52; unclipped, 1 - r^2 < 0 and the
+        # stderr would be nan
+        ns = [64, 256, 1024, 4096]
+        fit = assert_fit_is_linregress(ns, [2.0 * n**-0.5 for n in ns])
+        assert fit.stderr == 0.0
+
+    def test_equal_distances(self):
+        # ssym = ssxym = 0: linregress takes r = nan, so the stderr is nan
+        fit = assert_fit_is_linregress([64, 256, 1024, 4096], [0.05] * 4)
+        assert fit.slope == 0.0
+        assert math.isnan(fit.stderr)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

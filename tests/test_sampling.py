@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stopsum
 from stopsum import (
     BLOCK_SIZE,
     DegenerateStartError,
@@ -12,6 +17,7 @@ from stopsum import (
     run_path,
     sample_stopped_batch,
 )
+from stopsum import models
 from stopsum.models import compute_gamma
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
@@ -262,6 +268,88 @@ class TestBitIdentity:
         rng = block_rng()
         parts = [rng.integers(0, 2, size=k) for k in sizes]
         assert np.array_equal(whole, np.concatenate(parts))
+
+
+def predrawn_rng(outputs, half):
+    """block_rng after `outputs` raw 64-bit outputs and, if half, one int32
+    sign, which leaves the other 32-bit half of an output held over."""
+    rng = block_rng()
+    rng.bit_generator.random_raw(outputs)
+    if half:
+        rng.integers(0, 2, dtype=np.int32)
+    return rng
+
+
+class TestProductSubChunks:
+    """A product chunk is drawn and stepped a sub-chunk of rows at a time,
+    uniforms from the block's stream and signs from a second cursor sz*cap
+    outputs ahead; any sub-chunk size gives the reference's bits."""
+
+    @staticmethod
+    def assert_matches(monkeypatch, rows, params, n, size, make_rng=block_rng):
+        spec = ModelSpec("product", params)
+        cap = spec.step_cap(n)
+        monkeypatch.setattr(models, "_PRODUCT_BUDGET",
+                            rows * models._PRODUCT_CELL_BYTES * cap)
+        got = spec.law.sample_block(n, size, make_rng(), cap)
+        want = reference_product(spec.law, n, size, make_rng(), cap)
+        assert_columns_identical(got, want)
+
+    # rows 0 is a budget below one row, which still steps one row at a time
+    @pytest.mark.parametrize("rows,size", [(0, 7), (0, 513), (1, 600)])
+    def test_one_row_at_a_time(self, monkeypatch, rows, size):
+        self.assert_matches(monkeypatch, rows, {}, 64.0, size)
+
+    # 512 = 5 * 100 + 12 and 488 = 4 * 100 + 88; at n = 1500 a later
+    # sub-chunk stops a tile earlier than an earlier one
+    @pytest.mark.parametrize("n", [1500.0, 333.3])
+    def test_sub_chunks_that_do_not_divide_the_chunk(self, monkeypatch, n):
+        self.assert_matches(monkeypatch, 100, {}, n, 1000)
+
+    # cap 67 and 3 rows: each sub-chunk draws 201 signs, an odd count, so
+    # the spare 32-bit half carries over between sub-chunks, and from the
+    # block's stream into the second cursor when one is held over
+    @pytest.mark.parametrize("outputs", range(5))
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("size", [7, 513])
+    def test_odd_sign_counts(self, monkeypatch, outputs, half, size):
+        self.assert_matches(monkeypatch, 3, {}, 65.0, size,
+                            lambda: predrawn_rng(outputs, half))
+
+    # 513 rows are two chunks; the second cursor of the second chunk
+    # starts where the first chunk's signs ended
+    @pytest.mark.parametrize("params,n", [({}, 1024.0), ({}, 65.0),
+                                          ({"p_growth": 0.5}, 333.3)])
+    def test_two_chunks(self, monkeypatch, params, n):
+        cap = ModelSpec("product", params).step_cap(n)
+        rows = models._PRODUCT_BUDGET // (models._PRODUCT_CELL_BYTES * cap)
+        self.assert_matches(monkeypatch, rows, params, n, 513)
+
+    def test_memory_bounded_at_large_n(self):
+        """512 product rows (one chunk) at n = 2^18, where dense (512, cap)
+        uniform, sign and increment matrices would take about 2.7 GB."""
+        code = (
+            "import resource, numpy as np\n"
+            "from stopsum import ModelSpec\n"
+            "spec = ModelSpec('product', {})\n"
+            "n = 2.0 ** 18\n"
+            "rng = np.random.Generator(np.random.Philox("
+            "np.random.SeedSequence(3)))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "out = spec.law.sample_block(n, 512, rng, spec.step_cap(n))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "ok = (out['v_before'] < n) & (n <= out['v_before'] "
+            "+ out['sigma_nu_sq'])\n"
+            "print(after - before, out['nu'].size, bool(ok.all()))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(stopsum.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=600)
+        grown_kib, rows, ok = proc.stdout.split()
+        assert (int(rows), ok) == (512, "True")
+        assert int(grown_kib) < 32 * 1024        # ru_maxrss is in KiB
 
 
 class TestOverflowBoundary:
