@@ -17,7 +17,7 @@ N = 40.0
 
 for seed in (1, 2, 3):
     state = init_model(REGIME, seed)
-    sample = run_path(state, N, keep_prefix=True)
+    sample = run_path(state, N)
     print(f"seed {seed}: nu = {sample.nu:4d}   gamma = {sample.gamma:.6f}   "
           f"S_nu = {sample.s_nu:+.4f}   S'_nu = {sample.s_prime_nu:+.4f}")
     residual = sample.v_before + sample.gamma * sample.sigma_nu_sq - N

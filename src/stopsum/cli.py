@@ -142,9 +142,8 @@ def run_experiment(config):
             if config.out:
                 files.append(_emit_ecdf(config, n, batch))
 
-        probe = None
         if {"cf", "esseen"} & set(config.checks):
-            y = (n / report.a_n_eval**2) ** 0.25
+            y = (n / report.a_n_eval**2) ** 0.25   # smoothing cutoff
             probe = probe_from_batch(batch, n, make_t_grid(y))
 
         if "cf" in config.checks:
@@ -167,7 +166,6 @@ def run_experiment(config):
                 files.append(_emit_cf_detail(config, n, probe))
 
         if "esseen" in config.checks:
-            y = (n / report.a_n_eval**2) ** 0.25
             ess = esseen_numeric(probe, y)
             slack = report.d_f.dkw_halfwidth + ESSEEN_SLACK
             records.append(_record(
@@ -243,6 +241,10 @@ def emit_report(records, format, path):
         text = _records_to_json(records)
     else:
         raise ConfigurationError("format must be csv or json")
+    return _write(path, text)
+
+
+def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
@@ -276,9 +278,7 @@ def _emit_ecdf(config, n, batch, points=512):
         f"{_fmt((i + 1) / batch.size)},{_fmt(float(f[i]))},{_fmt(float(h[i]))}"
         for i in take
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _emit_cf_detail(config, n, probe):
@@ -290,9 +290,7 @@ def _emit_cf_detail(config, n, probe):
         f"{_fmt(c.ok)},{_fmt(c.resolution_limited)}"
         for c in probe.checks
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _ntag(n):
@@ -338,28 +336,33 @@ def build_config(argv):
     if kind is None:
         raise ConfigurationError("a model kind is required (--model or config)")
     params = {k: raw[k] for k in _MODEL_PARAM_KEYS if k in raw}
-    n_list = raw.get("n_list", [])
-    if isinstance(n_list, str):
-        n_list = [float(tok) for tok in n_list.split(",") if tok.strip()]
-    checks = raw.get("checks", ["distance"])
-    if isinstance(checks, str):
-        checks = [tok.strip() for tok in checks.split(",") if tok.strip()]
     return ExperimentConfig(
         model=ModelSpec(kind=kind, params=params),
-        n_list=tuple(float(n) for n in n_list),
+        n_list=tuple(float(n) for n in _listed(raw, "n_list", [])),
         reps=int(raw.get("reps", 10_000)),
         master_seed=int(raw.get("seed", 0)),
         delta=float(raw.get("delta", 0.01)),
-        checks=tuple(checks),
+        checks=tuple(_listed(raw, "checks", ["distance"])),
         out=raw.get("out"),
         format=raw.get("format", "csv"),
     )
 
 
+def _listed(raw, key, default):
+    """A config value given as a comma-separated string or a list."""
+    value = raw.get(key, default)
+    if isinstance(value, str):
+        return [tok.strip() for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"{key} must be a comma-separated string or a list")
+    return value
+
+
 def main(argv=None):
     try:
         config = build_config(argv if argv is not None else sys.argv[1:])
-    except (ConfigurationError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"stopsum: invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:
@@ -369,6 +372,9 @@ def main(argv=None):
         return 2
     except PathOverflowError as exc:
         print(f"stopsum: path overflow: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"stopsum: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     for rec in records:
         flag = " [resolution-limited]" if rec["resolution_limited"] else ""

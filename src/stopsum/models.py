@@ -77,6 +77,45 @@ def compute_gamma(v_before, sigma_nu_sq, n):
     return np.minimum(1.0, (n - v_before) / sigma_nu_sq)
 
 
+def _stopped(n, nu, s_nu, x_next, y_nu, v_before, sigma_nu_sq):
+    """The StoppedBatch columns of paths stopped at nu, for one path
+    (floats) or many (arrays): gamma by compute_gamma and
+    S'_nu = S_nu + sqrt(gamma) * X_{nu+1}."""
+    gamma = compute_gamma(v_before, sigma_nu_sq, n)
+    return {
+        "nu": nu,
+        "gamma": gamma,
+        "s_nu": s_nu,
+        "s_prime_nu": s_nu + np.sqrt(gamma) * x_next,
+        "y_nu": y_nu,
+        "v_before": v_before,
+        "sigma_nu_sq": sigma_nu_sq,
+    }
+
+
+def _concat(parts):
+    """Stopped-column dicts joined column by column, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
+def _check_threshold(spec, n):
+    """The start gate of every engine: n >= 2 sigma^2_0, so that a stop at
+    nu = 1, where v_before = sigma^2_0, still has gamma > 0."""
+    if n < 2.0 * spec.sigma0_sq_max:
+        raise DegenerateStartError(
+            f"n = {n} < 2 * max sigma^2_0 = {2.0 * spec.sigma0_sq_max}; "
+            "the nu = 1 edge could make gamma nonpositive"
+        )
+
+
+def _overflow(cap, n, kind):
+    """The error of every engine whose paths do not stop within cap steps."""
+    return PathOverflowError(
+        f"no stop after {cap} steps (n = {n}, kind = {kind})")
+
+
 class IidBounded(Law):
     """X = +/- sqrt(v), constant variance v <= M^2, Y = max(M, 1)."""
 
@@ -96,19 +135,11 @@ class IidBounded(Law):
 
     def sample_block(self, n, size, rng, cap):
         nu, v_before = _constant_crossing(self.v, n, cap)   # same on every path
-        gamma = compute_gamma(v_before, self.v, n)
         ones = np.ones(size)
         s_nu = self._x * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
         x_next = self._x * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-        return {
-            "nu": np.full(size, nu, dtype=np.int64),
-            "gamma": gamma * ones,
-            "s_nu": s_nu,
-            "s_prime_nu": s_nu + math.sqrt(gamma) * x_next,
-            "y_nu": self._y * ones,
-            "v_before": v_before * ones,
-            "sigma_nu_sq": self.v * ones,
-        }
+        return _stopped(n, np.full(size, nu, dtype=np.int64), s_nu, x_next,
+                        self._y * ones, v_before * ones, self.v * ones)
 
 
 @functools.lru_cache(maxsize=64)
@@ -122,16 +153,12 @@ def _constant_crossing(v, n, cap):
     return nu, v_before
 
 
-def _overflow(cap, n, kind):
-    return PathOverflowError(f"no stop after {cap} steps (n = {n}, {kind})")
-
-
 _REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
 _PRODUCT_CHUNK = 512  # rows whose uniforms all precede their signs
-# bytes of a sub-chunk of a chunk's rows, at least one row: 8 per uniform,
-# 4 per int32 sign and 8 per masked increment, cap cells a row
+# bytes of a sub-chunk of a chunk's rows, at least one row: 8 per uniform
+# and 4 per int32 sign, cap cells a row
 _PRODUCT_BUDGET = 4 << 20
-_PRODUCT_CELL_BYTES = 20
+_PRODUCT_CELL_BYTES = 12
 _PRODUCT_TILE = 256   # columns per arithmetic tile, or more so that
 _PRODUCT_TILE_CELLS = 1 << 15  # a tile of few rows still has this many cells
 # 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
@@ -183,11 +210,6 @@ class Product(Law):
                           _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap)))
         width = max(_PRODUCT_TILE, _PRODUCT_TILE_CELLS // rows)
         unif = np.empty((rows, cap))
-        # masked increments X_{k+1} 1{k < nu}, summed over all cap columns
-        # so that np.sum keeps the pairwise tree of a dense row; every row
-        # is zero from column `written` on
-        inc = np.zeros((rows, cap))
-        written = 0
         parts = []
         for start in range(0, size, _PRODUCT_CHUNK):
             sz = min(_PRODUCT_CHUNK, size - start)
@@ -196,19 +218,16 @@ class Product(Law):
                 m = min(rows, sz - r0)
                 rng.random(out=unif[:m])            # column k drives N_{k+1}
                 zeta = signs.integers(0, 2, size=(m, cap), dtype=np.int32)
-                part, written = self._step_rows(n, cap, amp, width,
-                                                unif[:m], zeta, inc, written)
-                parts.append(part)
+                parts.append(self._step_rows(n, cap, amp, width,
+                                             unif[:m], zeta))
             rng = signs                             # past the chunk's signs
-        if len(parts) == 1:
-            return parts[0]
-        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        return _concat(parts)
 
-    def _step_rows(self, n, cap, amp, width, unif, zeta, inc, written):
-        """Stopped columns of the rows drawn in unif and zeta, and the end
-        of their last tile, up to which their increments go to the first
-        rows of inc; every row of inc is zero from column `written` on,
-        and from the returned end on when this returns."""
+    def _step_rows(self, n, cap, amp, width, unif, zeta):
+        """Stopped columns of the rows drawn in unif and zeta.  A tile's
+        masked increments X_{k+1} 1{k < nu} overwrite the uniforms it has
+        consumed, and the columns past the last tile are zeroed, so that
+        np.sum over all cap columns keeps the pairwise tree of a dense row."""
         q = self.p_growth
         m = unif.shape[0]
         nu = np.full(m, cap)                        # cap: not crossed yet
@@ -223,11 +242,10 @@ class Product(Law):
             np.cumsum(counts, axis=1, out=counts)              # N_k
             growth = counts[:, -1] + (unif[:, c1 - 1] < q)
             a = amp[counts]
-            sigma_sq = a * a
             # csum[:, j] = sum of sigma^2 over steps < c0 + j
             csum = np.empty((m, c1 - c0 + 1))
             csum[:, 0] = v
-            csum[:, 1:] = sigma_sq
+            np.multiply(a, a, out=csum[:, 1:])
             np.cumsum(csum, axis=1, out=csum)
             v = csum[:, -1]
             hit = csum[:, 1:] >= n
@@ -236,30 +254,25 @@ class Product(Law):
             j = np.argmax(hit, axis=1)
             rows = np.flatnonzero((nu == cap) & hit[np.arange(m), j])
             j = j[rows]
-            x = a * (2.0 * zeta[:, c0:c1] - 1.0)    # column k holds X_{k+1}
+            # column k holds X_{k+1}; built in place, one temporary a tile
+            x = 2.0 * zeta[:, c0:c1]
+            x -= 1.0
+            x *= a
             nu[rows] = c0 + j
             v_before[rows] = csum[rows, j]
-            sig_nu[rows] = sigma_sq[rows, j]
-            y_nu[rows] = a[rows, j]             # max(1, A) = A since a_lo >= 1
+            y = a[rows, j]                      # max(1, A) = A since a_lo >= 1
+            y_nu[rows] = y
+            sig_nu[rows] = y * y
             x_nu[rows] = x[rows, j]
             np.multiply(x, np.arange(c0, c1) < nu[:, None],
-                        out=inc[:m, c0:c1])
+                        out=unif[:, c0:c1])
             if np.all(nu < cap):
                 break
         else:
             raise _overflow(cap, n, "product")
-        inc[:, c1:written] = 0.0
-        gamma = compute_gamma(v_before, sig_nu, n)
-        s_nu = np.sum(inc[:m], axis=1)
-        return {
-            "nu": nu.astype(np.int64),
-            "gamma": gamma,
-            "s_nu": s_nu,
-            "s_prime_nu": s_nu + np.sqrt(gamma) * x_nu,
-            "y_nu": y_nu,
-            "v_before": v_before,
-            "sigma_nu_sq": sig_nu,
-        }, c1
+        unif[:, c1:] = 0.0
+        return _stopped(n, nu.astype(np.int64), np.sum(unif, axis=1), x_nu,
+                        y_nu, v_before, sig_nu)
 
 
 def _cursor(rng, skip):
@@ -312,14 +325,9 @@ class RegimeSwitch(Law):
         at each step, in row order, taken from 32-bit draws in 4096-sign
         refills; the stream is the same however the draws are split."""
         v_lo, v_hi, sd_lo, sd_hi = self.v_lo, self.v_hi, self._sd_lo, self._sd_hi
-        out = {
-            "nu": np.zeros(size, dtype=np.int64),
-            "s_nu": np.zeros(size),
-            "y_nu": np.full(size, self._y),
-            "v_before": np.zeros(size),
-            "sigma_nu_sq": np.zeros(size),
-        }
-        x_nu = np.zeros(size)                       # X_{nu+1}
+        nu = np.zeros(size, dtype=np.int64)
+        s_nu, x_nu = np.zeros(size), np.zeros(size)     # S_nu, X_{nu+1}
+        v_before, sigma_nu_sq = np.zeros(size), np.zeros(size)
         live = np.arange(size)                      # rows not yet stopped
         s = np.zeros(size)                          # S_k of each live row
         v = np.zeros(size)                          # sum of sigma^2_j, j < k
@@ -340,20 +348,18 @@ class RegimeSwitch(Law):
                 v = v_new
                 continue
             idx = live[stop]
-            out["nu"][idx] = k
-            out["s_nu"][idx] = s[stop]
-            out["v_before"][idx] = v[stop]
-            out["sigma_nu_sq"][idx] = sigma_sq[stop]
+            nu[idx] = k
+            s_nu[idx] = s[stop]
+            v_before[idx] = v[stop]
+            sigma_nu_sq[idx] = sigma_sq[stop]
             x_nu[idx] = x[stop]
             cont = ~stop
             live = live[cont]
             s = s[cont] + x[cont]
             v = v_new[cont]
             if live.size == 0:
-                out["gamma"] = compute_gamma(out["v_before"],
-                                             out["sigma_nu_sq"], n)
-                out["s_prime_nu"] = out["s_nu"] + np.sqrt(out["gamma"]) * x_nu
-                return out
+                return _stopped(n, nu, s_nu, x_nu, np.full(size, self._y),
+                                v_before, sigma_nu_sq)
         raise _overflow(cap, n, "regime_switch")
 
 

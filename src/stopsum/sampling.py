@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStartError
-from .models import ModelSpec
+from .errors import ConfigurationError
+from .models import ModelSpec, _check_threshold, _concat
 
 __all__ = ["StoppedBatch", "sample_stopped_batch", "BLOCK_SIZE", "worker_count"]
 
@@ -36,19 +36,20 @@ def worker_count():
 
 @dataclass(frozen=True)
 class StoppedBatch:
-    """Column-oriented collection of stopped samples."""
+    """Column-oriented collection of stopped samples: the columns that
+    every engine gives, one entry per path."""
 
     nu: np.ndarray
     gamma: np.ndarray
     s_nu: np.ndarray
     s_prime_nu: np.ndarray
     y_nu: np.ndarray
-    v_before: np.ndarray
+    v_before: np.ndarray        # sum of sigma^2_i over i < nu
     sigma_nu_sq: np.ndarray
 
     @property
     def size(self):
-        return self.nu.size
+        return np.size(self.nu)
 
 
 def sample_stopped_batch(spec, n, r, seed, workers=None):
@@ -60,10 +61,7 @@ def sample_stopped_batch(spec, n, r, seed, workers=None):
         raise ConfigurationError("spec must be a ModelSpec")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if n < 2.0 * spec.sigma0_sq_max:
-        raise DegenerateStartError(
-            f"n = {n} < 2 * max sigma^2_0 = {2.0 * spec.sigma0_sq_max}"
-        )
+    _check_threshold(spec, n)
     n = float(n)
     blocks = [(b, min(BLOCK_SIZE, r - b * BLOCK_SIZE))
               for b in range((r + BLOCK_SIZE - 1) // BLOCK_SIZE)]
@@ -83,8 +81,5 @@ def sample_stopped_batch(spec, n, r, seed, workers=None):
     else:
         results = [run_block(args) for args in blocks]
 
-    return StoppedBatch(**{
-        col.name: np.concatenate([res[col.name] for res in results])
-        for col in fields(StoppedBatch)
-    })
+    return StoppedBatch(**_concat(results))
 

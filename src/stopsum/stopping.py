@@ -20,8 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStartError, PathOverflowError
-from .models import _TILE, Lanes, compute_gamma, step_model
+from .models import (
+    _TILE,
+    Lanes,
+    _check_threshold,
+    _overflow,
+    _stopped,
+    compute_gamma,
+    step_model,
+)
+from .sampling import StoppedBatch
 from .streams import seed_array
 
 __all__ = [
@@ -39,37 +47,23 @@ _PREFIX_VALUES = 1 << 11    # bound on the prefix values rebuilt at once
 
 
 @dataclass(frozen=True)
-class StoppedSample:
-    nu: int
-    gamma: float
-    s_nu: float
-    s_prime_nu: float
-    y_nu: float
-    v_before: float          # sum_{i=0}^{nu-1} sigma^2_i
-    sigma_nu_sq: float
-    sigma_prefix: np.ndarray | None = None  # partial sums up to v_before
+class StoppedSample(StoppedBatch):
+    """One path of ``run_path``: the columns of StoppedBatch as floats (nu
+    an int), and the partial sums of sigma^2 up to v_before."""
+
+    sigma_prefix: np.ndarray
 
     def prefixes(self):
         """The path's prefix as one group of ``StoppedPaths.prefixes``."""
-        if self.sigma_prefix is None:
-            raise ValueError(
-                "run the path with keep_prefix=True for Lemma-1 checks")
         yield np.zeros(1, dtype=np.int64), self.sigma_prefix[None, :]
 
 
 @dataclass(frozen=True)
-class StoppedPaths:
-    """Paths run together by ``run_lockstep``: the columns of StoppedSample
-    with one entry per path, and each path's variance history stored as
-    int8 levels, sigma^2_k = variances[levels[path, k]] for k < nu."""
+class StoppedPaths(StoppedBatch):
+    """Paths run together by ``run_lockstep``: the columns of StoppedBatch,
+    and each path's variance history stored as int8 levels,
+    sigma^2_k = variances[levels[path, k]] for k < nu."""
 
-    nu: np.ndarray
-    gamma: np.ndarray
-    s_nu: np.ndarray
-    s_prime_nu: np.ndarray
-    y_nu: np.ndarray
-    v_before: np.ndarray
-    sigma_nu_sq: np.ndarray
     levels: np.ndarray
     variances: np.ndarray
 
@@ -90,42 +84,25 @@ class StoppedPaths:
                 yield rows, prefix
 
 
-def _check_threshold(spec, n):
-    if n < 2.0 * spec.sigma0_sq_max:
-        raise DegenerateStartError(
-            f"n = {n} < 2 * max sigma^2_0 = {2.0 * spec.sigma0_sq_max}; "
-            "the nu = 1 edge could make gamma nonpositive"
-        )
-
-
-def run_path(state, n, keep_prefix=False):
-    """Run one model path to its stopping time."""
-    _check_threshold(state.spec, n)
-    cap = state.spec.step_cap(n)
+def run_path(state, n):
+    """Run one model path to its stopping time, keeping its prefix."""
+    spec = state.spec
+    _check_threshold(spec, n)
+    cap = spec.step_cap(n)
     v_before = s = 0.0
-    prefix = [] if keep_prefix else None
+    prefix = []
     for k in range(cap):
         out = step_model(state)  # (X_{k+1}, sigma^2_k, Y_k)
         total = v_before + out.sigma_sq
         if k >= 1 and total >= n:
-            gamma = compute_gamma(v_before, out.sigma_sq, n)
             return StoppedSample(
-                nu=k,
-                gamma=gamma,
-                s_nu=s,
-                s_prime_nu=s + math.sqrt(gamma) * out.x,
-                y_nu=out.y,
-                v_before=v_before,
-                sigma_nu_sq=out.sigma_sq,
-                sigma_prefix=None if prefix is None else np.asarray(prefix),
+                **_stopped(n, k, s, out.x, out.y, v_before, out.sigma_sq),
+                sigma_prefix=np.asarray(prefix),
             )
-        if prefix is not None:
-            prefix.append(total)
+        prefix.append(total)
         s += out.x
         v_before = total
-    raise PathOverflowError(
-        f"no stop after {cap} steps (n = {n}, kind = {state.spec.kind})"
-    )
+    raise _overflow(cap, n, spec.kind)
 
 
 def _lanes_per_chunk(spec, cap):
@@ -142,9 +119,9 @@ def run_lockstep(spec, seeds, n):
     yielding one StoppedPaths per chunk in seed order.
 
     Path by path, nu, the sums, gamma, Y_nu, v_before, sigma^2_nu and the
-    prefix equal those of ``run_path(init_model(spec, seed), n,
-    keep_prefix=True)``: the lanes draw each seed's stream, and every float
-    is computed by the same operations in the same order.
+    prefix equal those of ``run_path(init_model(spec, seed), n)``: the
+    lanes draw each seed's stream, and every float is computed by the same
+    operations in the same order.
     """
     seeds = seed_array(seeds)
     _check_threshold(spec, n)
@@ -183,18 +160,9 @@ def _run_lanes(lanes, n):
                     break
         v = total
     else:
-        raise PathOverflowError(
-            f"no stop after {cap} steps (n = {n}, kind = {spec.kind})"
-        )
-    gamma = compute_gamma(v_before, sigma_nu_sq, n)
+        raise _overflow(cap, n, spec.kind)
     return StoppedPaths(
-        nu=nu,
-        gamma=gamma,
-        s_nu=s_nu,
-        s_prime_nu=s_nu + np.sqrt(gamma) * x_nu,
-        y_nu=y_nu,
-        v_before=v_before,
-        sigma_nu_sq=sigma_nu_sq,
+        **_stopped(n, nu, s_nu, x_nu, y_nu, v_before, sigma_nu_sq),
         levels=levels,
         variances=variances,
     )
@@ -228,7 +196,7 @@ def lemma1_check(paths, t, n):
     with P_j = sum_{p=0}^{j-1} sigma^2_p, against
     RHS = exp(t^2/2) * (1 + Y_nu^2 t^2 / n).
 
-    ``paths`` is a StoppedSample kept with its prefix or a StoppedPaths;
+    ``paths`` is a StoppedSample or a StoppedPaths;
     ``t`` is a float or a sequence.  The result's arrays have the shape
     (paths, t) with either axis dropped for a single path or a float t,
     and floats when both are.  Each LHS is np.sum over exactly its path's

@@ -170,7 +170,7 @@ def test_criterion_6_pathwise_exponential_inequality(_verdict):
     for k, spec in enumerate(SPECS.values()):
         for path in range(10_000):
             state = init_model(spec, derive_seed(MASTER_SEED, 5, k, path))
-            sample = run_path(state, 64.0, keep_prefix=True)
+            sample = run_path(state, 64.0)
             for t in t_values:
                 violations += not lemma1_check(sample, t, 64.0).ok
                 n_checks += 1

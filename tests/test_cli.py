@@ -70,10 +70,18 @@ class TestBuildConfig:
         ["--seed", "-3"],
         ["--reps", str(cli.MAX_REPS + 1)],
         ["--reps", str(10**12)],
+        # a dict is a config file's contents, given alone
+        {"model": "iid_bounded", "n_list": 16},
+        {"model": "iid_bounded", "n_list": [16, 32], "checks": 5},
     ])
-    def test_invalid_values_rejected(self, extra):
-        argv = ["--model", "iid_bounded", "--n-list", "16,32",
-                "--reps", "500", "--seed", "7"] + extra
+    def test_invalid_values_rejected(self, tmp_path, extra):
+        if isinstance(extra, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(extra))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--model", "iid_bounded", "--n-list", "16,32",
+                    "--reps", "500", "--seed", "7"] + extra
         with pytest.raises(ConfigurationError):
             build_config(argv)
 
@@ -104,6 +112,27 @@ class TestMain:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"n_list": 16},
+        {"n_list": [16, 32], "checks": 5},
+        {"n_list": [16, [32]]},
+        {"n_list": [16, 32], "reps": None},
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(raw, model="iid_bounded")))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopsum: invalid configuration:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rep"
+        assert main(IID_ARGS + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopsum: cannot write outputs:")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("checks", ["distance", "lemma1"])
     def test_path_overflow_exit_2(self, monkeypatch, capsys, checks):

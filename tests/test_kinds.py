@@ -16,6 +16,7 @@ from stopsum import (
     sample_stopped_batch,
     step_model,
 )
+from stopsum.stopping import run_lockstep
 
 
 @pytest.fixture(params=KINDS)
@@ -62,6 +63,14 @@ def test_block_sampler_rejects_n_at_most_sigma0(spec, scale):
         spec.law.sample_block(n, 8, rng, spec.step_cap(n))
 
 
+# the three engines: block sampler, single path, lockstep Lemma-1 paths
+ENGINES = {
+    "batch": lambda spec, n: sample_stopped_batch(spec, n, 64, 0),
+    "scalar": lambda spec, n: run_path(init_model(spec, 0), n),
+    "lockstep": lambda spec, n: next(run_lockstep(spec, [0], n)),
+}
+
+
 class TestStepCapOverflow:
     """nu must stay below step_cap(n); otherwise every engine raises."""
 
@@ -74,6 +83,27 @@ class TestStepCapOverflow:
         small = ModelSpec(spec.kind, {}, max_steps=5)
         with pytest.raises(PathOverflowError):
             run_path(init_model(small, 0), 64.0)
+
+    @staticmethod
+    def messages(error, spec, n):
+        out = {}
+        for name, engine in ENGINES.items():
+            with pytest.raises(error) as info:
+                engine(spec, n)
+            out[name] = str(info.value)
+        return out
+
+    def test_every_engine_gives_one_overflow_message(self, spec):
+        small = ModelSpec(spec.kind, {}, max_steps=5)
+        got = self.messages(PathOverflowError, small, 64.0)
+        want = f"no stop after 5 steps (n = 64.0, kind = {spec.kind})"
+        assert got == dict.fromkeys(ENGINES, want)
+
+    def test_every_engine_gives_one_threshold_message(self, spec):
+        n = 1.5 * spec.sigma0_sq_max        # below the n >= 2 sigma^2_0 gate
+        got = self.messages(DegenerateStartError, spec, n)
+        assert len(set(got.values())) == 1, got
+        assert got["batch"].startswith(f"n = {n} < 2 * max sigma^2_0")
 
     @pytest.mark.parametrize("max_steps,fits", [(64, True), (63, False)])
     def test_same_boundary_in_both_engines(self, max_steps, fits):

@@ -118,14 +118,11 @@ class TestRunPath:
             run_path(init_model(spec, 0), 6.0)  # n < 2 sigma_0^2 = 8
 
     def test_prefix_retention(self):
-        sample = run_path(init_model(IID, 3), 12.0, keep_prefix=True)
+        sample = run_path(init_model(IID, 3), 12.0)
         prefix = sample.sigma_prefix
         assert prefix.shape == (sample.nu,)
         assert prefix[-1] == sample.v_before
         assert np.all(np.diff(prefix, prepend=0.0) == 1.0)
-
-    def test_prefix_absent_by_default(self):
-        assert run_path(init_model(IID, 3), 12.0).sigma_prefix is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,7 +204,7 @@ class TestTies:
 
 class TestLemma1:
     def test_zero_t(self):
-        sample = run_path(init_model(IID, 5), 10.0, keep_prefix=True)
+        sample = run_path(init_model(IID, 5), 10.0)
         res = lemma1_check(sample, 0.0, 10.0)
         assert res.lhs == 0.0
         assert res.rhs == 1.0
@@ -216,7 +213,7 @@ class TestLemma1:
     def test_unit_variance_closed_form(self):
         # sigma^2 = 1, n = 10, nu = 9: LHS is the geometric sum
         # sum_{j=1}^{9} e^{j/20} / 20
-        sample = run_path(init_model(IID, 5), 10.0, keep_prefix=True)
+        sample = run_path(init_model(IID, 5), 10.0)
         res = lemma1_check(sample, 1.0, 10.0)
         q = mpmath.e ** (mpmath.mpf(1) / 20)
         lhs_oracle = float(q * (q**9 - 1) / (q - 1) / 20)
@@ -233,18 +230,13 @@ class TestLemma1:
     def test_holds_on_sampled_paths(self, kind, params):
         spec = ModelSpec(kind, params)
         for seed in range(25):
-            sample = run_path(init_model(spec, seed), 64.0, keep_prefix=True)
+            sample = run_path(init_model(spec, seed), 64.0)
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):
                 res = lemma1_check(sample, t, 64.0)
                 assert res.ok, (kind, seed, t, res)
 
-    def test_requires_prefix(self):
-        sample = run_path(init_model(IID, 5), 10.0)
-        with pytest.raises(ValueError):
-            lemma1_check(sample, 1.0, 10.0)
-
     def test_rejects_non_finite_t(self):
-        sample = run_path(init_model(IID, 5), 10.0, keep_prefix=True)
+        sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError):
             lemma1_check(sample, math.inf, 10.0)
 
@@ -297,7 +289,7 @@ class TestLockstep:
         if n > 1000:
             assert cols["nu"].max() > 4096   # a second block of draws
         for i, seed in enumerate(seeds):
-            sample = run_path(init_model(spec, seed), n, keep_prefix=True)
+            sample = run_path(init_model(spec, seed), n)
             for name, col in cols.items():
                 assert col[i] == getattr(sample, name), (i, name)
             assert np.array_equal(prefixes[i], sample.sigma_prefix), i
@@ -314,7 +306,7 @@ class TestLockstep:
         spec = ModelSpec("product", {"p_growth": 0.5})
         cols, prefixes, _, _ = _lockstep(spec, seeds, 40.0)
         for i, seed in enumerate(int(s) for s in seeds):
-            sample = run_path(init_model(spec, seed), 40.0, keep_prefix=True)
+            sample = run_path(init_model(spec, seed), 40.0)
             for name, col in cols.items():
                 assert col[i] == getattr(sample, name), (i, name)
             assert np.array_equal(prefixes[i], sample.sigma_prefix), i
@@ -354,7 +346,7 @@ class TestLockstep:
         paths = next(stopping.run_lockstep(spec, range(5), 32.0))
         assert lemma1_check(paths, LEMMA1_T_GRID, 32.0).lhs.shape == (5, 5)
         assert lemma1_check(paths, 2.0, 32.0).lhs.shape == (5,)
-        sample = run_path(init_model(spec, 0), 32.0, keep_prefix=True)
+        sample = run_path(init_model(spec, 0), 32.0)
         assert lemma1_check(sample, LEMMA1_T_GRID, 32.0).lhs.shape == (5,)
         assert isinstance(lemma1_check(sample, 2.0, 32.0).lhs, float)
 
