@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PathOverflowError
+from .errors import ConfigurationError, OutputPathError, PathOverflowError
 from .harness import (
     esseen_numeric,
     make_t_grid,
@@ -335,6 +336,10 @@ def build_config(argv):
     kind = raw.get("model")
     if kind is None:
         raise ConfigurationError("a model kind is required (--model or config)")
+    # checked here, before any sampling, rather than at the first write
+    out_dir = os.path.dirname(raw.get("out") or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise OutputPathError(f"no such directory: {out_dir!r}")
     params = {k: raw[k] for k in _MODEL_PARAM_KEYS if k in raw}
     return ExperimentConfig(
         model=ModelSpec(kind=kind, params=params),
@@ -362,6 +367,9 @@ def _listed(raw, key, default):
 def main(argv=None):
     try:
         config = build_config(argv if argv is not None else sys.argv[1:])
+    except OutputPathError as exc:
+        print(f"stopsum: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     except (OSError, TypeError, ValueError) as exc:
         print(f"stopsum: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,10 @@ class ConfigurationError(ValueError):
     """Model or experiment parameters violate a documented constraint."""
 
 
+class OutputPathError(ConfigurationError):
+    """The directory that the output base path names does not exist."""
+
+
 class PathOverflowError(RuntimeError):
     """A path hit its step cap before the variance threshold was reached.
 

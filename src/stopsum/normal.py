@@ -1,5 +1,11 @@
 """Scalar probability primitives: normal CDF, Gaussian characteristic
-function, empirical CDFs, Kolmogorov sup-distance and DKW bands."""
+function, empirical CDFs, Kolmogorov sup-distance and DKW bands.
+
+The normal CDF is a numpy port of the Cephes ``ndtr`` that
+``scipy.special.ndtr`` compiles (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989), with libm's ``exp``: it gives SciPy's bits
+without importing SciPy.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "EmpiricalCdf",
@@ -20,20 +25,88 @@ __all__ = [
 
 DEFAULT_DELTA = 0.01
 
+# The doubles of Cephes ndtr.c as SciPy compiles them: erf(x) =
+# x T(x^2) / U(x^2) on |x| < 1; erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8)
+# and exp(-x^2) R(x) / S(x) from 8 up.  U, Q and S have a leading
+# coefficient 1, left out here.  The code below keeps the C code's order of
+# operations, on which the bits depend.
+_T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
+      7003.325141128051, 55592.30130103949)
+_U = (33.56171416475031, 521.3579497801527, 4594.323829709801,
+      22629.000061389095, 49267.39426086359)
+_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
+      48.63719709856814, 196.5208329560771, 526.4451949954773,
+      934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199,
+      975.7085017432055, 1823.9091668790973, 2246.3376081871097,
+      1656.6630919416134, 557.5353408177277)
+_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805,
+      6.160210979930536, 7.4097426995044895, 2.9788666537210022)
+_S = (2.2605286322011726, 9.396035249380015, 12.048953980809666,
+      17.08144507475659, 9.608968090632859, 3.369076451000815)
+_MAXLOG = 709.782712893384  # log(DBL_MAX)
+_SQRT1_2 = 0.7071067811865476
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest degree first, in Cephes' order."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """``_polevl`` with a leading coefficient 1, left out of ``coef``."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_exp(e):
+    """exp through libm: numpy's SIMD exp differs in the last bit on some
+    inputs."""
+    return np.fromiter(map(math.exp, e.tolist()), float, e.size)
+
+
+def _erfc(z):
+    """Cephes erfc on z >= 1: exp(-z^2) P(z)/Q(z) below 8, exp(-z^2)
+    R(z)/S(z) from 8 up, and 0 where exp(-z^2) would leave the normal
+    range."""
+    y = np.zeros_like(z)
+    e = -z * z
+    mid = np.flatnonzero(z < 8.0)
+    far = np.flatnonzero((z >= 8.0) & (e >= -_MAXLOG))
+    for i, p, q in ((mid, _P, _Q), (far, _R, _S)):
+        zi = z[i]
+        y[i] = _libm_exp(e[i]) * _polevl(zi, p) / _p1evl(zi, q)
+    return y
+
 
 def std_normal_cdf(x):
-    """Standard normal CDF, accurate to better than 1e-14 absolute.
+    """Standard normal CDF, equal bit for bit to ``scipy.special.ndtr``.
 
-    Accepts a scalar or an ndarray; evaluated through the complementary
-    error function so the tails do not lose precision.
+    Accepts a scalar or an ndarray.  With x = a/sqrt(2), Phi(a) is
+    0.5 + 0.5 erf(x) for |x| < 1 and otherwise 0.5 erfc(|x|), reflected
+    for x > 0, so neither tail loses precision.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("std_normal_cdf requires finite input")
-    out = ndtr(arr)
+    xs = arr.ravel() * _SQRT1_2
+    zs = np.abs(xs)
+    out = np.empty_like(xs)
+    inner = np.flatnonzero(zs < 1.0)
+    xi = xs[inner]
+    zz = xi * xi
+    out[inner] = 0.5 + 0.5 * (xi * _polevl(zz, _T) / _p1evl(zz, _U))
+    outer = np.flatnonzero(zs >= 1.0)
+    y = 0.5 * _erfc(zs[outer])
+    out[outer] = np.where(xs[outer] > 0, 1.0 - y, y)
     if np.ndim(x) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def gaussian_cf(t):
@@ -93,18 +166,24 @@ def kolmogorov_distance(ecdf, cdf, delta=DEFAULT_DELTA):
 
     Exact order-statistics scan: at the i-th sorted sample (1-based) the
     empirical CDF jumps from (i-1)/R to i/R, so the sup is attained at a
-    sample point from one side or the other.
+    sample point from one side or the other.  ``cdf`` is called on the
+    distinct sample values, as an array or, failing that, one scalar at a
+    time.
     """
     if not isinstance(ecdf, EmpiricalCdf):
         ecdf = EmpiricalCdf.from_samples(ecdf)
     xs = ecdf.samples
     r = ecdf.count
+    # the CDF once per distinct value, repeated over its run of ties
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    values = xs[starts]
     try:
-        f = np.asarray(cdf(xs), dtype=float)
-        if f.shape != xs.shape:
+        f = np.asarray(cdf(values), dtype=float)
+        if f.shape != values.shape:
             raise TypeError
     except TypeError:
-        f = np.array([cdf(x) for x in xs], dtype=float)
+        f = np.array([cdf(x) for x in values], dtype=float)
+    f = np.repeat(f, np.diff(starts, append=r))
     i = np.arange(1, r + 1)
     d_plus = i / r - f
     d_minus = f - (i - 1) / r

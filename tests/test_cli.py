@@ -134,6 +134,24 @@ class TestMain:
         assert err.startswith("stopsum: cannot write outputs:")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_missing_out_directory_fails_before_sampling(
+            self, tmp_path, monkeypatch, capsys):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli, "sample_stopped_batch", sample)
+        missing = tmp_path / "missing"
+        with pytest.raises(ConfigurationError):
+            build_config(IID_ARGS + ["--out", str(missing / "rep")])
+        assert main(IID_ARGS + ["--checks", "distance,lemma1",
+                                "--out", str(missing / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopsum: cannot write outputs:")
+        assert str(missing) in err and err.count("\n") == 1
+        # a file where the directory should be is no directory either
+        missing.write_text("")
+        assert main(IID_ARGS + ["--out", str(missing / "rep")]) == 2
+
     @pytest.mark.parametrize("checks", ["distance", "lemma1"])
     def test_path_overflow_exit_2(self, monkeypatch, capsys, checks):
         # a step cap below n / v stands in for n beyond the default max_steps
@@ -283,15 +301,45 @@ def test_tracer_targets_exist():
 
 
 
+def _src_env():
+    return dict(os.environ,
+                PYTHONPATH=str(Path(stopsum.__file__).resolve().parents[1]))
+
+
 def test_cold_import_leaves_scipy_stats_out():
-    """The CLI needs scipy.special alone; scipy.stats would add about a
-    second and 46 MB to every run's start."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(stopsum.__file__).resolve().parents[1]))
+    """The CLI needs no SciPy at all; scipy.stats alone would add about a
+    second and 46 MB to every run's start, scipy.special about 0.3 s and
+    18 MB."""
     code = ("import sys, stopsum, stopsum.cli; "
-            "print(stopsum.__file__); print('scipy.stats' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    where, loaded = proc.stdout.split()
+            "print(stopsum.__file__); print('scipy.stats' in sys.modules); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')) == [])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    where, loaded, scipy_free = proc.stdout.split()
     assert Path(where).resolve() == Path(stopsum.__file__).resolve()
     assert loaded == "False"
+    assert scipy_free == "True"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """With SciPy unimportable the CLI writes the same bytes."""
+    argv = ["--model", "iid_bounded", "--n-list", "16,32,64,128",
+            "--reps", "2000", "--seed", "5",
+            "--checks", "distance,cf,esseen,rate"]
+    blocked = "import sys; sys.modules['scipy'] = None; "
+    outputs = {}
+    for tag, prelude in (("with", ""), ("without", blocked)):
+        (tmp_path / tag).mkdir()
+        code = (prelude + "import sys; from stopsum.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv,
+             "--out", str(tmp_path / tag / "rep")],
+            env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[tag] = {p.name: p.read_bytes()
+                        for p in sorted((tmp_path / tag).iterdir())}
+    assert "rep.csv" in outputs["with"] and "rep_cf_n16.csv" in outputs["with"]
+    assert outputs["without"] == outputs["with"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from stopsum import (
     EmpiricalCdf,
@@ -53,6 +53,71 @@ class TestStdNormalCdf:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 std_normal_cdf(bad)
+        with pytest.raises(ValueError):
+            std_normal_cdf(np.array([0.0, math.nan, 1.0]))
+
+    def test_scalar_in_float_out(self):
+        for x in (0.3, np.float64(-2.0), np.array(1.5), 7):
+            assert type(std_normal_cdf(x)) is float
+        assert std_normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+
+
+def assert_same_bits(xs):
+    xs = np.asarray(xs, dtype=float)
+    got, want = std_normal_cdf(xs), ndtr(xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def ulp_walk(center, steps=500):
+    """center and the `steps` doubles on each side of it."""
+    out = [center]
+    lo = hi = center
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
+class TestNdtrBits:
+    """std_normal_cdf ports the Cephes ndtr that scipy.special compiles;
+    the report bytes rest on it giving SciPy's bits everywhere."""
+
+    MAXLOG = 709.782712893384
+
+    def test_normal_draws(self):
+        rng = np.random.default_rng(20)
+        assert_same_bits(rng.normal(size=1_000_000))
+        assert_same_bits(6.0 * rng.normal(size=200_000))
+
+    def test_dense_grid(self):
+        assert_same_bits(np.linspace(-45.0, 45.0, 900_001))
+
+    def test_zeros_and_subnormals(self):
+        tiny = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                         1e-300, 1e-20])
+        assert_same_bits(np.concatenate([tiny, -tiny]))
+
+    @pytest.mark.parametrize("edge", [
+        math.sqrt(2.0),                # |x| = 1: erf to erfc
+        8.0 * math.sqrt(2.0),          # |x| = 8: P/Q to R/S
+        math.sqrt(2.0 * MAXLOG),       # x^2 = MAXLOG: erfc underflows to 0
+    ])
+    def test_branch_edges(self, edge):
+        xs = ulp_walk(edge)
+        assert_same_bits(np.concatenate([xs, -xs]))
+
+    def test_underflow_band(self):
+        # exp(-x^2) is subnormal here, where Cephes returns 0
+        assert_same_bits(np.linspace(-38.7, -37.5, 100_001))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-50.0, 50.0))
+    def test_property(self, x):
+        want = float(ndtr(x))
+        got = std_normal_cdf(x)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestGaussianCf:
@@ -156,6 +221,65 @@ class TestKolmogorovDistance:
             EmpiricalCdf.from_samples([-1.0, 0.0, 1.0]), std_normal_cdf
         )
         assert res.d_sup == ref.d_sup
+
+
+def per_element_scan(xs, cdf):
+    """The scan with the CDF at every sorted sample, ties included."""
+    xs = np.sort(np.asarray(xs, dtype=float))
+    r = xs.size
+    f = np.array([cdf(float(x)) for x in xs])
+    i = np.arange(1, r + 1)
+    gaps = np.maximum(i / r - f, f - (i - 1) / r)
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), float(xs[k])
+
+
+class TestDistinctValueScan:
+    """kolmogorov_distance calls the CDF on distinct sample values only and
+    repeats each value over its run of ties."""
+
+    def tie_heavy(self):
+        # sums of 16 +-1 steps over sqrt(16): 17 values among 5000 samples
+        rng = np.random.default_rng(8)
+        steps = rng.choice([-1.0, 1.0], size=(5000, 16))
+        return steps.sum(axis=1) / 4.0
+
+    def test_array_cdf_sees_distinct_values(self):
+        xs = self.tie_heavy()
+        calls = []
+
+        def counting(x):
+            calls.append(np.array(x, copy=True))
+            return std_normal_cdf(x)
+
+        res = kolmogorov_distance(EmpiricalCdf.from_samples(xs), counting)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.unique(xs))
+        d_sup, argmax_x = per_element_scan(xs, std_normal_cdf)
+        assert res.d_sup == d_sup and res.argmax_x == argmax_x
+        assert res.dkw_halfwidth == dkw_halfwidth(xs.size)
+
+    def test_scalar_only_cdf(self):
+        xs = self.tie_heavy()
+        calls = []
+
+        def scalar_only(x):
+            calls.append(float(x))   # TypeError on an array of several
+            return std_normal_cdf(x)
+
+        res = kolmogorov_distance(EmpiricalCdf.from_samples(xs), scalar_only)
+        assert calls == np.unique(xs).tolist()
+        d_sup, argmax_x = per_element_scan(xs, std_normal_cdf)
+        assert res.d_sup == d_sup and res.argmax_x == argmax_x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 3.0]),
+                    min_size=1, max_size=60))
+    def test_matches_per_element_scan(self, samples):
+        res = kolmogorov_distance(EmpiricalCdf.from_samples(samples),
+                                  std_normal_cdf)
+        assert (res.d_sup, res.argmax_x) == per_element_scan(samples,
+                                                             std_normal_cdf)
 
 
 class TestEmpiricalCdf:
