@@ -48,18 +48,11 @@ class Law:
     columns of paths stopped at nu < cap, or raising PathOverflowError.
 
     ``step`` is written once for a ModelState (floats, drawn by numpy's
-    Generator) and for Lanes (one array entry per path, drawn from the same
-    streams evaluated counter-based): it uses only arithmetic and
-    comparisons, and draws one sign per step and then, if ``uniforms``, one
-    uniform."""
+    Generator) and for the many rows that ``_run_rows`` steps (arrays): it
+    uses only arithmetic, comparisons and ``np.where``, and draws one sign
+    per step and then, if ``uniforms``, one uniform."""
 
     uniforms = False
-
-
-def _pick(flag, if_one, if_zero):
-    """Exact select for flag in {0.0, 1.0}, on floats and arrays alike:
-    the unselected term is 0.0 * finite = 0.0."""
-    return flag * if_one + (1.0 - flag) * if_zero
 
 
 def compute_gamma(v_before, sigma_nu_sq, n):
@@ -110,10 +103,56 @@ def _check_threshold(spec, n):
         )
 
 
+def _largest_y(y):
+    """y, a law's largest Y_k, if y^4 is finite, as a_n = (E Y_nu^4)^(1/2)
+    needs; checked before a law squares its parameters."""
+    if not math.isfinite(y * y * y * y):
+        raise ConfigurationError(f"Y^4 overflows for the largest Y = {y}")
+    return y
+
+
 def _overflow(cap, n, kind):
     """The error of every engine whose paths do not stop within cap steps."""
     return PathOverflowError(
         f"no stop after {cap} steps (n = {n}, kind = {kind})")
+
+
+def _run_rows(law, rows, n, cap, kind, levels=None):
+    """Stopped columns of the paths of a row state (per live row the
+    ``running_sum`` and what else ``law.step`` reads and draws, ``step``,
+    and ``keep(live)`` to drop stopped rows), each stepped to its first
+    k >= 1 with v_before + sigma^2_k >= n; ``levels[path, k]``, if given,
+    gets the index of sigma^2_k in ``law.variances``."""
+    size = rows.running_sum.size
+    nu = np.zeros(size, dtype=np.int64)
+    s_nu, x_nu, y_nu, v_before, sigma_nu_sq = (np.zeros(size) for _ in range(5))
+    paths = np.arange(size)                 # the path of each live row
+    v = np.zeros(size)                      # sum of sigma^2_j, j < k
+    for k in range(cap):
+        x, sigma_sq, y = law.step(rows)     # (X_{k+1}, sigma^2_k, Y_k)
+        rows.step += 1
+        if levels is not None:
+            levels[paths, k] = np.searchsorted(law.variances, sigma_sq)
+        total = v + sigma_sq                # sigma^2 and Y may be one float
+        stop = total >= n
+        if k == 0 or not stop.any():        # the k = 0 step never stops
+            rows.running_sum += x
+            v = total
+            continue
+        done = paths[stop]
+        nu[done] = k
+        s_nu[done] = rows.running_sum[stop]
+        x_nu[done] = x[stop]
+        y_nu[done] = y[stop] if np.ndim(y) else y
+        v_before[done] = v[stop]
+        sigma_nu_sq[done] = sigma_sq[stop] if np.ndim(sigma_sq) else sigma_sq
+        if done.size == paths.size:
+            return _stopped(n, nu, s_nu, x_nu, y_nu, v_before, sigma_nu_sq)
+        live = ~stop
+        rows.running_sum += x
+        rows.keep(live)
+        paths, v = paths[live], total[live]
+    raise _overflow(cap, n, kind)
 
 
 class IidBounded(Law):
@@ -124,11 +163,12 @@ class IidBounded(Law):
     def __init__(self, m, v):
         if m < 1.0:
             raise ConfigurationError("iid_bounded requires M >= 1")
+        self._y = _largest_y(max(m, 1.0))
         if not 0.0 < v <= m ** 2:
             raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
         self.v = self.variance_floor = self.sigma0_sq_max = v
         self.variances = np.array([v])
-        self._x, self._y = math.sqrt(v), max(m, 1.0)
+        self._x = math.sqrt(v)
 
     def step(self, state):
         return state._sign() * self._x, self.v, self._y
@@ -179,7 +219,7 @@ class Product(Law):
             raise ConfigurationError("product requires 1 <= a_lo <= a_hi")
         if not 0.0 <= p_growth <= 1.0:
             raise ConfigurationError("product requires p_growth in [0, 1]")
-        self.a_lo, self.a_hi, self.p_growth = a_lo, a_hi, p_growth
+        self.a_lo, self.a_hi, self.p_growth = a_lo, _largest_y(a_hi), p_growth
         # A_k >= a_lo on every path, and A_0 = a_lo since N_0 = 0
         self.variance_floor = self.sigma0_sq_max = a_lo ** 2
         self.variances = np.array(sorted(
@@ -312,55 +352,39 @@ class RegimeSwitch(Law):
         self.variance_floor = self.sigma0_sq_max = v_lo
         self.variances = np.array(sorted({v_lo, v_hi}))
         self._sd_lo, self._sd_hi = math.sqrt(v_lo), math.sqrt(v_hi)
-        self._y = max(1.0, math.sqrt(v_hi))
+        self._y = _largest_y(max(1.0, math.sqrt(v_hi)))
 
     def step(self, state):
-        high = (state.running_sum > 0) * 1.0
-        sigma_sq = _pick(high, self.v_hi, self.v_lo)
-        x = state._sign() * _pick(high, self._sd_hi, self._sd_lo)
+        high = state.running_sum > 0
+        # [()] gives a ModelState floats rather than 0-d arrays
+        sigma_sq = np.where(high, self.v_hi, self.v_lo)[()]
+        x = state._sign() * np.where(high, self._sd_hi, self._sd_lo)[()]
         return x, sigma_sq, self._y
 
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: one sign per live row
         at each step, in row order, taken from 32-bit draws in 4096-sign
         refills; the stream is the same however the draws are split."""
-        v_lo, v_hi, sd_lo, sd_hi = self.v_lo, self.v_hi, self._sd_lo, self._sd_hi
-        nu = np.zeros(size, dtype=np.int64)
-        s_nu, x_nu = np.zeros(size), np.zeros(size)     # S_nu, X_{nu+1}
-        v_before, sigma_nu_sq = np.zeros(size), np.zeros(size)
-        live = np.arange(size)                      # rows not yet stopped
-        s = np.zeros(size)                          # S_k of each live row
-        v = np.zeros(size)                          # sum of sigma^2_j, j < k
-        signs, pos = np.empty(0), 0
-        for k in range(cap):
-            m = live.size
-            if pos + m > signs.size:
-                bits = rng.integers(0, 2, size=max(_REFILL, m), dtype=np.int32)
-                signs, pos = np.concatenate((signs[pos:], 2.0 * bits - 1.0)), 0
-            high = s > 0
-            sigma_sq = np.where(high, v_hi, v_lo)
-            x = np.where(high, sd_hi, sd_lo) * signs[pos:pos + m]
-            pos += m
-            v_new = v + sigma_sq
-            stop = v_new >= n
-            if k == 0 or not stop.any():            # the k = 0 step never stops
-                s += x
-                v = v_new
-                continue
-            idx = live[stop]
-            nu[idx] = k
-            s_nu[idx] = s[stop]
-            v_before[idx] = v[stop]
-            sigma_nu_sq[idx] = sigma_sq[stop]
-            x_nu[idx] = x[stop]
-            cont = ~stop
-            live = live[cont]
-            s = s[cont] + x[cont]
-            v = v_new[cont]
-            if live.size == 0:
-                return _stopped(n, nu, s_nu, x_nu, np.full(size, self._y),
-                                v_before, sigma_nu_sq)
-        raise _overflow(cap, n, "regime_switch")
+        return _run_rows(self, _BlockRows(rng, size), n, cap, "regime_switch")
+
+
+class _BlockRows:
+    """A regime block's rows for ``_run_rows``, with its signs in order."""
+
+    def __init__(self, rng, size):
+        self.running_sum, self.step = np.zeros(size), 0
+        self._rng, self._signs, self._pos = rng, np.empty(0), 0
+
+    def _sign(self):
+        m, signs, pos = self.running_sum.size, self._signs, self._pos
+        if pos + m > signs.size:
+            bits = self._rng.integers(0, 2, size=max(_REFILL, m), dtype=np.int32)
+            signs, pos = np.concatenate((signs[pos:], 2.0 * bits - 1.0)), 0
+        self._signs, self._pos = signs, pos + m
+        return signs[pos:pos + m]
+
+    def keep(self, live):
+        self.running_sum = self.running_sum[live]
 
 
 LAWS = {"iid_bounded": IidBounded, "product": Product,
@@ -387,6 +411,8 @@ class ModelSpec:
                 f"unknown parameters for {self.kind}: {sorted(unknown)}"
             )
         merged.update({k: float(v) for k, v in self.params.items()})
+        if not all(map(math.isfinite, merged.values())):
+            raise ConfigurationError(f"{self.kind} parameters must be finite")
         object.__setattr__(self, "params", merged)
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be positive")
@@ -409,8 +435,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Floats for a ModelState; for Lanes x is one entry per lane,
-    sigma_sq and y are that or one float for every lane."""
+    """One step of a ModelState."""
 
     x: float        # the increment X_{k+1}
     sigma_sq: float  # sigma^2_k, known before X_{k+1} is drawn
@@ -470,26 +495,27 @@ class Lanes:
     keeps bit 7 of each byte of its 32-bit draws, low byte first, so the
     sign of step k is bit 7 of byte k mod 4096 of the refill's 512 sign
     words; ``random`` gives (word >> 11) * 2^-53 from the 4096 words that
-    follow.  The draws are computed _TILE steps at a time."""
+    follow.  The draws are computed _TILE steps at a time, for live lanes."""
 
-    def __init__(self, spec, seeds, cap):
-        self.spec, self.cap, self.step = spec, cap, 0
+    def __init__(self, spec, seeds):
+        self.spec, self.step = spec, 0
         self._keys = philox_keys(seeds)
         size = self._keys.shape[1]
         self.running_sum = np.zeros(size)
         self.growth = np.zeros(size, dtype=np.int64)
         self._tile_end = 0
-        self._bits = self._unif = None
+        self._draws = []        # the tile's signs and, if drawn, uniforms
 
     def _draw_tile(self):
         refill, pos = divmod(self.step, _REFILL)   # the step is a tile start
         uniforms = self.spec.law.uniforms
         base = refill * (_REFILL // 8 + uniforms * _REFILL)  # in 64-bit words
-        self._bits = coins(philox_words(self._keys, (base + pos // 8) // 4,
-                                        _TILE // 32))
+        self._draws = [coins(philox_words(self._keys, (base + pos // 8) // 4,
+                                          _TILE // 32))]
         if uniforms:
             first = (base + _REFILL // 8 + pos) // 4
-            self._unif = doubles(philox_words(self._keys, first, _TILE // 4))
+            self._draws.append(
+                doubles(philox_words(self._keys, first, _TILE // 4)))
         self._tile_end = self.step + _TILE
 
     def _row(self):
@@ -499,11 +525,17 @@ class Lanes:
 
     def _sign(self):
         row = self._row()
-        return 2.0 * self._bits[row] - 1.0
+        return 2.0 * self._draws[0][row] - 1.0
 
     def _uniform(self):
         row = self._row()
-        return self._unif[row]
+        return self._draws[1][row]
+
+    def keep(self, live):
+        """Drop every lane but ``live``, with its key and its tile draws."""
+        self.running_sum, self.growth = self.running_sum[live], self.growth[live]
+        self._keys = self._keys[:, live]
+        self._draws = [d[:, live] for d in self._draws]
 
 
 def init_model(spec, seed):
@@ -515,8 +547,7 @@ def init_model(spec, seed):
 
 
 def step_model(state):
-    """Advance one step of a ModelState or of Lanes, emitting
-    (X_{k+1}, sigma^2_k, Y_k), as floats or as one array entry per lane.
+    """Advance a ModelState one step, emitting (X_{k+1}, sigma^2_k, Y_k).
 
     sigma^2 and Y are computed from the history alone; the sign driving
     X_{k+1} is drawn afterwards.
@@ -527,7 +558,7 @@ def step_model(state):
             f"step cap {spec.max_steps} reached for kind {spec.kind}"
         )
     x, sigma_sq, y = spec.law.step(state)
-    state.running_sum = state.running_sum + x   # a new array: S_k stays valid
+    state.running_sum = state.running_sum + x
     state.step += 1
     return StepOutput(x=x, sigma_sq=sigma_sq, y=y)
 

@@ -26,10 +26,11 @@ WORKERS_ENV = "STOPSUM_WORKERS"
 
 
 def worker_count():
-    """Thread count for block execution; never affects numeric output."""
-    raw = os.environ.get(WORKERS_ENV, "")
+    """Threads for block execution, at most the CPUs this process may use."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
-        return max(1, int(raw))
+        return max(1, min(int(os.environ.get(WORKERS_ENV, "")), cpus))
     except ValueError:
         return 1
 

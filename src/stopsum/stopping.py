@@ -9,8 +9,8 @@ crossed already carries the extra increment X_{nu+1} used by S'_nu.
 
 ``run_path`` steps one path of a ModelState, whose draws come from numpy's
 Generator; it is the oracle.  ``run_lockstep`` steps many paths of one
-spec together, given their seeds, evaluates each path's Philox stream from
-its counter (``models.Lanes``) and gives, path by path, the same floats.
+spec together in ``models._run_rows``, each on its seed's stream (``Lanes``)
+evaluated counter-based, and gives, path by path, the same floats.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .models import (
     Lanes,
     _check_threshold,
     _overflow,
+    _run_rows,
     _stopped,
     compute_gamma,
     step_model,
@@ -128,44 +129,10 @@ def run_lockstep(spec, seeds, n):
     cap = spec.step_cap(n)
     size = _lanes_per_chunk(spec, cap)
     for start in range(0, seeds.size, size):
-        yield _run_lanes(Lanes(spec, seeds[start:start + size], cap), n)
-
-
-def _run_lanes(lanes, n):
-    spec, cap = lanes.spec, lanes.cap
-    size = lanes.running_sum.size
-    nu = np.zeros(size, dtype=np.int64)
-    s_nu, x_nu, y_nu = np.zeros(size), np.zeros(size), np.zeros(size)
-    v_before, sigma_nu_sq = np.zeros(size), np.zeros(size)
-    levels = np.empty((size, cap), dtype=np.int8)
-    variances = spec.law.variances
-    v = np.zeros(size)                  # v_before of the current step
-    running = np.ones(size, dtype=bool)
-    for k in range(cap):
-        s = lanes.running_sum           # S_k; step_model rebinds it
-        out = step_model(lanes)         # (X_{k+1}, sigma^2_k, Y_k) per lane
-        levels[:, k] = np.searchsorted(variances, out.sigma_sq)
-        total = v + out.sigma_sq        # sigma^2 and Y may be one float
-        if k >= 1:
-            stop = running & (total >= n)
-            if stop.any():
-                nu[stop] = k
-                s_nu[stop] = s[stop]
-                x_nu[stop] = out.x[stop]
-                y_nu[stop] = np.broadcast_to(out.y, (size,))[stop]
-                v_before[stop] = v[stop]
-                sigma_nu_sq[stop] = np.broadcast_to(out.sigma_sq, (size,))[stop]
-                running &= ~stop
-                if not running.any():
-                    break
-        v = total
-    else:
-        raise _overflow(cap, n, spec.kind)
-    return StoppedPaths(
-        **_stopped(n, nu, s_nu, x_nu, y_nu, v_before, sigma_nu_sq),
-        levels=levels,
-        variances=variances,
-    )
+        lanes = Lanes(spec, seeds[start:start + size])
+        levels = np.empty((lanes.running_sum.size, cap), dtype=np.int8)
+        cols = _run_rows(spec.law, lanes, n, cap, spec.kind, levels)
+        yield StoppedPaths(**cols, levels=levels, variances=spec.law.variances)
 
 
 def _lemma1_lhs(prefix, c):

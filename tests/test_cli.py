@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,16 @@ from stopsum.models import ModelSpec
 
 IID_ARGS = ["--model", "iid_bounded", "--n-list", "16,32",
             "--reps", "500", "--seed", "7"]
+# model parameters that are not finite, or whose largest Y has Y^4 = inf
+NON_FINITE_MODELS = [
+    dict(model=kind, n_list=[16, 32, 64, 128], reps=200, **params)
+    for kind, params in (
+        ("regime_switch", {"v_lo": 0.25, "v_hi": math.inf}),
+        ("iid_bounded", {"m": 1e308}),
+        ("iid_bounded", {"m": math.inf}),
+        ("product", {"a_hi": math.nan}),
+    )
+]
 
 
 class TestBuildConfig:
@@ -73,6 +84,7 @@ class TestBuildConfig:
         # a dict is a config file's contents, given alone
         {"model": "iid_bounded", "n_list": 16},
         {"model": "iid_bounded", "n_list": [16, 32], "checks": 5},
+        *NON_FINITE_MODELS,
     ])
     def test_invalid_values_rejected(self, tmp_path, extra):
         if isinstance(extra, dict):
@@ -107,6 +119,16 @@ class TestMain:
     def test_non_finite_n_exit_2(self, capsys):
         assert main(["--model", "iid_bounded", "--n-list", "16,inf"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", NON_FINITE_MODELS)
+    def test_non_finite_model_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--config", str(path),
+                     "--checks", "distance,cf,lemma1,esseen,rate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopsum: invalid configuration:")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

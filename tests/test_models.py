@@ -126,9 +126,9 @@ class TestStepSemantics:
             state = init_model(spec, 0)
             state.growth = g
             scalar.append(step_model(state).sigma_sq)
-        lanes = Lanes(spec, np.arange(61), 8)
+        lanes = Lanes(spec, np.arange(61))
         lanes.growth = growth
-        lane = step_model(lanes).sigma_sq
+        lane = spec.law.step(lanes)[1]
         block = spec.law.amplitude(growth.astype(np.int32))  # block counts
         assert lane.tolist() == scalar == (block * block).tolist()
         assert set(scalar) == set(spec.law.variances.tolist())

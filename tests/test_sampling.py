@@ -19,6 +19,7 @@ from stopsum import (
 )
 from stopsum import models
 from stopsum.models import compute_gamma
+from stopsum.sampling import worker_count
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -47,6 +48,15 @@ class TestDeterminism:
         a = sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9, workers=1)
         b = sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9, workers=4)
         assert_batch_equal(a, b)
+
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
+        # a huge STOPSUM_WORKERS would start one thread per block
+        monkeypatch.setenv("STOPSUM_WORKERS", str(10**6))
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert worker_count() == cpus
+        monkeypatch.setenv("STOPSUM_WORKERS", "1")
+        assert worker_count() == 1
 
     def test_block_prefix_property(self):
         # rows of the first block do not depend on how many later blocks exist

@@ -16,6 +16,7 @@ from stopsum import (
     derive_seed,
     init_model,
     lemma1_check,
+    models,
     run_path,
     sample_stopped_batch,
     step_model,
@@ -340,6 +341,38 @@ class TestLockstep:
         # the CLI's 1000 paths at n = 128 run as one chunk
         chunks = list(stopping.run_lockstep(regime, range(1000), 128.0))
         assert [paths.nu.size for paths in chunks] == [1000]
+
+    @pytest.mark.parametrize("kind,params,n", [
+        ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 128.0),
+        ("product", {"a_lo": 1.0, "a_hi": 4.0, "p_growth": 0.05}, 512.0),
+    ])
+    def test_stopped_lanes_leave_the_tiles(self, monkeypatch, kind, params,
+                                           n):
+        # nu spreads over many 32-step tiles, so most paths of the chunk
+        # stop long before its last one
+        lanes_per_call = []
+        words = models.philox_words
+
+        def counting(keys, first, blocks):
+            lanes_per_call.append(keys.shape[1])
+            return words(keys, first, blocks)
+
+        monkeypatch.setattr(models, "philox_words", counting)
+        spec = ModelSpec(kind, params)
+        seeds = [derive_seed(31, path) for path in range(200)]
+        cols, prefixes, _, _ = _lockstep(spec, seeds, n)
+        # a tile starting at step k is drawn for the paths with nu >= k,
+        # once for the signs and, for product, once more for the uniforms
+        starts = range(0, int(cols["nu"].max()) + 1, models._TILE)
+        calls = 1 + spec.law.uniforms
+        want = [np.count_nonzero(cols["nu"] >= k) for k in starts]
+        assert lanes_per_call == [m for m in want for _ in range(calls)]
+        assert want[0] == 200 and want[-1] < 50
+        for i, seed in enumerate(seeds):
+            sample = run_path(init_model(spec, seed), n)
+            for name, col in cols.items():
+                assert col[i] == getattr(sample, name), (i, name)
+            assert np.array_equal(prefixes[i], sample.sigma_prefix), i
 
     def test_shapes_follow_the_inputs(self):
         spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})

@@ -89,7 +89,7 @@ def test_lanes_read_the_model_state_refills(kind):
     spec = ModelSpec(kind, {})
     seeds = [0, 2**32, 77] + RANDOM_SEEDS
     steps = 4096 + 700
-    lanes = Lanes(spec, seeds, steps)
+    lanes = Lanes(spec, seeds)
     signs, unif = [], []
     for k in range(steps):
         lanes.step = k
