@@ -13,43 +13,25 @@ resolution-limited rather than failed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import (
-    DEFAULT_DELTA,
-    DistanceResult,
-    EmpiricalCdf,
-    dkw_halfwidth,
-    kolmogorov_distance,
-    std_normal_cdf,
-)
-from .sampling import StoppedBatch, sample_stopped_batch
+from .normal import (DEFAULT_DELTA, DistanceResult, EmpiricalCdf,
+                     kolmogorov_distance, std_normal_cdf)
+from .sampling import sample_stopped_batch
 
 __all__ = [
-    "BoundReport",
-    "CfProbe",
-    "InequalityCheck",
-    "EsseenResult",
-    "RateFit",
-    "theorem_bound_F",
-    "theorem_bound_H",
-    "estimate_a_n",
-    "estimate_distances",
-    "report_from_batch",
-    "make_t_grid",
-    "cf_probe",
-    "probe_from_batch",
-    "esseen_numeric",
-    "rate_fit",
+    "BoundReport", "CfProbe", "InequalityCheck", "EsseenResult", "RateFit",
+    "theorem_bound_F", "theorem_bound_H", "estimate_a_n",
+    "estimate_distances", "report_from_batch", "make_t_grid", "cf_probe",
+    "probe_from_batch", "esseen_numeric", "rate_fit",
 ]
 
 
-# --------------------------------------------------------------------------
 # closed-form rate bounds
-# --------------------------------------------------------------------------
 
 def _bound(n, a_n, second_coeff):
     if n <= 0:
@@ -72,17 +54,14 @@ def theorem_bound_H(n, a_n):
     return _bound(n, a_n, 2.25)
 
 
-# --------------------------------------------------------------------------
 # moment functional a_n = (E Y_nu^4)^{1/2}
-# --------------------------------------------------------------------------
 
 def estimate_a_n(y_nu):
     """Delta-method estimate of sqrt(E Y_nu^4) with its standard error."""
     y4 = np.asarray(y_nu, dtype=float) ** 4
     if y4.size == 0:
         raise ValueError("empty sample")
-    mean = float(np.mean(y4))
-    a_hat = math.sqrt(mean)
+    a_hat = math.sqrt(float(np.mean(y4)))
     if y4.size == 1:
         return a_hat, 0.0
     var = float(np.var(y4, ddof=1))
@@ -90,9 +69,7 @@ def estimate_a_n(y_nu):
     return a_hat, stderr
 
 
-# --------------------------------------------------------------------------
 # distance estimation against the theorem bounds
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -134,15 +111,8 @@ def report_from_batch(batch, n, delta=DEFAULT_DELTA):
     bound_f = theorem_bound_F(n, a_eval)
     bound_h = theorem_bound_H(n, a_eval)
     return BoundReport(
-        n=float(n),
-        r=batch.size,
-        a_n_hat=a_hat,
-        a_n_stderr=a_se,
-        a_n_eval=a_eval,
-        d_f=d_f,
-        d_h=d_h,
-        bound_f=bound_f,
-        bound_h=bound_h,
+        n=float(n), r=batch.size, a_n_hat=a_hat, a_n_stderr=a_se,
+        a_n_eval=a_eval, d_f=d_f, d_h=d_h, bound_f=bound_f, bound_h=bound_h,
         y_smoothing=(n / a_hat**2) ** 0.25,
         margin_f=bound_f - (d_f.d_sup + d_f.dkw_halfwidth),
         margin_h=bound_h - (d_h.d_sup + d_h.dkw_halfwidth),
@@ -157,9 +127,7 @@ def estimate_distances(spec, n, r, seed, delta=DEFAULT_DELTA, workers=None):
     return report_from_batch(batch, n, delta=delta)
 
 
-# --------------------------------------------------------------------------
 # characteristic-function inequalities
-# --------------------------------------------------------------------------
 
 def make_t_grid(y, count=129):
     """Symmetric grid on [-y, y] clustered at 0 and at the endpoints.
@@ -206,68 +174,118 @@ class CfProbe:
     @classmethod
     def from_samples(cls, samples, t_grid):
         """CF-only probe of raw normalized samples (e.g. injected Gaussians)."""
-        grid = _AbsTGrid(t_grid)
-        samples = np.asarray(samples, dtype=float)
-        x = _Distinct(samples)
-        means = [_complex_mean(x.cis(t)) for t in grid.values]
-        return cls(t_grid=grid.t_grid,
-                   c3=grid.complex([c for c, _ in means]), c4=None,
-                   se3=grid.real([se for _, se in means]), r=samples.size)
+        grid, x = _AbsTGrid(t_grid), _Key(np.ravel(samples).astype(float))
+        out = np.empty(x.inverse.size, dtype=complex)
+        c3, se3 = zip(*[_moments(_Table(x, np.exp(1j * t * x.values)), out)
+                        for t in grid.values])
+        c3 = [_mirror(c, t, x) for c, t in zip(c3, grid.values)]
+        return cls(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
+                   c4=None, se3=grid.expand(se3), r=x.inverse.size)
 
 
 class _AbsTGrid:
-    """A t grid evaluated once per distinct |t|.
-
-    The samples are real, so the estimate at -t is the complex conjugate of
-    the one at |t| (cos is even, sin is odd, and sums and products of
-    negated terms round to the negated result), and its stderrs, lhs and
-    rhs are those of |t|.
-    """
+    """A t grid evaluated once per distinct |t|.  The samples are real, so
+    the estimate at -t is the conjugate of the one at |t| (cos is even, sin
+    is odd, and negated terms sum to the negated result) and its stderrs,
+    lhs and rhs are those of |t|; but a zero imaginary part is +0.0 at both
+    unless every term is -0.0, so the mean is then taken at -t."""
 
     def __init__(self, t_grid):
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values, self.which = np.unique(np.abs(self.t_grid),
                                             return_inverse=True)
 
-    def real(self, per_abs_t):
-        """Per-|t| values, one per grid point."""
-        return np.asarray(per_abs_t, dtype=float)[self.which]
-
-    def complex(self, per_abs_t):
-        """Per-|t| estimates, one per grid point, conjugated where t < 0."""
-        c = np.asarray(per_abs_t, dtype=complex)[self.which]
-        return np.where(self.t_grid < 0, c.conj(), c)
+    def expand(self, per_abs_t, mirrored=False):
+        """Per-|t| values per grid point, of (|t|, -|t|) pairs if mirrored."""
+        v = np.asarray(per_abs_t)[self.which]
+        return np.where(self.t_grid < 0, v[:, 1], v[:, 0]) if mirrored else v
 
 
-class _Distinct:
-    """A real sample as its distinct values and the indices that rebuild it.
-
-    An exponential is computed once per distinct value and gathered back;
-    equal inputs give equal outputs, so the result is bit for bit the
-    elementwise exponential of the whole sample.  Stopped sums of the iid
-    and regime kinds lie on a lattice with far fewer values than paths.
-    """
-
-    def __init__(self, x):
-        self.values, self.inverse = np.unique(x, return_inverse=True)
-
-    def cis(self, t):
-        """exp(i t x) for every x of the sample."""
-        return np.exp(1j * t * self.values)[self.inverse]
-
-    def exp(self, c):
-        """exp(c x) for every x of the sample."""
-        return np.exp(c * self.values)[self.inverse]
+def _mirror(c, t, key):
+    """(c, c at -t) for the mean c of exp(i t x) over key's paths."""
+    if c.imag or not t:
+        return c, c.conjugate()
+    w = key.gather(np.exp(1j * -t * key.values))
+    return c, complex(np.add.reduce(w) / w.size)
 
 
-def _complex_mean(w):
-    """Mean of a complex sample and a scalar stderr for its magnitude error."""
-    mean = complex(np.mean(w))
+class _Key:
+    """The paths of a batch grouped by a float column's bit patterns (its
+    ``values`` at each key), or by int64 codes, for tables of values per key
+    gathered back through ``inverse``: a value computed per key has the
+    bits of the one computed per path.  Stopped sums of the iid and regime
+    kinds take far fewer values than there are paths.  A key with more than
+    half as many codes as paths is ``distinct`` (the product kind's): its
+    moments are taken per path, and a pair keyed so keeps no ``inverse``.
+    A column keeps its sorted codes even so, as the complex exponential
+    runs faster on ordered arguments."""
+
+    def __init__(self, x, out=None):
+        self.codes, self.inverse = np.unique(x.view(np.int64),
+                                             return_inverse=True)
+        self.distinct = 2 * self.codes.size > x.size
+        self.values, self._out = self.codes.view(np.float64), out
+
+    def gather(self, table, out=None):
+        """A table per key as one value per path, in ``out`` or else, if
+        complex, in the key's own buffer, reused as fresh arrays cost page
+        faults (``take`` clips: to raise on bad indices it buffers ``out``)."""
+        if self.inverse is None:
+            return table
+        if out is None and table.dtype == complex:
+            if self._out is None:
+                self._out = np.empty(self.inverse.shape, dtype=complex)
+            out = self._out
+        return table.take(self.inverse, out=out, mode="clip")
+
+
+class _Pair(_Key):
+    """The paths keyed by the keys of two columns, a and b.  Its buffer is
+    _moments' ``out``, which reads a pair's paths before it writes there."""
+
+    def __init__(self, a, b, out):
+        self.distinct = a.distinct or b.distinct
+        if not self.distinct:
+            super().__init__(a.inverse * b.codes.size + b.inverse, out)
+        if self.distinct:
+            self.inverse = self.codes = None
+        else:
+            self._rows = np.divmod(self.codes, b.codes.size)
+
+    def at(self, table_a, table_b):
+        """The _Tables of a and b, read at each key of the pair."""
+        if self.distinct:
+            return table_a.paths, table_b.paths
+        return table_a.values[self._rows[0]], table_b.values[self._rows[1]]
+
+
+class _Table:
+    """Values per key of ``key``; ``paths`` gathers them, once."""
+
+    def __init__(self, key, values):
+        self.key, self.values = key, values
+
+    @functools.cached_property
+    def paths(self):
+        return self.key.gather(self.values)
+
+
+def _moments(table, out):
+    """The mean of w = table.paths and a scalar stderr for its magnitude
+    error from the std (ddof 1) of each part, with the bits of np.mean and
+    np.std but not their wrappers.  The parts' squared deviations are taken
+    per key and gathered at once (per path if distinct) into ``out``."""
+    w, key = table.paths, table.key
     r = w.size
+    mean = complex(np.add.reduce(w) / r)
     if r < 2:
         return mean, 0.0
-    se_re = np.std(w.real, ddof=1) / math.sqrt(r)
-    se_im = np.std(w.imag, ddof=1) / math.sqrt(r)
+    m = complex(np.add.reduce(w.real) / r, np.add.reduce(w.imag) / r)
+    dev = np.subtract(w, m, out=out) if key.distinct else table.values - m
+    np.square(dev.view(np.float64), out=dev.view(np.float64))  # both parts
+    sq = dev if key.distinct else key.gather(dev, out)
+    se_re, se_im = (math.sqrt(np.add.reduce(p) / (r - 1)) / math.sqrt(r)
+                    for p in (sq.real, sq.imag))
     return mean, math.hypot(se_re, se_im)
 
 
@@ -284,73 +302,62 @@ def probe_from_batch(batch, n, t_grid):
     The checks are cf7 |c1 - 1|, cf8 |E(w1 - w2)|, cf9 |E(w3 - w4)| and
     cf_combined |c3 - e^{-t^2/2}|, four per grid point in grid order.
 
-    Each |t| is evaluated once: the rows at -t are those at |t| with c3 and
-    c4 conjugated.  Each exponential is computed once per distinct value of
-    S, S' and V.  The floats are those of evaluating every t on every path.
+    Each |t| is evaluated once (see _AbsTGrid), and each estimator is a
+    table with one value per key of the columns it reads, gathered once: w3
+    and w4 per S and S', w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per
+    (S, S'), all per path if mostly distinct (see _Key).  The floats are
+    those of evaluating every t on every path.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     a_hat, a_se = estimate_a_n(batch.y_nu)
     a = a_hat + 3.0 * a_se
     y = (n / a**2) ** 0.25
     if np.max(np.abs(t_grid)) > y * (1.0 + 1e-9):
-        raise ValueError(
-            f"t grid exceeds the smoothing range [-y, y] with y = {y:.6g}"
-        )
+        raise ValueError(f"t grid exceeds the smoothing range [-y, y] with "
+                         f"y = {y:.6g}")
     sqrt_n = math.sqrt(n)
     grid = _AbsTGrid(t_grid)
-    phase_f = _Distinct(batch.s_nu / sqrt_n)
-    phase_h = _Distinct(batch.s_prime_nu / sqrt_n)
-    v_before = _Distinct(batch.v_before)
-    c3, c4, se3, points = [], [], [], []
+    s, s_h = _Key(batch.s_nu / sqrt_n), _Key(batch.s_prime_nu / sqrt_n)
+    v = _Key(np.asarray(batch.v_before, dtype=float))
+    out = np.empty(batch.size, dtype=complex)
+    vs, ss = _Pair(v, s, out), _Pair(s, s_h, out)
+    per_abs_t = []
     for t in grid.values:  # t = |t| >= 0
-        w3 = phase_f.cis(t)
-        w4 = phase_h.cis(t)
-        growth = v_before.exp(t * t / (2.0 * n))
-        w1 = growth * w3
-        w2 = math.exp(t * t / 2.0) * w3
-        c1, se1 = _complex_mean(w1)
-        c3_t, se3_t = _complex_mean(w3)
-        c3.append(c3_t)
-        se3.append(se3_t)
-        c4.append(complex(np.mean(w4)))
-        d12, se12 = _complex_mean(w1 - w2)
-        d34, se34 = _complex_mean(w3 - w4)
-
+        w3 = _Table(s, np.exp(1j * t * s.values))
+        w4 = _Table(s_h, np.exp(1j * t * s_h.values))
+        growth = _Table(v, np.exp(t * t / (2.0 * n) * v.values))
+        growth, w3_vs = vs.at(growth, w3)
+        w1 = growth * w3_vs
+        c1, se1 = _moments(_Table(vs, w1), out)
+        c3_t, se3_t = _moments(w3, out)
+        c4_t = complex(np.add.reduce(w4.paths) / batch.size)
         e_half = math.exp(t * t / 2.0)
-        rhs7 = a * e_half * (
-            t / (3.0 * sqrt_n)
-            + t * t / (4.0 * n)
-            + a * t**3 / (3.0 * n**1.5)
-            + a * t**4 / (4.0 * n * n)
-        )
+        w1 -= e_half * w3_vs  # w1 - w2, in place
+        d12, se12 = _moments(_Table(vs, w1), out)
+        d34, se34 = _moments(_Table(ss, np.subtract(*ss.at(w3, w4))), out)
+        rhs7 = a * e_half * (t / (3.0 * sqrt_n) + t * t / (4.0 * n)
+                             + a * t**3 / (3.0 * n**1.5)
+                             + a * t**4 / (4.0 * n * n))
         rhs8 = a * t * t / (2.0 * n) * e_half
         rhs9 = 3.0 * a * t * t / (2.0 * n)
-        rhs_comb = a * (
-            t / (3.0 * sqrt_n)
-            + 3.0 * t * t / (4.0 * n)
-            + a * t**3 / (3.0 * n**1.5)
-            + a * t**4 / (4.0 * n * n)
-        )
-        points.append((
+        rhs_comb = a * (t / (3.0 * sqrt_n) + 3.0 * t * t / (4.0 * n)
+                        + a * t**3 / (3.0 * n**1.5) + a * t**4 / (4.0 * n * n))
+        per_abs_t.append(((
             ("cf7", abs(c1 - 1.0), rhs7, se1),
             ("cf8", abs(d12), rhs8, se12),
             ("cf9", abs(d34), rhs9, se34),
             ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
              se3_t),
-        ))
-    checks = tuple(
-        InequalityCheck(
-            name=name, t=float(t), lhs=float(lhs), rhs=float(rhs),
-            stderr=float(se), resolution_limited=bool(rhs < se),
-        )
-        for t, j in zip(t_grid, grid.which)
-        for name, lhs, rhs, se in points[j]
-    )
-    return CfProbe(
-        t_grid=t_grid, c3=grid.complex(c3), c4=grid.complex(c4),
-        se3=grid.real(se3), checks=checks, a_n_eval=a, n=float(n),
-        r=batch.size,
-    )
+        ), se3_t, _mirror(c3_t, t, s), _mirror(c4_t, t, s_h)))
+        del w1, w3, w4, growth, w3_vs  # before the next |t| makes its own
+    points, se3, c3, c4 = zip(*per_abs_t)
+    checks = tuple(InequalityCheck(name, float(t), float(lhs), float(rhs),
+                                   float(se), bool(rhs < se))
+                   for t, j in zip(t_grid, grid.which)
+                   for name, lhs, rhs, se in points[j])
+    return CfProbe(t_grid=t_grid, c3=grid.expand(c3, mirrored=True),
+                   c4=grid.expand(c4, mirrored=True), se3=grid.expand(se3),
+                   checks=checks, a_n_eval=a, n=float(n), r=batch.size)
 
 
 def cf_probe(spec, n, r, t_grid, seed, workers=None):
@@ -359,9 +366,7 @@ def cf_probe(spec, n, r, t_grid, seed, workers=None):
     return probe_from_batch(batch, n, t_grid)
 
 
-# --------------------------------------------------------------------------
 # smoothing-inequality quadrature
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EsseenResult:
@@ -391,16 +396,11 @@ def esseen_numeric(probe, y):
         integrand[~nz] = float(np.mean(diff[inner] / np.abs(t[inner])))
     integral = float(np.trapezoid(integrand, t)) / math.pi
     smoothing = 24.0 / (math.pi * math.sqrt(2.0 * math.pi) * y)
-    return EsseenResult(
-        total=integral + smoothing,
-        integral=integral,
-        smoothing_term=smoothing,
-    )
+    return EsseenResult(total=integral + smoothing, integral=integral,
+                        smoothing_term=smoothing)
 
 
-# --------------------------------------------------------------------------
 # empirical convergence-rate fit
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RateFit:

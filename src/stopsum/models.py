@@ -49,10 +49,20 @@ class Law:
 
     ``step`` is written once for a ModelState (floats, drawn by numpy's
     Generator) and for the many rows that ``_run_rows`` steps (arrays): it
-    uses only arithmetic, comparisons and ``np.where``, and draws one sign
+    uses only arithmetic, comparisons and ``_select``, and draws one sign
     per step and then, if ``uniforms``, one uniform."""
 
     uniforms = False
+
+
+def _select(flag, table):
+    """table[flag] for a comparison's result and a table of two (sigma^2,
+    sigma) pairs: the pair itself for a bool (a ModelState's floats, the
+    fastest there), else np.where on each field (arrays, for rows)."""
+    if type(flag) is bool:
+        return table[flag]
+    (lo, lo_sd), (hi, hi_sd) = table
+    return np.where(flag, hi, lo), np.where(flag, hi_sd, lo_sd)
 
 
 def compute_gamma(v_before, sigma_nu_sq, n):
@@ -351,15 +361,13 @@ class RegimeSwitch(Law):
         # S_0 = 0 selects the low regime
         self.variance_floor = self.sigma0_sq_max = v_lo
         self.variances = np.array(sorted({v_lo, v_hi}))
-        self._sd_lo, self._sd_hi = math.sqrt(v_lo), math.sqrt(v_hi)
+        # (sigma^2, sigma) of the low and the high regime
+        self._regimes = ((v_lo, math.sqrt(v_lo)), (v_hi, math.sqrt(v_hi)))
         self._y = _largest_y(max(1.0, math.sqrt(v_hi)))
 
     def step(self, state):
-        high = state.running_sum > 0
-        # [()] gives a ModelState floats rather than 0-d arrays
-        sigma_sq = np.where(high, self.v_hi, self.v_lo)[()]
-        x = state._sign() * np.where(high, self._sd_hi, self._sd_lo)[()]
-        return x, sigma_sq, self._y
+        sigma_sq, sd = _select(state.running_sum > 0, self._regimes)
+        return state._sign() * sd, sigma_sq, self._y
 
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: one sign per live row

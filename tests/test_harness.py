@@ -24,8 +24,9 @@ from stopsum import (
     theorem_bound_F,
     theorem_bound_H,
 )
-from stopsum.harness import _complex_mean
+from stopsum.harness import _Key, _Pair, _Table
 from stopsum.models import KINDS
+from stopsum.sampling import StoppedBatch
 
 mpmath.mp.dps = 40
 
@@ -181,6 +182,16 @@ class TestCfProbe:
         assert probe.passed
 
 
+def reference_moments(w):
+    """np.mean of a complex sample, and the stderr of its magnitude from
+    np.std(ddof=1) of each part, as the probe defines them."""
+    mean = complex(np.mean(w))
+    if w.size < 2:
+        return mean, 0.0
+    return mean, math.hypot(np.std(w.real, ddof=1) / math.sqrt(w.size),
+                            np.std(w.imag, ddof=1) / math.sqrt(w.size))
+
+
 def reference_probe(batch, n, t_grid):
     """The CF probe as one loop over every t and every path: the reference
     the probe must match bit for bit."""
@@ -199,11 +210,11 @@ def reference_probe(batch, n, t_grid):
         growth = np.exp((t * t / (2.0 * n)) * batch.v_before)
         w1 = growth * w3
         w2 = math.exp(t * t / 2.0) * w3
-        c1, se1 = _complex_mean(w1)
-        c3[i], se3[i] = _complex_mean(w3)
-        c4[i], _ = _complex_mean(w4)
-        d12, se12 = _complex_mean(w1 - w2)
-        d34, se34 = _complex_mean(w3 - w4)
+        c1, se1 = reference_moments(w1)
+        c3[i], se3[i] = reference_moments(w3)
+        c4[i], _ = reference_moments(w4)
+        d12, se12 = reference_moments(w1 - w2)
+        d34, se34 = reference_moments(w3 - w4)
         abs_t = abs(t)
         e_half = math.exp(t * t / 2.0)
         rhs7 = a * e_half * (
@@ -248,6 +259,50 @@ def probe_batch(request):
     return sample_stopped_batch(request.param, PROBE_N, 3000, 17)
 
 
+def assert_same_complex(got, want):
+    """Equal arrays, down to the sign of every zero part."""
+    assert np.array_equal(got, want), (got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def assert_probe_is_reference(batch, n, t_grid):
+    probe = probe_from_batch(batch, n, t_grid)
+    c3, c4, se3, checks = reference_probe(batch, n, t_grid)
+    assert_same_complex(probe.c3, c3)
+    assert_same_complex(probe.c4, c4)
+    assert np.array_equal(probe.se3, se3)
+    assert len(probe.checks) == len(checks) == 4 * t_grid.size
+    for got, want in zip(probe.checks, checks):
+        for a, b in zip(check_fields(got), check_fields(want)):
+            assert np.array_equal(a, b), (got, want)
+
+
+def make_batch(s_nu, s_prime_nu, v_before, y_nu=1.0):
+    """A batch holding the columns the CF probe reads."""
+    s_nu = np.asarray(s_nu, dtype=float)
+    ones = np.ones_like(s_nu)
+    return StoppedBatch(
+        nu=np.ones(s_nu.size, dtype=np.int64), gamma=ones, s_nu=s_nu,
+        s_prime_nu=np.asarray(s_prime_nu, dtype=float), y_nu=y_nu * ones,
+        v_before=np.asarray(v_before, dtype=float) * ones, sigma_nu_sq=ones)
+
+
+# y_nu = 1 gives a = 1 and y = PROBE_N^(1/4) > 4
+EDGE_GRID = np.array([-3.5, -1.25, -0.5, 0.0, 0.5, 1.25, 2.0, 4.0])
+LATTICE = [-1.5, -0.5, -0.0, 0.0, 0.25, 0.5, 2.0]
+
+
+@st.composite
+def lattice_batches(draw):
+    """Small batches on a lattice holding both zeros, so values repeat."""
+    r = draw(st.integers(2, 40))
+    column = st.lists(st.sampled_from(LATTICE), min_size=r, max_size=r)
+    v_before = st.lists(st.sampled_from([0.0, 1.0, 150.0, 299.0]),
+                        min_size=r, max_size=r)
+    return make_batch(draw(column), draw(column), draw(v_before))
+
+
 class TestProbeMatchesPerTLoop:
     """Evaluating once per |t| and once per distinct sample value gives the
     floats of the per-t, per-path loop."""
@@ -262,15 +317,41 @@ class TestProbeMatchesPerTLoop:
             "positive": np.array([0.5, 1.0, 2.0]),
             "negative": np.array([-1.5]),
         }[grid]
-        probe = probe_from_batch(probe_batch, n, t_grid)
-        c3, c4, se3, checks = reference_probe(probe_batch, n, t_grid)
-        assert np.array_equal(probe.c3, c3)
-        assert np.array_equal(probe.c4, c4)
-        assert np.array_equal(probe.se3, se3)
-        assert len(probe.checks) == len(checks) == 4 * t_grid.size
-        for got, want in zip(probe.checks, checks):
-            for a, b in zip(check_fields(got), check_fields(want)):
-                assert np.array_equal(a, b), (got, want)
+        assert_probe_is_reference(probe_batch, n, t_grid)
+
+    def test_all_distinct_batch(self):
+        rng = np.random.default_rng(11)
+        batch = make_batch(rng.normal(size=3000), rng.normal(size=3000),
+                           rng.uniform(280.0, 299.0, size=3000))
+        assert _Key(batch.s_nu).distinct
+        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+
+    def test_regime_few_s_many_s_prime(self):
+        # S lies on a lattice, S' = S + sqrt(gamma) X does not
+        n = 30.0
+        spec = ModelSpec("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7})
+        batch = sample_stopped_batch(spec, n, 3000, 5)
+        s = _Key(batch.s_nu / math.sqrt(n))
+        s_h = _Key(batch.s_prime_nu / math.sqrt(n))
+        assert not s.distinct and s_h.distinct
+        assert _Pair(s, s_h, None).inverse is None
+        assert_probe_is_reference(batch, n, make_t_grid(2.0))
+
+    def test_signed_zeros(self):
+        s = np.array([0.0, -0.0, -0.0, 0.5, 0.0, -0.5] * 50)
+        batch = make_batch(s, -s[::-1], np.where(s == 0.0, 0.0, 2.0))
+        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+        all_negative_zero = make_batch(np.full(9, -0.0), np.full(9, -0.0), 0.0)
+        assert_probe_is_reference(all_negative_zero, PROBE_N, EDGE_GRID)
+
+    def test_two_paths(self):
+        assert_probe_is_reference(make_batch([0.5, -1.5], [0.25, -0.0], 3.0),
+                                  PROBE_N, EDGE_GRID)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_batches())
+    def test_lattice_batches(self, batch):
+        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
 
     def test_negative_t_rows_mirror_positive(self, probe_batch):
         n = PROBE_N
@@ -290,13 +371,64 @@ class TestProbeMatchesPerTLoop:
 
     def test_from_samples_bit_for_bit(self):
         samples = np.round(np.random.default_rng(3).normal(size=5000), 2)
-        t_grid = make_t_grid(10.0)
-        probe = CfProbe.from_samples(samples, t_grid)
-        for i, t in enumerate(t_grid):
-            c, se = _complex_mean(np.exp(1j * t * samples))
-            assert probe.c3[i] == c
-            assert probe.se3[i] == se
-        assert probe.r == samples.size
+        assert_from_samples_is_reference(samples)
+
+    @pytest.mark.parametrize("samples", [
+        np.random.default_rng(3).normal(size=500),
+        np.array([0.0, -0.0, 0.0, 1.5, -0.0]),
+        np.array([-0.75]),
+    ], ids=["all-distinct", "signed-zeros", "one-sample"])
+    def test_from_samples_edge_cases(self, samples):
+        probe = assert_from_samples_is_reference(samples)
+        if samples.size == 1:
+            assert np.all(probe.se3 == 0.0)
+
+
+def assert_from_samples_is_reference(samples):
+    t_grid = make_t_grid(10.0)
+    probe = CfProbe.from_samples(samples, t_grid)
+    for i, t in enumerate(t_grid):
+        c, se = reference_moments(np.exp(1j * t * samples))
+        assert_same_complex(probe.c3[i], c)
+        assert probe.se3[i] == se
+    assert probe.r == samples.size
+    return probe
+
+
+class TestKeys:
+    def test_lattice_column_is_keyed(self):
+        key = _Key(np.array([0.5, -0.0, 0.5, 0.0, 0.5, 0.5]))
+        assert not key.distinct
+        # keyed by bits: -0.0 and 0.0 are two keys
+        assert key.values.size == 3
+        assert np.array_equal(key.values[key.inverse].view(np.int64),
+                              np.array([0.5, -0.0, 0.5, 0.0, 0.5, 0.5])
+                              .view(np.int64))
+
+    def test_half_distinct_is_keyed(self):
+        assert not _Key(np.array([1.0, 1.0, 2.0, 2.0])).distinct
+        assert _Key(np.array([1.0, 1.0, 2.0, 3.0])).distinct
+
+    def test_mostly_distinct_pair_keeps_no_inverse(self):
+        a = _Key(np.array([0.0, 1.0] * 4))
+        b = _Key(np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+        assert not a.distinct and not b.distinct
+        pair = _Pair(a, b, None)      # eight paths, eight distinct pairs
+        assert pair.distinct and pair.inverse is None
+        table = np.arange(8.0)
+        assert pair.gather(table) is table
+        # a pair with a mostly distinct column is mostly distinct too
+        c = _Key(np.arange(8.0))
+        assert c.distinct and _Pair(a, c, None).inverse is None
+
+    def test_keyed_pair_reads_each_column_at_its_keys(self):
+        a = _Key(np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
+        b = _Key(np.array([5.0, 5.0, 5.0, 7.0, 5.0, 7.0]))
+        pair = _Pair(a, b, None)
+        assert not pair.distinct and pair.codes.size == 3
+        at_a, at_b = pair.at(_Table(a, a.values), _Table(b, b.values))
+        assert np.array_equal(pair.gather(at_a), [0.0, 1.0] * 3)
+        assert np.array_equal(pair.gather(at_b), [5.0, 5.0, 5.0, 7.0, 5.0, 7.0])
 
 
 class TestEsseen:
