@@ -46,8 +46,8 @@ CSV_COLUMNS = (
 LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
 # a threshold holds its whole batch and the CF probe's temporaries at once,
-# about 160 bytes per path at peak, 230 for the product kind, whose sample
-# values are mostly distinct (1.6 to 2.3 GB at this ceiling)
+# about 150 bytes per path at peak, 200 for the product kind, whose sample
+# values are mostly distinct (1.5 to 2 GB at this ceiling)
 MAX_REPS = 10**7
 ESSEEN_SLACK = 0.02  # quadrature-and-MC allowance on top of the DKW band
 

@@ -13,7 +13,6 @@ resolution-limited rather than failed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -174,13 +173,29 @@ class CfProbe:
     @classmethod
     def from_samples(cls, samples, t_grid):
         """CF-only probe of raw normalized samples (e.g. injected Gaussians)."""
-        grid, x = _AbsTGrid(t_grid), _Key(np.ravel(samples).astype(float))
-        out = np.empty(x.inverse.size, dtype=complex)
-        c3, se3 = zip(*[_moments(_Table(x, np.exp(1j * t * x.values)), out)
-                        for t in grid.values])
-        c3 = [_mirror(c, t, x) for c, t in zip(c3, grid.values)]
+        x = np.ravel(samples).astype(float)
+        grid, key = _AbsTGrid(t_grid), _Key(x)
+        blocks = grid.blocks(x.size)
+        out, it = _buffer(blocks, x.size), 1j * grid.values[:, None]
+        c3, se3 = [], []
+        for b in blocks:
+            # _moments reads the paths in ``out`` before it writes there
+            moments = _moments(_cf(key, it[b], out), out)
+            for t, (c, se) in zip(grid.values[b], moments):
+                c3.append(_mirror(c, t, key, out))
+                se3.append(se)
         return cls(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
-                   c4=None, se3=grid.expand(se3), r=x.inverse.size)
+                   c4=None, se3=grid.expand(se3), r=x.size)
+
+
+# complex values per estimator table in a block of |t|: a block holds
+# k = max(1, _BLOCK_VALUES // R) values of |t|, so that one set of numpy
+# calls serves k of them at desk-scale R and one at large R (2^13 saved
+# about 1 ms per threshold at R = 1000 but raised peak RSS by 0.2-0.4 MB)
+_BLOCK_VALUES = 1 << 12
+# pair codes on a grid of at most this many cells per path are keyed by
+# counting them, larger grids by sorting
+_COUNTED_CELLS = 4
 
 
 class _AbsTGrid:
@@ -195,58 +210,87 @@ class _AbsTGrid:
         self.values, self.which = np.unique(np.abs(self.t_grid),
                                             return_inverse=True)
 
+    def blocks(self, r):
+        """Slices of the |t| values in order, k = max(1, _BLOCK_VALUES // r)
+        at a time (all of them if fewer)."""
+        count = self.values.size
+        k = min(count, max(1, _BLOCK_VALUES // r))
+        return [slice(i, i + k) for i in range(0, count, k)]
+
     def expand(self, per_abs_t, mirrored=False):
         """Per-|t| values per grid point, of (|t|, -|t|) pairs if mirrored."""
         v = np.asarray(per_abs_t)[self.which]
         return np.where(self.t_grid < 0, v[:, 1], v[:, 0]) if mirrored else v
 
 
-def _mirror(c, t, key):
+def _buffer(blocks, r):
+    """A complex array for the paths, r a row, of a table of the largest
+    block of |t|, the first."""
+    return np.empty((blocks[0].stop, r), dtype=complex)
+
+
+def _cf(key, it, out):
+    """The table of exp(i t x) per key of x, for a (k, 1) column it = i t,
+    with its paths in ``out``."""
+    return _Table(key, np.exp(it * key.values), out)
+
+
+def _mirror(c, t, key, out):
     """(c, c at -t) for the mean c of exp(i t x) over key's paths."""
     if c.imag or not t:
         return c, c.conjugate()
-    w = key.gather(np.exp(1j * -t * key.values))
-    return c, complex(np.add.reduce(w) / w.size)
+    w = _cf(key, np.full((1, 1), 1j * -t), out).paths
+    return c, complex(np.add.reduce(w[0]) / w.shape[1])
+
+
+def _unique(codes, span=None):
+    """np.unique(codes, return_inverse=True) of int64 codes; by counting
+    when they lie in [0, span) and span is at most _COUNTED_CELLS per code."""
+    if span is None or span > _COUNTED_CELLS * codes.size:
+        return np.unique(codes, return_inverse=True)
+    seen = np.zeros(span, dtype=bool)
+    seen[codes] = True
+    keys = np.flatnonzero(seen)
+    rank = np.cumsum(seen)
+    rank -= 1
+    return keys, rank.take(codes)
 
 
 class _Key:
     """The paths of a batch grouped by a float column's bit patterns (its
-    ``values`` at each key), or by int64 codes, for tables of values per key
-    gathered back through ``inverse``: a value computed per key has the
-    bits of the one computed per path.  Stopped sums of the iid and regime
-    kinds take far fewer values than there are paths.  A key with more than
-    half as many codes as paths is ``distinct`` (the product kind's): its
-    moments are taken per path, and a pair keyed so keeps no ``inverse``.
-    A column keeps its sorted codes even so, as the complex exponential
-    runs faster on ordered arguments."""
+    ``values`` at each key), or by int64 codes in [0, span), for tables of
+    values per key gathered back through ``inverse``: a value computed per
+    key has the bits of the one computed per path.  Stopped sums of the iid
+    and regime kinds take far fewer values than there are paths.  A key
+    with more than half as many codes as paths is ``distinct`` (the product
+    kind's): its moments are taken per path, and a pair keyed so keeps no
+    ``inverse``.  A column keeps its sorted codes even so, as the complex
+    exponential runs faster on ordered arguments."""
 
-    def __init__(self, x, out=None):
-        self.codes, self.inverse = np.unique(x.view(np.int64),
-                                             return_inverse=True)
+    def __init__(self, x, span=None):
+        self.codes, self.inverse = _unique(x.view(np.int64), span)
         self.distinct = 2 * self.codes.size > x.size
-        self.values, self._out = self.codes.view(np.float64), out
+        self.values = self.codes.view(np.float64)
 
     def gather(self, table, out=None):
-        """A table per key as one value per path, in ``out`` or else, if
-        complex, in the key's own buffer, reused as fresh arrays cost page
-        faults (``take`` clips: to raise on bad indices it buffers ``out``)."""
+        """A (k, keys) table as one C-ordered (k, paths) row per value of
+        t, in the first k rows of ``out`` if given: fresh arrays cost page
+        faults (``take`` clips: to raise on bad indices it buffers
+        ``out``)."""
         if self.inverse is None:
             return table
-        if out is None and table.dtype == complex:
-            if self._out is None:
-                self._out = np.empty(self.inverse.shape, dtype=complex)
-            out = self._out
-        return table.take(self.inverse, out=out, mode="clip")
+        return table.take(self.inverse, axis=-1, mode="clip",
+                          out=None if out is None else out[:len(table)])
 
 
 class _Pair(_Key):
-    """The paths keyed by the keys of two columns, a and b.  Its buffer is
-    _moments' ``out``, which reads a pair's paths before it writes there."""
+    """The paths keyed by the keys of two columns, a and b."""
 
-    def __init__(self, a, b, out):
+    def __init__(self, a, b):
         self.distinct = a.distinct or b.distinct
         if not self.distinct:
-            super().__init__(a.inverse * b.codes.size + b.inverse, out)
+            super().__init__(a.inverse * b.codes.size + b.inverse,
+                             span=a.codes.size * b.codes.size)
         if self.distinct:
             self.inverse = self.codes = None
         else:
@@ -256,37 +300,53 @@ class _Pair(_Key):
         """The _Tables of a and b, read at each key of the pair."""
         if self.distinct:
             return table_a.paths, table_b.paths
-        return table_a.values[self._rows[0]], table_b.values[self._rows[1]]
+        return (table_a.values.take(self._rows[0], axis=-1),
+                table_b.values.take(self._rows[1], axis=-1))
 
 
 class _Table:
-    """Values per key of ``key``; ``paths`` gathers them, once."""
+    """Values per key of ``key``, a row per value of t; ``paths`` gathers
+    them into ``out``, once, after which a distinct key's table is read
+    per path only."""
 
-    def __init__(self, key, values):
-        self.key, self.values = key, values
+    def __init__(self, key, values, out=None):
+        self.key, self.values, self._out, self._paths = key, values, out, None
 
-    @functools.cached_property
+    @property
     def paths(self):
-        return self.key.gather(self.values)
+        if self._paths is None:
+            self._paths = self.key.gather(self.values, self._out)
+            if self.key.distinct:
+                self.values = None
+        return self._paths
 
 
 def _moments(table, out):
-    """The mean of w = table.paths and a scalar stderr for its magnitude
-    error from the std (ddof 1) of each part, with the bits of np.mean and
-    np.std but not their wrappers.  The parts' squared deviations are taken
-    per key and gathered at once (per path if distinct) into ``out``."""
+    """Per row of w = table.paths, its mean and a scalar stderr for its
+    magnitude error from the std (ddof 1) of each part, with the bits of
+    np.mean and np.std of the row but not their wrappers (Python divides
+    floats as numpy does).  The parts' squared deviations are taken per key
+    and gathered at once (per path if distinct) into ``out``."""
     w, key = table.paths, table.key
-    r = w.size
-    mean = complex(np.add.reduce(w) / r)
+    r = w.shape[1]
+    means = [complex(c / r) for c in np.add.reduce(w, axis=1)]
     if r < 2:
-        return mean, 0.0
-    m = complex(np.add.reduce(w.real) / r, np.add.reduce(w.imag) / r)
-    dev = np.subtract(w, m, out=out) if key.distinct else table.values - m
+        return [(mean, 0.0) for mean in means]
+    m = np.array([complex(re / r, im / r) for re, im in
+                  zip(np.add.reduce(w.real, axis=1).tolist(),
+                      np.add.reduce(w.imag, axis=1).tolist())])[:, None]
+    if key.distinct:
+        dev = np.subtract(w, m, out=out[:len(w)])
+    else:
+        dev = table.values - m
     np.square(dev.view(np.float64), out=dev.view(np.float64))  # both parts
     sq = dev if key.distinct else key.gather(dev, out)
-    se_re, se_im = (math.sqrt(np.add.reduce(p) / (r - 1)) / math.sqrt(r)
-                    for p in (sq.real, sq.imag))
-    return mean, math.hypot(se_re, se_im)
+    root_r = math.sqrt(r)
+    return [(mean, math.hypot(math.sqrt(re / (r - 1)) / root_r,
+                              math.sqrt(im / (r - 1)) / root_r))
+            for mean, re, im in zip(means,
+                                    np.add.reduce(sq.real, axis=1).tolist(),
+                                    np.add.reduce(sq.imag, axis=1).tolist())]
 
 
 def probe_from_batch(batch, n, t_grid):
@@ -302,11 +362,15 @@ def probe_from_batch(batch, n, t_grid):
     The checks are cf7 |c1 - 1|, cf8 |E(w1 - w2)|, cf9 |E(w3 - w4)| and
     cf_combined |c3 - e^{-t^2/2}|, four per grid point in grid order.
 
-    Each |t| is evaluated once (see _AbsTGrid), and each estimator is a
-    table with one value per key of the columns it reads, gathered once: w3
-    and w4 per S and S', w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per
-    (S, S'), all per path if mostly distinct (see _Key).  The floats are
-    those of evaluating every t on every path.
+    Each |t| is evaluated once (see _AbsTGrid), in blocks of
+    k = max(1, _BLOCK_VALUES // r) values of |t|, so that one set of numpy
+    calls serves a whole block at desk-scale r.  Each estimator is a
+    (k, keys) table with one value per key of the columns it reads,
+    gathered once into a (k, r) array whose rows are reduced: w3 and w4 per
+    S and S', w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per (S, S'),
+    all per path if mostly distinct (see _Key).  The right-hand sides and
+    records are computed per |t|.  The floats are those of evaluating every
+    t on every path.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     a_hat, a_se = estimate_a_n(batch.y_nu)
@@ -315,41 +379,49 @@ def probe_from_batch(batch, n, t_grid):
     if np.max(np.abs(t_grid)) > y * (1.0 + 1e-9):
         raise ValueError(f"t grid exceeds the smoothing range [-y, y] with "
                          f"y = {y:.6g}")
-    sqrt_n = math.sqrt(n)
+    sqrt_n, r = math.sqrt(n), batch.size
     grid = _AbsTGrid(t_grid)
+    blocks = grid.blocks(r)
     s, s_h = _Key(batch.s_nu / sqrt_n), _Key(batch.s_prime_nu / sqrt_n)
     v = _Key(np.asarray(batch.v_before, dtype=float))
-    out = np.empty(batch.size, dtype=complex)
-    vs, ss = _Pair(v, s, out), _Pair(s, s_h, out)
+    vs, ss = _Pair(v, s), _Pair(s, s_h)
+    # a block's paths, allocated after the keys' sorts: those of w3 and w4,
+    # and ``out``, where _moments writes once it has read a table's paths
+    w3_out, w4_out, out = (_buffer(blocks, r) for _ in range(3))
+    t_col = grid.values[:, None]    # |t| >= 0
+    it, rate = 1j * t_col, t_col * t_col / (2.0 * n)
+    e_half = [math.exp(t * t / 2.0) for t in grid.values]
+    e_half_col = np.array(e_half)[:, None]
     per_abs_t = []
-    for t in grid.values:  # t = |t| >= 0
-        w3 = _Table(s, np.exp(1j * t * s.values))
-        w4 = _Table(s_h, np.exp(1j * t * s_h.values))
-        growth = _Table(v, np.exp(t * t / (2.0 * n) * v.values))
-        growth, w3_vs = vs.at(growth, w3)
+    for b in blocks:
+        w3, w4 = _cf(s, it[b], w3_out), _cf(s_h, it[b], w4_out)
+        growth, w3_vs = vs.at(_Table(v, np.exp(rate[b] * v.values)), w3)
         w1 = growth * w3_vs
-        c1, se1 = _moments(_Table(vs, w1), out)
-        c3_t, se3_t = _moments(w3, out)
-        c4_t = complex(np.add.reduce(w4.paths) / batch.size)
-        e_half = math.exp(t * t / 2.0)
-        w1 -= e_half * w3_vs  # w1 - w2, in place
-        d12, se12 = _moments(_Table(vs, w1), out)
-        d34, se34 = _moments(_Table(ss, np.subtract(*ss.at(w3, w4))), out)
-        rhs7 = a * e_half * (t / (3.0 * sqrt_n) + t * t / (4.0 * n)
-                             + a * t**3 / (3.0 * n**1.5)
-                             + a * t**4 / (4.0 * n * n))
-        rhs8 = a * t * t / (2.0 * n) * e_half
-        rhs9 = 3.0 * a * t * t / (2.0 * n)
-        rhs_comb = a * (t / (3.0 * sqrt_n) + 3.0 * t * t / (4.0 * n)
-                        + a * t**3 / (3.0 * n**1.5) + a * t**4 / (4.0 * n * n))
-        per_abs_t.append(((
-            ("cf7", abs(c1 - 1.0), rhs7, se1),
-            ("cf8", abs(d12), rhs8, se12),
-            ("cf9", abs(d34), rhs9, se34),
-            ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
-             se3_t),
-        ), se3_t, _mirror(c3_t, t, s), _mirror(c4_t, t, s_h)))
-        del w1, w3, w4, growth, w3_vs  # before the next |t| makes its own
+        c1 = _moments(_Table(vs, w1, out), out)
+        c3 = _moments(w3, out)
+        c4 = [complex(c / r) for c in np.add.reduce(w4.paths, axis=1)]
+        w1 -= e_half_col[b] * w3_vs  # w1 - w2, in place
+        d12 = _moments(_Table(vs, w1, out), out)
+        d34 = _moments(_Table(ss, np.subtract(*ss.at(w3, w4)), out), out)
+        del w1, w3, w4, growth, w3_vs  # before the next block makes its own
+        for t, e, (c1_t, se1), (c3_t, se3_t), (d12_t, se12), (d34_t, se34), \
+                c4_t in zip(grid.values[b], e_half[b], c1, c3, d12, d34, c4):
+            rhs7 = a * e * (t / (3.0 * sqrt_n) + t * t / (4.0 * n)
+                            + a * t**3 / (3.0 * n**1.5)
+                            + a * t**4 / (4.0 * n * n))
+            rhs8 = a * t * t / (2.0 * n) * e
+            rhs9 = 3.0 * a * t * t / (2.0 * n)
+            rhs_comb = a * (t / (3.0 * sqrt_n) + 3.0 * t * t / (4.0 * n)
+                            + a * t**3 / (3.0 * n**1.5)
+                            + a * t**4 / (4.0 * n * n))
+            per_abs_t.append(((
+                ("cf7", abs(c1_t - 1.0), rhs7, se1),
+                ("cf8", abs(d12_t), rhs8, se12),
+                ("cf9", abs(d34_t), rhs9, se34),
+                ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
+                 se3_t),
+            ), se3_t, _mirror(c3_t, t, s, w3_out),
+                _mirror(c4_t, t, s_h, w4_out)))
     points, se3, c3, c4 = zip(*per_abs_t)
     checks = tuple(InequalityCheck(name, float(t), float(lhs), float(rhs),
                                    float(se), bool(rhs < se))

@@ -23,7 +23,7 @@ from .errors import (
     ModelInvalidError,
     PathOverflowError,
 )
-from .streams import coins, doubles, philox_keys, philox_words
+from .streams import coin_signs, coins, doubles, philox_keys, philox_words
 
 __all__ = [
     "KINDS",
@@ -377,18 +377,23 @@ class RegimeSwitch(Law):
 
 
 class _BlockRows:
-    """A regime block's rows for ``_run_rows``, with its signs in order."""
+    """A regime block's rows for ``_run_rows``, with its signs in order,
+    refilled into one buffer that holds the signs left over and a refill."""
 
     def __init__(self, rng, size):
         self.running_sum, self.step = np.zeros(size), 0
-        self._rng, self._signs, self._pos = rng, np.empty(0), 0
+        self._rng, self._signs = rng, np.empty(2 * max(_REFILL, size))
+        self._pos = self._end = 0
 
     def _sign(self):
-        m, signs, pos = self.running_sum.size, self._signs, self._pos
-        if pos + m > signs.size:
-            bits = self._rng.integers(0, 2, size=max(_REFILL, m), dtype=np.int32)
-            signs, pos = np.concatenate((signs[pos:], 2.0 * bits - 1.0)), 0
-        self._signs, self._pos = signs, pos + m
+        m, pos, signs = self.running_sum.size, self._pos, self._signs
+        if pos + m > self._end:
+            left = self._end - pos
+            signs[:left] = signs[pos:self._end]
+            self._end = left + max(_REFILL, m)
+            coin_signs(self._rng, signs[left:self._end])
+            pos = 0
+        self._pos = pos + m
         return signs[pos:pos + m]
 
     def keep(self, live):
@@ -489,7 +494,7 @@ class ModelState:
         return u
 
 
-_TILE = 32    # steps whose draws lanes compute at once: one block of signs
+_TILE = 128   # steps whose draws lanes compute at once: four blocks of signs
 
 
 class Lanes:
@@ -503,7 +508,8 @@ class Lanes:
     keeps bit 7 of each byte of its 32-bit draws, low byte first, so the
     sign of step k is bit 7 of byte k mod 4096 of the refill's 512 sign
     words; ``random`` gives (word >> 11) * 2^-53 from the 4096 words that
-    follow.  The draws are computed _TILE steps at a time, for live lanes."""
+    follow.  The draws are computed _TILE steps (four Philox blocks of
+    signs) at a time, for live lanes."""
 
     def __init__(self, spec, seeds):
         self.spec, self.step = spec, 0
@@ -513,37 +519,41 @@ class Lanes:
         self.growth = np.zeros(size, dtype=np.int64)
         self._tile_end = 0
         self._draws = []        # the tile's signs and, if drawn, uniforms
+        self._cols = None       # the tile column of each live lane, or all
 
     def _draw_tile(self):
         refill, pos = divmod(self.step, _REFILL)   # the step is a tile start
         uniforms = self.spec.law.uniforms
         base = refill * (_REFILL // 8 + uniforms * _REFILL)  # in 64-bit words
+        self._draws = []        # dropped before the next tile is computed
         self._draws = [coins(philox_words(self._keys, (base + pos // 8) // 4,
                                           _TILE // 32))]
         if uniforms:
             first = (base + _REFILL // 8 + pos) // 4
             self._draws.append(
                 doubles(philox_words(self._keys, first, _TILE // 4)))
-        self._tile_end = self.step + _TILE
+        self._tile_end, self._cols = self.step + _TILE, None
 
-    def _row(self):
+    def _row(self, draws):
+        """The current step's draws of each live lane."""
         if self.step >= self._tile_end:
             self._draw_tile()
-        return self.step % _TILE
+        row = self._draws[draws][self.step % _TILE]
+        return row if self._cols is None else row[self._cols]
 
     def _sign(self):
-        row = self._row()
-        return 2.0 * self._draws[0][row] - 1.0
+        return 2.0 * self._row(0) - 1.0
 
     def _uniform(self):
-        row = self._row()
-        return self._draws[1][row]
+        return self._row(1)
 
     def keep(self, live):
-        """Drop every lane but ``live``, with its key and its tile draws."""
+        """Drop every lane but ``live``, with its key; the tile's draws stay
+        and are read at the live lanes' columns."""
         self.running_sum, self.growth = self.running_sum[live], self.growth[live]
         self._keys = self._keys[:, live]
-        self._draws = [d[:, live] for d in self._draws]
+        self._cols = (np.flatnonzero(live) if self._cols is None
+                      else self._cols[live])
 
 
 def init_model(spec, seed):

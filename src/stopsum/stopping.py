@@ -108,10 +108,12 @@ def run_path(state, n):
 
 def _lanes_per_chunk(spec, cap):
     """Paths per chunk: each keeps cap int8 levels and one tile of draws, a
-    sign byte and, if the law draws them, an 8-byte uniform per step,
-    counted four times over for the temporaries that compute them."""
+    sign byte and, if the law draws them, an 8-byte uniform per step.  The
+    next tile is computed next to it from 64-bit words as large and the
+    cipher's six scratch arrays of half their size (``philox_words``), so
+    a lane holds about five times a tile's bytes at once; six are counted."""
     per_step = 1 + 8 * spec.law.uniforms
-    return max(1, _LOCKSTEP_BYTES // (cap + 4 * per_step * _TILE))
+    return max(1, _LOCKSTEP_BYTES // (cap + 6 * per_step * _TILE))
 
 
 def run_lockstep(spec, seeds, n):

@@ -106,31 +106,55 @@ def philox_keys(seeds):
     return np.array(_seed_state(_seed_words(seed_array(seeds)), 2))
 
 
-def _mulhilo(m, x):
-    """(low, high) 64-bit halves of m * x for a constant m, from 32-bit
-    halves so that no product overflows."""
+def _mulhi(m, x, high, scratch):
+    """high = the high 64 bits of m * x for a constant m, from 32-bit
+    halves (Hacker's Delight's mulhu) so that no product overflows, with
+    ``scratch`` three more arrays of x's shape."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _U32
-    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    mid = (lo_lo >> _U32) + (lo_hi & _LO32) + (hi_lo & _LO32)
-    high = m_hi * x_hi + (lo_hi >> _U32) + (hi_lo >> _U32) + (mid >> _U32)
-    return x * np.uint64(m), high
+    x_lo, t, hi_lo = scratch
+    np.bitwise_and(x, _LO32, out=x_lo)
+    np.right_shift(x, _U32, out=high)               # x_hi
+    np.multiply(x_lo, m_hi, out=hi_lo)
+    x_lo *= m_lo                                    # lo_lo
+    np.multiply(high, m_lo, out=t)                  # lo_hi
+    high *= m_hi                                    # hi_hi
+    x_lo >>= _U32
+    t += x_lo                                       # lo_hi + (lo_lo >> 32)
+    np.bitwise_and(t, _LO32, out=x_lo)
+    x_lo += hi_lo
+    t >>= _U32
+    x_lo >>= _U32
+    high += t
+    high += x_lo
 
 
 def philox_words(keys, first_block, blocks):
     """64-bit outputs 4*first_block ... 4*(first_block + blocks) - 1 of the
     Philox4x64-10 stream of each key column, as a (4*blocks, paths) uint64
     array.  Block j is the cipher of counter j + 1: numpy's Philox bumps
-    its counter before the first block."""
-    k0, k1 = keys[0], keys[1]
-    ctr = np.arange(first_block + 1, first_block + 1 + blocks, dtype=np.uint64)
-    c0 = np.broadcast_to(ctr[:, None], (blocks, k0.size))
-    c1 = c2 = c3 = np.zeros_like(c0)    # counters below 2^64 - 1
+    its counter before the first block.  Each counter word is a (blocks,
+    paths) array that the rounds update in place, with five scratch arrays
+    and scalar constants, so that the rounds create no arrays."""
+    k0, k1 = keys[0].copy(), keys[1].copy()
+    c0 = np.empty((blocks, k0.size), dtype=np.uint64)
+    c0[:] = np.arange(first_block + 1, first_block + 1 + blocks,
+                      dtype=np.uint64)[:, None]     # counters below 2^64 - 1
+    c1, c2, c3, hi0, hi1, *scratch = (np.zeros_like(c0) for _ in range(8))
+    w0, w1 = _PHILOX_W
     for _ in range(_PHILOX_ROUNDS):
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        _mulhi(_PHILOX_M[0], c0, hi0, scratch)
+        _mulhi(_PHILOX_M[1], c2, hi1, scratch)
+        c0 *= np.uint64(_PHILOX_M[0])               # lo0
+        c2 *= np.uint64(_PHILOX_M[1])               # lo1
+        c1 ^= hi1
+        c1 ^= k0
+        c3 ^= hi0
+        c3 ^= k1
+        # (c0, c1, c2, c3) = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        c0, c1, c2, c3 = c1, c2, c3, c0
+        k0 += w0
+        k1 += w1
+    del hi0, hi1, scratch                           # before the output
     return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, -1)
 
 
@@ -138,8 +162,11 @@ def coins(words):
     """The values of ``Generator.integers(0, 2, dtype=np.int8)`` that the
     64-bit outputs ``words`` (rows in stream order) give: bit 7 of each
     byte, low byte first, as an (8 * rows, paths) uint8 array."""
-    data = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    return np.ascontiguousarray((data >> 7).T)
+    rows, paths = words.shape
+    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    out = np.empty((rows, 8, paths), dtype=np.uint8)
+    np.right_shift(data.reshape(rows, paths, 8).transpose(0, 2, 1), 7, out=out)
+    return out.reshape(8 * rows, paths)
 
 
 def doubles(words):
@@ -149,3 +176,30 @@ def doubles(words):
     out *= 2.0 ** -53
     return out
 
+
+def coin_signs(rng, out):
+    """Fill ``out`` with 2b - 1 for the b of ``rng.integers(0, 2,
+    size=out.size, dtype=np.int32)``, leaving rng's bit generator as that
+    call leaves it, from its raw 64-bit outputs.  Lemire's method with two
+    outcomes gives (2x) >> 32 of each 32-bit draw x, its bit 31, and never
+    rejects, as (2^32 - 2) mod 2 = 0.  The draws are the 32-bit halves of
+    the outputs, low half first, after a half the generator holds over;
+    the last high half drawn stays in the generator, held over if the
+    count is odd."""
+    bits = rng.bit_generator
+    state = bits.state
+    head = min(out.size, state["has_uint32"])
+    if head:
+        out[0] = 1.0 if state["uinteger"] >> 31 else -1.0
+    rest, tail = out.size - head, out[head:]
+    words = bits.random_raw((rest + 1) // 2)
+    halves = np.asarray(words, dtype="<u8").view("<u4")
+    np.greater_equal(halves[:rest], 1 << 31, out=tail)
+    tail += tail
+    tail -= 1.0
+    if head or rest:
+        state = bits.state
+        state["has_uint32"] = rest % 2
+        if rest:
+            state["uinteger"] = int(halves[-1])
+        bits.state = state

@@ -24,7 +24,8 @@ from stopsum import (
     theorem_bound_F,
     theorem_bound_H,
 )
-from stopsum.harness import _Key, _Pair, _Table
+from stopsum import harness
+from stopsum.harness import _Key, _Pair, _Table, _unique
 from stopsum.models import KINDS
 from stopsum.sampling import StoppedBatch
 
@@ -303,12 +304,24 @@ def lattice_batches(draw):
     return make_batch(draw(column), draw(column), draw(v_before))
 
 
+@pytest.fixture(params=[1, 2, 7, None],
+                ids=["block1", "block2", "block7", "whole-grid"])
+def t_block(request, monkeypatch):
+    """Blocks of this many |t| (the whole grid if None) for r paths."""
+    def use(r, t_grid):
+        k = request.param or t_grid.size
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", k * r)
+        values = np.unique(np.abs(t_grid)).size
+        assert harness._AbsTGrid(t_grid).blocks(r)[0].stop == min(k, values)
+    return use
+
+
 class TestProbeMatchesPerTLoop:
-    """Evaluating once per |t| and once per distinct sample value gives the
-    floats of the per-t, per-path loop."""
+    """Evaluating once per |t| and once per distinct sample value, in
+    blocks of |t|, gives the floats of the per-t, per-path loop."""
 
     @pytest.mark.parametrize("grid", ["symmetric", "positive", "negative"])
-    def test_bit_for_bit(self, probe_batch, grid):
+    def test_bit_for_bit(self, probe_batch, grid, t_block):
         n = PROBE_N
         a_hat, a_se = estimate_a_n(probe_batch.y_nu)
         y = (n / (a_hat + 3.0 * a_se) ** 2) ** 0.25
@@ -317,13 +330,15 @@ class TestProbeMatchesPerTLoop:
             "positive": np.array([0.5, 1.0, 2.0]),
             "negative": np.array([-1.5]),
         }[grid]
+        t_block(probe_batch.size, t_grid)
         assert_probe_is_reference(probe_batch, n, t_grid)
 
-    def test_all_distinct_batch(self):
+    def test_all_distinct_batch(self, t_block):
         rng = np.random.default_rng(11)
         batch = make_batch(rng.normal(size=3000), rng.normal(size=3000),
                            rng.uniform(280.0, 299.0, size=3000))
         assert _Key(batch.s_nu).distinct
+        t_block(batch.size, EDGE_GRID)
         assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
 
     def test_regime_few_s_many_s_prime(self):
@@ -334,12 +349,26 @@ class TestProbeMatchesPerTLoop:
         s = _Key(batch.s_nu / math.sqrt(n))
         s_h = _Key(batch.s_prime_nu / math.sqrt(n))
         assert not s.distinct and s_h.distinct
-        assert _Pair(s, s_h, None).inverse is None
+        assert _Pair(s, s_h).inverse is None
         assert_probe_is_reference(batch, n, make_t_grid(2.0))
 
-    def test_signed_zeros(self):
+    @pytest.mark.parametrize("kind", ["iid_bounded", "distinct"])
+    def test_rows_longer_than_a_reduction_buffer(self, kind, t_block):
+        # numpy's iterators buffer 8192 elements; a row is reduced whole
+        r = 20000
+        if kind == "distinct":
+            rng = np.random.default_rng(5)
+            batch = make_batch(rng.normal(size=r), rng.normal(size=r),
+                               rng.uniform(280.0, 299.0, size=r))
+        else:
+            batch = sample_stopped_batch(IID, PROBE_N, r, 3)
+        t_block(r, EDGE_GRID)
+        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+
+    def test_signed_zeros(self, t_block):
         s = np.array([0.0, -0.0, -0.0, 0.5, 0.0, -0.5] * 50)
         batch = make_batch(s, -s[::-1], np.where(s == 0.0, 0.0, 2.0))
+        t_block(batch.size, EDGE_GRID)
         assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
         all_negative_zero = make_batch(np.full(9, -0.0), np.full(9, -0.0), 0.0)
         assert_probe_is_reference(all_negative_zero, PROBE_N, EDGE_GRID)
@@ -369,8 +398,9 @@ class TestProbeMatchesPerTLoop:
         neg = t_grid < 0
         assert np.array_equal(probe.c3[neg], np.conj(probe.c3[::-1][neg]))
 
-    def test_from_samples_bit_for_bit(self):
+    def test_from_samples_bit_for_bit(self, t_block):
         samples = np.round(np.random.default_rng(3).normal(size=5000), 2)
+        t_block(samples.size, make_t_grid(10.0))
         assert_from_samples_is_reference(samples)
 
     @pytest.mark.parametrize("samples", [
@@ -378,7 +408,8 @@ class TestProbeMatchesPerTLoop:
         np.array([0.0, -0.0, 0.0, 1.5, -0.0]),
         np.array([-0.75]),
     ], ids=["all-distinct", "signed-zeros", "one-sample"])
-    def test_from_samples_edge_cases(self, samples):
+    def test_from_samples_edge_cases(self, samples, t_block):
+        t_block(samples.size, make_t_grid(10.0))
         probe = assert_from_samples_is_reference(samples)
         if samples.size == 1:
             assert np.all(probe.se3 == 0.0)
@@ -413,18 +444,47 @@ class TestKeys:
         a = _Key(np.array([0.0, 1.0] * 4))
         b = _Key(np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
         assert not a.distinct and not b.distinct
-        pair = _Pair(a, b, None)      # eight paths, eight distinct pairs
+        pair = _Pair(a, b)      # eight paths, eight distinct pairs
         assert pair.distinct and pair.inverse is None
         table = np.arange(8.0)
         assert pair.gather(table) is table
         # a pair with a mostly distinct column is mostly distinct too
         c = _Key(np.arange(8.0))
-        assert c.distinct and _Pair(a, c, None).inverse is None
+        assert c.distinct and _Pair(a, c).inverse is None
+
+    @pytest.mark.parametrize("keys_a,keys_b,r", [
+        (1, 150, 1000),     # a one-key column, as V of the iid kind
+        (150, 1, 1000),
+        (1, 1, 50),         # one key in all
+        (40, 50, 500),      # a grid at the cut: 4 cells per path, counted
+        (40, 50, 499),      # just above it: sorted
+        (30, 30, 3000),
+    ])
+    def test_pair_keys_by_counting_equal_unique(self, monkeypatch, keys_a,
+                                                keys_b, r):
+        rng = np.random.default_rng(keys_a * keys_b + r)
+        a, b = (_Key(rng.permutation(np.arange(r) % k).astype(float))
+                for k in (keys_a, keys_b))
+        codes = a.inverse * b.codes.size + b.inverse
+        span = a.codes.size * b.codes.size
+        assert span == keys_a * keys_b
+        want = np.unique(codes, return_inverse=True)
+        sorted_, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw:
+                            sorted_.append(1) or unique(*args, **kw))
+        got = _unique(codes, span)
+        assert bool(sorted_) == (span > harness._COUNTED_CELLS * r)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        pair = _Pair(a, b)
+        if not pair.distinct:
+            assert np.array_equal(pair.codes, want[0])
+            assert np.array_equal(pair.inverse, want[1])
 
     def test_keyed_pair_reads_each_column_at_its_keys(self):
         a = _Key(np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
         b = _Key(np.array([5.0, 5.0, 5.0, 7.0, 5.0, 7.0]))
-        pair = _Pair(a, b, None)
+        pair = _Pair(a, b)
         assert not pair.distinct and pair.codes.size == 3
         at_a, at_b = pair.at(_Table(a, a.values), _Table(b, b.values))
         assert np.array_equal(pair.gather(at_a), [0.0, 1.0] * 3)

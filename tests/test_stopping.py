@@ -343,13 +343,13 @@ class TestLockstep:
         assert [paths.nu.size for paths in chunks] == [1000]
 
     @pytest.mark.parametrize("kind,params,n", [
-        ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 128.0),
+        ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 256.0),
         ("product", {"a_lo": 1.0, "a_hi": 4.0, "p_growth": 0.05}, 512.0),
     ])
     def test_stopped_lanes_leave_the_tiles(self, monkeypatch, kind, params,
                                            n):
-        # nu spreads over many 32-step tiles, so most paths of the chunk
-        # stop long before its last one
+        # nu spreads over several tiles, so most paths of the chunk stop
+        # long before its last one
         lanes_per_call = []
         words = models.philox_words
 

@@ -6,6 +6,7 @@ import pytest
 from stopsum import ModelSpec, derive_seed, init_model
 from stopsum.models import Lanes, _draw_signs, _draw_uniforms
 from stopsum.streams import (
+    coin_signs,
     coins,
     derive_seeds,
     doubles,
@@ -109,3 +110,32 @@ def test_lanes_read_the_model_state_refills(kind):
         if spec.law.uniforms:
             got = np.array(unif)[:, i]
             assert np.array_equal(got, np.concatenate(want_unif)[:steps]), seed
+
+
+def _same_state(a, b):
+    """Equal Philox states, counter, key and buffer included."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    assert sa.keys() == sb.keys()
+    for name in ("counter", "key"):
+        assert np.array_equal(sa["state"][name], sb["state"][name]), name
+    assert np.array_equal(sa["buffer"], sb["buffer"])
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert sa[name] == sb[name], name
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["even", "held-half"])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 4096 + 3])
+def test_coin_signs_match_int32_integers(count, held):
+    want_rng, rng = (np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(9))) for _ in range(2))
+    for r in (want_rng, rng):                   # 32-bit draws, no rejection
+        r.integers(0, 2, size=4 + held, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == held
+    want = 2.0 * want_rng.integers(0, 2, size=count, dtype=np.int32) - 1.0
+    got = np.full(count, np.nan)
+    coin_signs(rng, got)
+    assert np.array_equal(got, want)
+    _same_state(rng, want_rng)
+    # and the draws after them are the same
+    assert np.array_equal(rng.integers(0, 2, size=5, dtype=np.int32),
+                          want_rng.integers(0, 2, size=5, dtype=np.int32))
