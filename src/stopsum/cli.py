@@ -341,17 +341,27 @@ def build_config(argv):
     out_dir = os.path.dirname(raw.get("out") or "")
     if out_dir and not os.path.isdir(out_dir):
         raise OutputPathError(f"no such directory: {out_dir!r}")
-    params = {k: raw[k] for k in _MODEL_PARAM_KEYS if k in raw}
+    params = {k: _number(k, raw[k], float)
+              for k in _MODEL_PARAM_KEYS if k in raw}
     return ExperimentConfig(
         model=ModelSpec(kind=kind, params=params),
-        n_list=tuple(float(n) for n in _listed(raw, "n_list", [])),
-        reps=int(raw.get("reps", 10_000)),
-        master_seed=int(raw.get("seed", 0)),
-        delta=float(raw.get("delta", 0.01)),
+        n_list=tuple(_number("n_list", n, float)
+                     for n in _listed(raw, "n_list", [])),
+        reps=_number("reps", raw.get("reps", 10_000), int),
+        master_seed=_number("seed", raw.get("seed", 0), int),
+        delta=_number("delta", raw.get("delta", 0.01), float),
         checks=tuple(_listed(raw, "checks", ["distance"])),
         out=raw.get("out"),
         format=raw.get("format", "csv"),
     )
+
+
+def _number(key, value, kind):
+    """kind(value), kind float or int: not for a bool, nor a fractional int."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigurationError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _listed(raw, key, default):

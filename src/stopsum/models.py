@@ -42,27 +42,24 @@ __all__ = [
 
 class Law:
     """One model kind: parameter ``defaults`` checked in ``__init__``, the
-    bounds ``variance_floor`` and ``sigma0_sq_max``, the sorted array
-    ``variances`` of every value sigma^2_k can take, ``step`` giving
-    (X_{k+1}, sigma^2_k, Y_k), and ``sample_block`` giving the StoppedBatch
-    columns of paths stopped at nu < cap, or raising PathOverflowError.
-
-    ``step`` is written once for a ModelState (floats, drawn by numpy's
-    Generator) and for the many rows that ``_run_rows`` steps (arrays): it
-    uses only arithmetic, comparisons and ``_select``, and draws one sign
-    per step and then, if ``uniforms``, one uniform."""
+    level table of ``_table``, ``step`` giving the sign of X_{k+1} and the
+    level of (sigma^2_k, sigma_k, Y_k), so X_{k+1} = sign * sigma_k, and
+    ``sample_block`` giving the StoppedBatch columns of paths stopped at
+    nu < cap, or raising PathOverflowError.  ``step`` is written once for a
+    ModelState (floats, drawn by numpy's Generator) and for the rows that
+    ``_run_rows`` steps (arrays); it draws one sign and then, if
+    ``uniforms``, one uniform."""
 
     uniforms = False
 
-
-def _select(flag, table):
-    """table[flag] for a comparison's result and a table of two (sigma^2,
-    sigma) pairs: the pair itself for a bool (a ModelState's floats, the
-    fastest there), else np.where on each field (arrays, for rows)."""
-    if type(flag) is bool:
-        return table[flag]
-    (lo, lo_sd), (hi, hi_sd) = table
-    return np.where(flag, hi, lo), np.where(flag, hi_sd, lo_sd)
+    def _table(self, variances, sds, ys):
+        """Level i = (sigma^2, sigma, Y) as ``levels[i]``, floats, and as
+        arrays ``variances``, ``sds``, ``ys``; level 0 is step 0's."""
+        cols = [np.array(col, dtype=float) for col in (variances, sds, ys)]
+        self.variances, self.sds, self.ys = cols
+        self.levels = tuple(zip(*(col.tolist() for col in cols)))
+        self.variance_floor = float(self.variances.min())
+        self.sigma0_sq_max = self.levels[0][0]
 
 
 def compute_gamma(v_before, sigma_nu_sq, n):
@@ -132,18 +129,19 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
     ``running_sum`` and what else ``law.step`` reads and draws, ``step``,
     and ``keep(live)`` to drop stopped rows), each stepped to its first
     k >= 1 with v_before + sigma^2_k >= n; ``levels[path, k]``, if given,
-    gets the index of sigma^2_k in ``law.variances``."""
+    gets the level of step k, and sigma^2_nu and Y_nu are read at the end."""
     size = rows.running_sum.size
-    nu = np.zeros(size, dtype=np.int64)
-    s_nu, x_nu, y_nu, v_before, sigma_nu_sq = (np.zeros(size) for _ in range(5))
+    nu, level_nu = np.zeros(size, np.int64), np.zeros(size, np.int8)
+    s_nu, x_nu, v_before = (np.zeros(size) for _ in range(3))
     paths = np.arange(size)                 # the path of each live row
     v = np.zeros(size)                      # sum of sigma^2_j, j < k
     for k in range(cap):
-        x, sigma_sq, y = law.step(rows)     # (X_{k+1}, sigma^2_k, Y_k)
+        sign, level = law.step(rows)        # level of step k, sign of X_{k+1}
         rows.step += 1
         if levels is not None:
-            levels[paths, k] = np.searchsorted(law.variances, sigma_sq)
-        total = v + sigma_sq                # sigma^2 and Y may be one float
+            levels[paths, k] = level
+        x = sign * law.sds.take(level)      # X_{k+1}
+        total = v + law.variances.take(level)
         stop = total >= n
         if k == 0 or not stop.any():        # the k = 0 step never stops
             rows.running_sum += x
@@ -151,13 +149,13 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
             continue
         done = paths[stop]
         nu[done] = k
+        level_nu[done] = np.where(stop, level, 0)[stop]  # iid: level is one 0
         s_nu[done] = rows.running_sum[stop]
         x_nu[done] = x[stop]
-        y_nu[done] = y[stop] if np.ndim(y) else y
         v_before[done] = v[stop]
-        sigma_nu_sq[done] = sigma_sq[stop] if np.ndim(sigma_sq) else sigma_sq
         if done.size == paths.size:
-            return _stopped(n, nu, s_nu, x_nu, y_nu, v_before, sigma_nu_sq)
+            return _stopped(n, nu, s_nu, x_nu, law.ys.take(level_nu),
+                            v_before, law.variances.take(level_nu))
         live = ~stop
         rows.running_sum += x
         rows.keep(live)
@@ -173,23 +171,22 @@ class IidBounded(Law):
     def __init__(self, m, v):
         if m < 1.0:
             raise ConfigurationError("iid_bounded requires M >= 1")
-        self._y = _largest_y(max(m, 1.0))
+        y = _largest_y(max(m, 1.0))
         if not 0.0 < v <= m ** 2:
             raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
-        self.v = self.variance_floor = self.sigma0_sq_max = v
-        self.variances = np.array([v])
-        self._x = math.sqrt(v)
+        self._table((v,), (math.sqrt(v),), (y,))
 
     def step(self, state):
-        return state._sign() * self._x, self.v, self._y
+        return state._sign(), 0
 
     def sample_block(self, n, size, rng, cap):
-        nu, v_before = _constant_crossing(self.v, n, cap)   # same on every path
+        v, sd, y = self.levels[0]
+        nu, v_before = _constant_crossing(v, n, cap)   # same on every path
         ones = np.ones(size)
-        s_nu = self._x * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
-        x_next = self._x * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        s_nu = sd * (2.0 * rng.binomial(nu, 0.5, size=size) - nu)
+        x_next = sd * (2.0 * rng.integers(0, 2, size=size) - 1.0)
         return _stopped(n, np.full(size, nu, dtype=np.int64), s_nu, x_next,
-                        self._y * ones, v_before * ones, self.v * ones)
+                        y * ones, v_before * ones, v * ones)
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,7 +216,7 @@ class Product(Law):
     """X_{k+1} = A_k * zeta_{k+1} with Rademacher zeta and
     A_k = a_lo + (a_hi - a_lo) * (1 - 2^{-N_k}) driven by a nondecreasing
     Bernoulli(p_growth) counting process N_k; Y_k = A_k.  Every engine keeps
-    the integer N_k and evaluates A_k by ``amplitude``."""
+    N_k and reads A_k = ``amplitude(N_k)`` at level min(N_k, 54)."""
 
     defaults = {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05}
     uniforms = True
@@ -230,21 +227,19 @@ class Product(Law):
         if not 0.0 <= p_growth <= 1.0:
             raise ConfigurationError("product requires p_growth in [0, 1]")
         self.a_lo, self.a_hi, self.p_growth = a_lo, _largest_y(a_hi), p_growth
-        # A_k >= a_lo on every path, and A_0 = a_lo since N_0 = 0
-        self.variance_floor = self.sigma0_sq_max = a_lo ** 2
-        self.variances = np.array(sorted(
-            {a * a for a in map(self.amplitude, range(_PRODUCT_LEVELS))}))
+        a = self.amplitude(np.arange(_PRODUCT_LEVELS))
+        self._table(a * a, a, a)  # Y_k = max(1, A_k) = A_k since a_lo >= 1
 
     def amplitude(self, growth):
         """A_k for the growth count N_k (an int or an integer array)."""
         return self.a_lo + (self.a_hi - self.a_lo) * (1.0 - np.ldexp(1.0, -growth))
 
     def step(self, state):
-        a = self.amplitude(state.growth)
-        x = state._sign() * a
+        sign = state._sign()
+        level = np.minimum(state.growth, _PRODUCT_LEVELS - 1)
         # advance the counting process for the next step
         state.growth = state.growth + (state._uniform() < self.p_growth)
-        return x, a * a, a        # Y_k = max(1, A_k) = A_k since a_lo >= 1
+        return sign, level
 
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: per chunk of at most
@@ -254,8 +249,8 @@ class Product(Law):
         chunk is drawn and stepped a sub-chunk of rows at a time; the
         arithmetic runs in column tiles and stops at the sub-chunk's last
         crossing."""
-        # A_k by growth count; N_k < cap, and the lookup equals amplitude(N_k)
-        amp = self.amplitude(np.arange(cap))
+        # A_k by growth count N_k < cap, from the level table
+        amp = self.sds.take(np.minimum(np.arange(cap), _PRODUCT_LEVELS - 1))
         rows = max(1, min(size, _PRODUCT_CHUNK,
                           _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap)))
         width = max(_PRODUCT_TILE, _PRODUCT_TILE_CELLS // rows)
@@ -349,8 +344,8 @@ def _cursor(rng, skip):
 
 
 class RegimeSwitch(Law):
-    """sigma^2_k in {v_lo, v_hi} selected by the sign of the running sum;
-    X_{k+1} = +/- sigma_k; Y = max(1, sqrt(v_hi))."""
+    """sigma^2_k = v_lo (level 0, as at S_0 = 0) or v_hi (level 1, if the
+    running sum is positive); X_{k+1} = +/- sigma_k; Y = max(1, sqrt(v_hi))."""
 
     defaults = {"v_lo": 1.0, "v_hi": 1.0}
 
@@ -358,16 +353,12 @@ class RegimeSwitch(Law):
         if not 0.0 < v_lo <= v_hi:
             raise ConfigurationError("regime_switch requires 0 < v_lo <= v_hi")
         self.v_lo, self.v_hi = v_lo, v_hi
-        # S_0 = 0 selects the low regime
-        self.variance_floor = self.sigma0_sq_max = v_lo
-        self.variances = np.array(sorted({v_lo, v_hi}))
-        # (sigma^2, sigma) of the low and the high regime
-        self._regimes = ((v_lo, math.sqrt(v_lo)), (v_hi, math.sqrt(v_hi)))
-        self._y = _largest_y(max(1.0, math.sqrt(v_hi)))
+        sds = (math.sqrt(v_lo), math.sqrt(v_hi))
+        self._y = _largest_y(max(1.0, sds[1]))
+        self._table((v_lo, v_hi), sds, (self._y, self._y))
 
     def step(self, state):
-        sigma_sq, sd = _select(state.running_sum > 0, self._regimes)
-        return state._sign() * sd, sigma_sq, self._y
+        return state._sign(), state.running_sum > 0
 
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: one sign per live row
@@ -565,17 +556,16 @@ def init_model(spec, seed):
 
 
 def step_model(state):
-    """Advance a ModelState one step, emitting (X_{k+1}, sigma^2_k, Y_k).
-
-    sigma^2 and Y are computed from the history alone; the sign driving
-    X_{k+1} is drawn afterwards.
-    """
+    """Advance a ModelState one step, emitting (X_{k+1}, sigma^2_k, Y_k):
+    the level that the history selects, then X_{k+1} = sign * sigma_k."""
     spec = state.spec
     if state.step >= spec.max_steps:
         raise PathOverflowError(
             f"step cap {spec.max_steps} reached for kind {spec.kind}"
         )
-    x, sigma_sq, y = spec.law.step(state)
+    sign, level = spec.law.step(state)
+    sigma_sq, sd, y = spec.law.levels[level]
+    x = sign * sd
     state.running_sum = state.running_sum + x
     state.step += 1
     return StepOutput(x=x, sigma_sq=sigma_sq, y=y)

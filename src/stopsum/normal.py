@@ -149,10 +149,6 @@ class EmpiricalCdf:
             raise ValueError("empty sample")
         return cls(samples=arr, count=arr.size)
 
-    def evaluate(self, x):
-        """F_hat(x) = fraction of samples <= x."""
-        return np.searchsorted(self.samples, x, side="right") / self.count
-
 
 @dataclass(frozen=True)
 class DistanceResult:

@@ -62,8 +62,8 @@ class StoppedSample(StoppedBatch):
 @dataclass(frozen=True)
 class StoppedPaths(StoppedBatch):
     """Paths run together by ``run_lockstep``: the columns of StoppedBatch,
-    and each path's variance history stored as int8 levels,
-    sigma^2_k = variances[levels[path, k]] for k < nu."""
+    and each path's variance history stored as int8 levels of the law's
+    table, sigma^2_k = variances[levels[path, k]] for k < nu."""
 
     levels: np.ndarray
     variances: np.ndarray
@@ -139,7 +139,8 @@ def run_lockstep(spec, seeds, n):
 
 def _lemma1_lhs(prefix, c):
     """LHS for each row of the (paths, nu) prefix matrix and each c."""
-    sigmas = np.diff(prefix, axis=1, prepend=0.0)
+    sigmas = prefix.copy()                   # P_1 and P_j - P_{j-1}
+    np.subtract(prefix[:, 1:], prefix[:, :-1], out=sigmas[:, 1:])
     terms = c[:, None] * prefix[:, None, :]      # (paths, c, nu), C order
     np.exp(terms, out=terms)
     terms *= c[:, None]

@@ -44,10 +44,11 @@ class TestBuildConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "model": "regime_switch", "v_lo": 0.25, "v_hi": 4.0,
-            "n_list": [16, 64], "reps": 300, "seed": 3,
+            "n_list": [16, 64], "reps": 3e2, "seed": 3,
             "checks": ["distance", "lemma1"], "format": "json",
         }))
         cfg = build_config(["--config", str(path)])
+        assert cfg.reps == 300 and type(cfg.reps) is int  # integral float
         assert cfg.model.kind == "regime_switch"
         assert cfg.model.params["v_hi"] == 4.0
         assert cfg.checks == ("distance", "lemma1")
@@ -84,6 +85,11 @@ class TestBuildConfig:
         # a dict is a config file's contents, given alone
         {"model": "iid_bounded", "n_list": 16},
         {"model": "iid_bounded", "n_list": [16, 32], "checks": 5},
+        # a bool is no number, and reps and seed are integers
+        {"model": "iid_bounded", "n_list": [16, 32], "reps": 100.9},
+        {"model": "iid_bounded", "n_list": [16, 32], "seed": True},
+        {"model": "regime_switch", "v_lo": 0.25, "n_list": [True, 16]},
+        {"model": "regime_switch", "n_list": [16, 32], "v_lo": True},
         *NON_FINITE_MODELS,
     ])
     def test_invalid_values_rejected(self, tmp_path, extra):
@@ -140,6 +146,10 @@ class TestMain:
         {"n_list": [16, 32], "checks": 5},
         {"n_list": [16, [32]]},
         {"n_list": [16, 32], "reps": None},
+        {"n_list": [16, 32], "reps": 100.9, "seed": True},
+        {"n_list": [16, 32], "seed": 1.5},
+        {"n_list": [16, 32], "reps": math.inf},    # int() raises OverflowError
+        {"n_list": [16, 32], "m": True},
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, raw):
         path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stopsum import (
+    KINDS,
     ConfigurationError,
     ModelInvalidError,
     ModelSpec,
@@ -19,6 +20,9 @@ IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
 REGIME = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
 ALL_SPECS = (IID, PRODUCT, REGIME)
+# every kind's defaults, and a regime and a non-dyadic product law
+TABLE_SPECS = tuple(ModelSpec(kind, {}) for kind in KINDS) + (
+    REGIME, ModelSpec("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}))
 
 
 def take(spec, seed, k):
@@ -128,10 +132,39 @@ class TestStepSemantics:
             scalar.append(step_model(state).sigma_sq)
         lanes = Lanes(spec, np.arange(61))
         lanes.growth = growth
-        lane = spec.law.step(lanes)[1]
+        lane = spec.law.variances.take(spec.law.step(lanes)[1])
         block = spec.law.amplitude(growth.astype(np.int32))  # block counts
         assert lane.tolist() == scalar == (block * block).tolist()
         assert set(scalar) == set(spec.law.variances.tolist())
+
+    @pytest.mark.parametrize(
+        "spec", TABLE_SPECS,
+        ids=lambda s: "-".join([s.kind, *map(str, s.params.values())]))
+    def test_level_table(self, spec, monkeypatch):
+        law = spec.law
+        assert spec.variance_floor == law.variances.min()
+        assert spec.sigma0_sq_max == law.variances[0]
+        steps = []                      # (sign, level) of each step
+
+        def step(state):
+            steps.append(type(law).step(law, state))
+            return steps[-1]
+
+        monkeypatch.setattr(law, "step", step)
+        state = init_model(spec, 5)
+        for _ in range(300):
+            out = step_model(state)
+            sign, level = steps[-1]
+            sigma_sq, sd, y = law.levels[level]
+            assert (sigma_sq, sd, y) == (law.variances.take(level),
+                                         law.sds.take(level),
+                                         law.ys.take(level))
+            assert (out.x, out.sigma_sq, out.y) == (sign * sd, sigma_sq, y)
+        if spec.kind == "product":
+            state.growth = 60           # past N = 54, where A_N = a_hi
+            out = step_model(state)
+            assert steps[-1][1] == 54
+            assert out.y == law.a_hi and out.sigma_sq == law.a_hi * law.a_hi
 
     def test_every_variance_is_listed(self):
         for spec in ALL_SPECS:

@@ -294,9 +294,3 @@ class TestEmpiricalCdf:
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
             EmpiricalCdf(samples=np.array([0.0, 1.0]), count=3)
-
-    def test_evaluate(self):
-        e = EmpiricalCdf.from_samples([0.0, 1.0, 2.0, 3.0])
-        assert e.evaluate(1.5) == 0.5
-        assert e.evaluate(-1.0) == 0.0
-        assert e.evaluate(3.0) == 1.0
