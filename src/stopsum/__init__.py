@@ -41,7 +41,6 @@ from .normal import (
     DistanceResult,
     EmpiricalCdf,
     dkw_halfwidth,
-    gaussian_cf,
     kolmogorov_distance,
     std_normal_cdf,
 )

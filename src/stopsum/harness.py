@@ -26,7 +26,7 @@ __all__ = [
     "BoundReport", "CfProbe", "InequalityCheck", "EsseenResult", "RateFit",
     "theorem_bound_F", "theorem_bound_H", "estimate_a_n",
     "estimate_distances", "report_from_batch", "make_t_grid", "cf_probe",
-    "probe_from_batch", "esseen_numeric", "rate_fit",
+    "probe_from_batch", "esseen_numeric", "rate_fit", "RATE_BOUND",
 ]
 
 
@@ -68,6 +68,14 @@ def estimate_a_n(y_nu):
     return a_hat, stderr
 
 
+def _smoothing(y_nu, n):
+    """(a_n_hat, its stderr, the a_n the bounds and the CF checks use, and
+    the smoothing cutoff y = (n / a_n^2)^{1/4} at that a_n)."""
+    a_hat, a_se = estimate_a_n(y_nu)
+    a = a_hat + 3.0 * a_se  # conservative: a larger a_n weakens the claim
+    return a_hat, a_se, a, (n / a**2) ** 0.25
+
+
 # distance estimation against the theorem bounds
 
 @dataclass(frozen=True)
@@ -81,7 +89,7 @@ class BoundReport:
     d_h: DistanceResult
     bound_f: float
     bound_h: float
-    y_smoothing: float       # (n / a_n_hat^2)^{1/4}
+    y_smoothing: float       # (n / a_n_eval^2)^{1/4}, the CF grid's range
     margin_f: float          # bound - (distance + dkw halfwidth)
     margin_h: float
 
@@ -105,24 +113,23 @@ def report_from_batch(batch, n, delta=DEFAULT_DELTA):
     ecdf_h = EmpiricalCdf.from_samples(batch.s_prime_nu / sqrt_n)
     d_f = kolmogorov_distance(ecdf_f, std_normal_cdf, delta=delta)
     d_h = kolmogorov_distance(ecdf_h, std_normal_cdf, delta=delta)
-    a_hat, a_se = estimate_a_n(batch.y_nu)
-    a_eval = a_hat + 3.0 * a_se  # conservative: a larger a_n weakens the claim
+    a_hat, a_se, a_eval, y = _smoothing(batch.y_nu, n)
     bound_f = theorem_bound_F(n, a_eval)
     bound_h = theorem_bound_H(n, a_eval)
     return BoundReport(
         n=float(n), r=batch.size, a_n_hat=a_hat, a_n_stderr=a_se,
         a_n_eval=a_eval, d_f=d_f, d_h=d_h, bound_f=bound_f, bound_h=bound_h,
-        y_smoothing=(n / a_hat**2) ** 0.25,
+        y_smoothing=y,
         margin_f=bound_f - (d_f.d_sup + d_f.dkw_halfwidth),
         margin_h=bound_h - (d_h.d_sup + d_h.dkw_halfwidth),
     )
 
 
-def estimate_distances(spec, n, r, seed, delta=DEFAULT_DELTA, workers=None):
+def estimate_distances(spec, n, r, seed, delta=DEFAULT_DELTA):
     """Run r stopped paths and compare both sup-distances to the bounds."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    batch = sample_stopped_batch(spec, n, r, seed, workers=workers)
+    batch = sample_stopped_batch(spec, n, r, seed)
     return report_from_batch(batch, n, delta=delta)
 
 
@@ -159,7 +166,6 @@ class InequalityCheck:
 class CfProbe:
     t_grid: np.ndarray
     c3: np.ndarray
-    c4: np.ndarray | None
     se3: np.ndarray
     checks: tuple = ()
     a_n_eval: float = 1.0
@@ -185,7 +191,7 @@ class CfProbe:
                 c3.append(_mirror(c, t, key, out))
                 se3.append(se)
         return cls(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
-                   c4=None, se3=grid.expand(se3), r=x.size)
+                   se3=grid.expand(se3), r=x.size)
 
 
 # complex values per estimator table in a block of |t|: a block holds
@@ -356,7 +362,7 @@ def probe_from_batch(batch, n, t_grid):
     sigma^2_p, each path gives at t
         w1 = exp(i t S + (t^2/2n) V),  w2 = e^{t^2/2} w3,
         w3 = exp(i t S),               w4 = exp(i t S'),
-    and the estimates are the means c1 = E w1, c3 = E w3, c4 = E w4 and the
+    and the estimates are the means c1 = E w1, c3 = E w3 and the
     paired differences E(w1 - w2) and E(w3 - w4), averaged per path, which
     is what makes the O(t^2/n) right-hand sides resolvable at desk-scale r.
     The checks are cf7 |c1 - 1|, cf8 |E(w1 - w2)|, cf9 |E(w3 - w4)| and
@@ -366,16 +372,14 @@ def probe_from_batch(batch, n, t_grid):
     k = max(1, _BLOCK_VALUES // r) values of |t|, so that one set of numpy
     calls serves a whole block at desk-scale r.  Each estimator is a
     (k, keys) table with one value per key of the columns it reads,
-    gathered once into a (k, r) array whose rows are reduced: w3 and w4 per
-    S and S', w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per (S, S'),
-    all per path if mostly distinct (see _Key).  The right-hand sides and
-    records are computed per |t|.  The floats are those of evaluating every
-    t on every path.
+    gathered once into a (k, r) array whose rows are reduced: w3 per S,
+    w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per (S, S'), all per
+    path if mostly distinct (see _Key), when w4 per S' is gathered too.  The
+    right-hand sides and records are computed per |t|.  The floats are
+    those of evaluating every t on every path.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    a_hat, a_se = estimate_a_n(batch.y_nu)
-    a = a_hat + 3.0 * a_se
-    y = (n / a**2) ** 0.25
+    _, _, a, y = _smoothing(batch.y_nu, n)
     if np.max(np.abs(t_grid)) > y * (1.0 + 1e-9):
         raise ValueError(f"t grid exceeds the smoothing range [-y, y] with "
                          f"y = {y:.6g}")
@@ -385,8 +389,9 @@ def probe_from_batch(batch, n, t_grid):
     s, s_h = _Key(batch.s_nu / sqrt_n), _Key(batch.s_prime_nu / sqrt_n)
     v = _Key(np.asarray(batch.v_before, dtype=float))
     vs, ss = _Pair(v, s), _Pair(s, s_h)
-    # a block's paths, allocated after the keys' sorts: those of w3 and w4,
-    # and ``out``, where _moments writes once it has read a table's paths
+    # a block's paths, allocated after the keys' sorts: those of w3, of w4
+    # (written only if (S, S') is mostly distinct) and ``out``, where
+    # _moments writes once it has read a table's paths
     w3_out, w4_out, out = (_buffer(blocks, r) for _ in range(3))
     t_col = grid.values[:, None]    # |t| >= 0
     it, rate = 1j * t_col, t_col * t_col / (2.0 * n)
@@ -399,13 +404,12 @@ def probe_from_batch(batch, n, t_grid):
         w1 = growth * w3_vs
         c1 = _moments(_Table(vs, w1, out), out)
         c3 = _moments(w3, out)
-        c4 = [complex(c / r) for c in np.add.reduce(w4.paths, axis=1)]
         w1 -= e_half_col[b] * w3_vs  # w1 - w2, in place
         d12 = _moments(_Table(vs, w1, out), out)
         d34 = _moments(_Table(ss, np.subtract(*ss.at(w3, w4)), out), out)
         del w1, w3, w4, growth, w3_vs  # before the next block makes its own
-        for t, e, (c1_t, se1), (c3_t, se3_t), (d12_t, se12), (d34_t, se34), \
-                c4_t in zip(grid.values[b], e_half[b], c1, c3, d12, d34, c4):
+        for t, e, (c1_t, se1), (c3_t, se3_t), (d12_t, se12), (d34_t, se34) \
+                in zip(grid.values[b], e_half[b], c1, c3, d12, d34):
             rhs7 = a * e * (t / (3.0 * sqrt_n) + t * t / (4.0 * n)
                             + a * t**3 / (3.0 * n**1.5)
                             + a * t**4 / (4.0 * n * n))
@@ -420,21 +424,20 @@ def probe_from_batch(batch, n, t_grid):
                 ("cf9", abs(d34_t), rhs9, se34),
                 ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
                  se3_t),
-            ), se3_t, _mirror(c3_t, t, s, w3_out),
-                _mirror(c4_t, t, s_h, w4_out)))
-    points, se3, c3, c4 = zip(*per_abs_t)
+            ), se3_t, _mirror(c3_t, t, s, w3_out)))
+    points, se3, c3 = zip(*per_abs_t)
     checks = tuple(InequalityCheck(name, float(t), float(lhs), float(rhs),
                                    float(se), bool(rhs < se))
                    for t, j in zip(t_grid, grid.which)
                    for name, lhs, rhs, se in points[j])
     return CfProbe(t_grid=t_grid, c3=grid.expand(c3, mirrored=True),
-                   c4=grid.expand(c4, mirrored=True), se3=grid.expand(se3),
-                   checks=checks, a_n_eval=a, n=float(n), r=batch.size)
+                   se3=grid.expand(se3), checks=checks, a_n_eval=a,
+                   n=float(n), r=batch.size)
 
 
-def cf_probe(spec, n, r, t_grid, seed, workers=None):
+def cf_probe(spec, n, r, t_grid, seed):
     """Sample r stopped paths and probe the CF inequalities on t_grid."""
-    batch = sample_stopped_batch(spec, n, r, seed, workers=workers)
+    batch = sample_stopped_batch(spec, n, r, seed)
     return probe_from_batch(batch, n, t_grid)
 
 
@@ -474,13 +477,18 @@ def esseen_numeric(probe, y):
 
 # empirical convergence-rate fit
 
+# the largest fitted slope of log d_F on log n that passes (the bounds
+# guarantee -1/4; bounded models decay like -1/2)
+RATE_BOUND = -0.15
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
     stderr: float
     intercept: float
 
-    def passes(self, threshold=-0.15):
+    def passes(self, threshold=RATE_BOUND):
         return self.slope <= threshold
 
 

@@ -414,6 +414,9 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown parameters for {self.kind}: {sorted(unknown)}"
             )
+        for k, v in self.params.items():
+            if isinstance(v, (bool, np.bool_)):
+                raise ConfigurationError(f"{k} must be float, got {v!r}")
         merged.update({k: float(v) for k, v in self.params.items()})
         if not all(map(math.isfinite, merged.values())):
             raise ConfigurationError(f"{self.kind} parameters must be finite")

@@ -1,5 +1,5 @@
-"""Scalar probability primitives: normal CDF, Gaussian characteristic
-function, empirical CDFs, Kolmogorov sup-distance and DKW bands.
+"""Scalar probability primitives: normal CDF, empirical CDFs, Kolmogorov
+sup-distance and DKW bands.
 
 The normal CDF is a numpy port of the Cephes ``ndtr`` that
 ``scipy.special.ndtr`` compiles (S. L. Moshier, *Methods and Programs for
@@ -18,7 +18,6 @@ __all__ = [
     "EmpiricalCdf",
     "DistanceResult",
     "std_normal_cdf",
-    "gaussian_cf",
     "kolmogorov_distance",
     "dkw_halfwidth",
 ]
@@ -109,17 +108,6 @@ def std_normal_cdf(x):
     return out.reshape(arr.shape)
 
 
-def gaussian_cf(t):
-    """Characteristic function of the standard normal, exp(-t^2/2)."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("gaussian_cf requires finite input")
-    out = np.exp(-0.5 * arr * arr)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
 def dkw_halfwidth(r, delta=DEFAULT_DELTA):
     """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/delta)/(2R))."""
     if r < 1:
@@ -158,28 +146,19 @@ class DistanceResult:
 
 
 def kolmogorov_distance(ecdf, cdf, delta=DEFAULT_DELTA):
-    """Sup-distance between an empirical CDF and a continuous CDF.
+    """Sup-distance between an ``EmpiricalCdf`` and a continuous CDF.
 
     Exact order-statistics scan: at the i-th sorted sample (1-based) the
     empirical CDF jumps from (i-1)/R to i/R, so the sup is attained at a
-    sample point from one side or the other.  ``cdf`` is called on the
-    distinct sample values, as an array or, failing that, one scalar at a
-    time.
+    sample point from one side or the other.  ``cdf`` maps an array to an
+    array, as ``std_normal_cdf`` does, and is called once, on the array of
+    distinct sample values.
     """
-    if not isinstance(ecdf, EmpiricalCdf):
-        ecdf = EmpiricalCdf.from_samples(ecdf)
     xs = ecdf.samples
     r = ecdf.count
     # the CDF once per distinct value, repeated over its run of ties
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    values = xs[starts]
-    try:
-        f = np.asarray(cdf(values), dtype=float)
-        if f.shape != values.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([cdf(x) for x in values], dtype=float)
-    f = np.repeat(f, np.diff(starts, append=r))
+    f = np.repeat(cdf(xs[starts]), np.diff(starts, append=r))
     i = np.arange(1, r + 1)
     d_plus = i / r - f
     d_minus = f - (i - 1) / r

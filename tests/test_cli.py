@@ -195,6 +195,33 @@ class TestMain:
         assert err.startswith("stopsum: path overflow:")
         assert "Traceback" not in err
 
+    def test_rows_read_the_harness_verdicts(self, monkeypatch):
+        reports = []
+
+        def keep(*args, **kwargs):
+            reports.append(harness.report_from_batch(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "report_from_batch", keep)
+        config = build_config(["--model", "product", "--n-list",
+                               "16,32,64,128", "--reps", "400", "--seed", "5",
+                               "--checks", "distance,rate"])
+        _, records, _ = cli.run_experiment(config)
+        rows = {(r["check"], r["n"]): r for r in records}
+        for rep in reports:
+            for tag, bound, margin, passed in (
+                ("distance_F", rep.bound_f, rep.margin_f, rep.passed_f),
+                ("distance_H", rep.bound_h, rep.margin_h, rep.passed_h),
+            ):
+                row = rows[(tag, rep.n)]
+                assert (row["bound"], row["margin"]) == (bound, margin)
+                assert row["verdict"] == ("PASS" if passed else "FAIL")
+        fit = harness.rate_fit(reports)
+        row = rows[("rate", 128.0)]
+        assert row["bound"] == harness.RATE_BOUND
+        assert row["margin"] == harness.RATE_BOUND - fit.slope
+        assert row["verdict"] == ("PASS" if fit.passes() else "FAIL")
+
     def test_all_checks_small_run(self, tmp_path, capsys):
         out = tmp_path / "rep"
         argv = ["--model", "iid_bounded", "--n-list", "16,24,32,48",
@@ -214,7 +241,7 @@ class TestCfGate:
     """A CF row is flagged resolution-limited, and so excused from the exit
     status, only if every failing point in it is resolution-limited."""
 
-    def _run(self, monkeypatch, resolved_failure):
+    def _inject(self, monkeypatch, resolved_failure):
         real = cli.probe_from_batch
 
         def injected(batch, n, t_grid):
@@ -230,6 +257,9 @@ class TestCfGate:
             return dataclasses.replace(probe, checks=tuple(checks))
 
         monkeypatch.setattr(cli, "probe_from_batch", injected)
+
+    def _run(self, monkeypatch, resolved_failure):
+        self._inject(monkeypatch, resolved_failure)
         config = build_config(IID_ARGS + ["--checks", "cf"])
         status, records, _ = cli.run_experiment(config)
         return status, [r for r in records if r["check"] == "cf9"]
@@ -245,6 +275,20 @@ class TestCfGate:
         assert status == 0
         assert all(r["verdict"] == "FAIL" for r in rows)
         assert all(r["resolution_limited"] for r in rows)
+
+    @pytest.mark.parametrize("resolved_failure", [True, False])
+    def test_main_names_the_failures_that_set_the_status(
+            self, monkeypatch, capsys, resolved_failure):
+        self._inject(monkeypatch, resolved_failure)
+        status = main(IID_ARGS + ["--checks", "cf"])
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL cf9") == 2
+        if resolved_failure:
+            assert status == 1
+            assert captured.err == "stopsum: FAILED checks: cf9, cf9\n"
+        else:
+            assert status == 0
+            assert captured.err == ""
 
 
 class TestDeterminism:
@@ -317,19 +361,44 @@ class TestEmitReport:
             emit_report([], "yaml", str(tmp_path / "x"))
 
 
-def test_tracer_targets_exist():
-    """Every (module, attribute) that the benchmark tracer wraps is bound:
-    a missing one makes each traced run raise AttributeError.  The CLI
-    keeps init_model and run_path imported for this reason alone."""
+def _load_spans():
+    """The benchmark's span recorder, perfbench/spans.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_targets_exist():
+    """Every (module, attribute) that the benchmark tracer wraps is bound:
+    a missing one makes each traced run raise AttributeError.  The CLI
+    keeps init_model and run_path imported for this reason alone."""
+    spans = _load_spans()
     modules = {"cli": cli, "harness": harness}
     targets = [(mod, attr) for mod, attr, _, _ in spans._TARGETS]
     assert ("cli", "init_model") in targets and ("cli", "run_path") in targets
     for mod, attr in targets:
         assert callable(getattr(modules[mod], attr, None)), (mod, attr)
+
+
+def test_traced_run_meets_the_tracer_call_contract():
+    """A traced all-checks regime run (the benchmark's full_regime
+    configuration): the tracer's summaries unpack the wrapped calls'
+    positional arguments and results, so a changed signature raises here."""
+    spans = _load_spans()
+    n_list = (16.0, 32.0, 64.0, 128.0)
+    config = ExperimentConfig(
+        ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}), n_list,
+        1000, 3, 0.01, cli.CHECKS, None, "csv")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        status, records, _ = cli.run_experiment(config)
+    names = [name for name, _ in tracer.calls]
+    assert names.count("sampling") == len(n_list)
+    assert names.count("harness.cf_probe") == len(n_list)
+    assert spans.invariant_misses(tracer.calls) == 0
+    assert status == 0 and records
 
 
 

@@ -20,6 +20,7 @@ from stopsum import (
     make_t_grid,
     probe_from_batch,
     rate_fit,
+    report_from_batch,
     sample_stopped_batch,
     theorem_bound_F,
     theorem_bound_H,
@@ -126,6 +127,18 @@ class TestEstimateDistances:
         rep = estimate_distances(REGIME, 64.0, 5000, seed=4)
         assert rep.a_n_hat == 4.0  # constant Y = 2, E Y^4 = 16
 
+    def test_cutoff_is_the_cf_grids(self):
+        # Y_nu varies for the product kind, so a_n_eval > a_n_hat
+        n = 256.0
+        batch = sample_stopped_batch(ModelSpec("product", {}), n, 5000, 4)
+        rep = report_from_batch(batch, n)
+        assert rep.a_n_stderr > 0.0
+        assert rep.y_smoothing == (n / rep.a_n_eval**2) ** 0.25
+        # the probe takes a grid up to that cutoff and rejects one beyond
+        probe_from_batch(batch, n, make_t_grid(rep.y_smoothing))
+        with pytest.raises(ValueError):
+            probe_from_batch(batch, n, make_t_grid(rep.y_smoothing * 1.01))
+
     def test_margins_match_fields(self):
         rep = estimate_distances(IID, 64.0, 5000, seed=4)
         assert rep.margin_f == pytest.approx(
@@ -156,7 +169,6 @@ class TestCfProbe:
     def test_zero_t_exact(self):
         probe = cf_probe(IID, 64.0, 2000, np.array([0.0]), seed=8)
         assert probe.c3[0] == 1.0 + 0.0j
-        assert probe.c4[0] == 1.0 + 0.0j
         for chk in probe.checks:
             assert chk.lhs <= 1e-15
             assert chk.ok
@@ -202,7 +214,6 @@ def reference_probe(batch, n, t_grid):
     phase_f = batch.s_nu / sqrt_n
     phase_h = batch.s_prime_nu / sqrt_n
     c3 = np.empty(t_grid.size, dtype=complex)
-    c4 = np.empty_like(c3)
     se3 = np.empty(t_grid.size)
     checks = []
     for i, t in enumerate(t_grid):
@@ -213,7 +224,6 @@ def reference_probe(batch, n, t_grid):
         w2 = math.exp(t * t / 2.0) * w3
         c1, se1 = reference_moments(w1)
         c3[i], se3[i] = reference_moments(w3)
-        c4[i], _ = reference_moments(w4)
         d12, se12 = reference_moments(w1 - w2)
         d34, se34 = reference_moments(w3 - w4)
         abs_t = abs(t)
@@ -243,7 +253,7 @@ def reference_probe(batch, n, t_grid):
                 name=name, t=float(t), lhs=float(lhs), rhs=float(rhs),
                 stderr=float(se), resolution_limited=bool(rhs < se),
             ))
-    return c3, c4, se3, tuple(checks)
+    return c3, se3, tuple(checks)
 
 
 def check_fields(check):
@@ -269,9 +279,8 @@ def assert_same_complex(got, want):
 
 def assert_probe_is_reference(batch, n, t_grid):
     probe = probe_from_batch(batch, n, t_grid)
-    c3, c4, se3, checks = reference_probe(batch, n, t_grid)
+    c3, se3, checks = reference_probe(batch, n, t_grid)
     assert_same_complex(probe.c3, c3)
-    assert_same_complex(probe.c4, c4)
     assert np.array_equal(probe.se3, se3)
     assert len(probe.checks) == len(checks) == 4 * t_grid.size
     for got, want in zip(probe.checks, checks):
@@ -323,8 +332,7 @@ class TestProbeMatchesPerTLoop:
     @pytest.mark.parametrize("grid", ["symmetric", "positive", "negative"])
     def test_bit_for_bit(self, probe_batch, grid, t_block):
         n = PROBE_N
-        a_hat, a_se = estimate_a_n(probe_batch.y_nu)
-        y = (n / (a_hat + 3.0 * a_se) ** 2) ** 0.25
+        y = report_from_batch(probe_batch, n).y_smoothing
         t_grid = {
             "symmetric": make_t_grid(y),
             "positive": np.array([0.5, 1.0, 2.0]),
@@ -384,8 +392,7 @@ class TestProbeMatchesPerTLoop:
 
     def test_negative_t_rows_mirror_positive(self, probe_batch):
         n = PROBE_N
-        a_hat, a_se = estimate_a_n(probe_batch.y_nu)
-        t_grid = make_t_grid((n / (a_hat + 3.0 * a_se) ** 2) ** 0.25)
+        t_grid = make_t_grid(report_from_batch(probe_batch, n).y_smoothing)
         probe = probe_from_batch(probe_batch, n, t_grid)
         rows = {(c.name, c.t): c for c in probe.checks}
         mirrored = 0
@@ -520,10 +527,8 @@ class TestEsseen:
     def test_upper_bounds_the_distance(self):
         n = 256.0
         batch = sample_stopped_batch(IID, n, 20_000, 6)
-        from stopsum import report_from_batch
-
         rep = report_from_batch(batch, n)
-        y = (n / rep.a_n_eval**2) ** 0.25
+        y = rep.y_smoothing
         probe = probe_from_batch(batch, n, make_t_grid(y))
         res = esseen_numeric(probe, y)
         assert res.total >= rep.d_f.d_sup - rep.d_f.dkw_halfwidth - 0.02
@@ -598,6 +603,13 @@ class TestRateFit:
         fit = assert_fit_is_linregress([64, 256, 1024, 4096], [0.05] * 4)
         assert fit.slope == 0.0
         assert math.isnan(fit.stderr)
+
+    def test_default_threshold_is_rate_bound(self):
+        at = harness.RateFit(harness.RATE_BOUND, 0.0, 0.0)
+        above = harness.RateFit(math.nextafter(harness.RATE_BOUND, 0.0),
+                                0.0, 0.0)
+        assert at.passes() and not above.passes()
+        assert above.passes(-0.1)   # an explicit threshold still wins
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,9 @@ class TestConfiguration:
         ("product", {"p_growth": 1.5}),
         ("regime_switch", {"v_lo": 0.0}),
         ("regime_switch", {"v_lo": 2.0, "v_hi": 1.0}),
+        ("regime_switch", {"v_lo": True}),          # a bool is no number
+        ("product", {"p_growth": False}),
+        ("regime_switch", {"v_hi": np.True_}),      # nor is numpy's
     ])
     def test_invalid_parameters(self, kind, params):
         with pytest.raises(ConfigurationError):

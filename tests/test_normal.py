@@ -10,7 +10,6 @@ from scipy.special import ndtr, ndtri
 from stopsum import (
     EmpiricalCdf,
     dkw_halfwidth,
-    gaussian_cf,
     kolmogorov_distance,
     std_normal_cdf,
 )
@@ -120,21 +119,6 @@ class TestNdtrBits:
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-class TestGaussianCf:
-    def test_at_zero(self):
-        assert gaussian_cf(0.0) == 1.0
-
-    def test_at_one(self):
-        assert abs(gaussian_cf(1.0) - float(mpmath.exp(mpmath.mpf("-0.5")))) <= 1e-16
-
-    def test_even(self):
-        assert gaussian_cf(-2.0) == gaussian_cf(2.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            gaussian_cf(math.inf)
-
-
 class TestDkwHalfwidth:
     def test_exact_arithmetic_case(self):
         # delta = 2/e^2 makes ln(2/delta) = 2
@@ -212,16 +196,6 @@ class TestKolmogorovDistance:
                                   std_normal_cdf)
         assert abs(res.d_sup - brute_force_sup(samples, std_normal_cdf)) <= 1e-12
 
-    def test_scalar_cdf_callable_supported(self):
-        res = kolmogorov_distance(
-            EmpiricalCdf.from_samples([-1.0, 0.0, 1.0]),
-            lambda x: std_normal_cdf(float(x)),
-        )
-        ref = kolmogorov_distance(
-            EmpiricalCdf.from_samples([-1.0, 0.0, 1.0]), std_normal_cdf
-        )
-        assert res.d_sup == ref.d_sup
-
 
 def per_element_scan(xs, cdf):
     """The scan with the CDF at every sorted sample, ties included."""
@@ -258,19 +232,6 @@ class TestDistinctValueScan:
         d_sup, argmax_x = per_element_scan(xs, std_normal_cdf)
         assert res.d_sup == d_sup and res.argmax_x == argmax_x
         assert res.dkw_halfwidth == dkw_halfwidth(xs.size)
-
-    def test_scalar_only_cdf(self):
-        xs = self.tie_heavy()
-        calls = []
-
-        def scalar_only(x):
-            calls.append(float(x))   # TypeError on an array of several
-            return std_normal_cdf(x)
-
-        res = kolmogorov_distance(EmpiricalCdf.from_samples(xs), scalar_only)
-        assert calls == np.unique(xs).tolist()
-        d_sup, argmax_x = per_element_scan(xs, std_normal_cdf)
-        assert res.d_sup == d_sup and res.argmax_x == argmax_x
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 3.0]),
