@@ -29,7 +29,8 @@ from .harness import (
     rate_fit,
     report_from_batch,
 )
-from .models import KINDS, LAWS, ModelSpec, derive_seed, init_model
+from .models import (KINDS, LAWS, MAX_REPS, ModelSpec, derive_seed,
+                     init_model)
 from .sampling import sample_stopped_batch
 # init_model and run_path stay importable here although the CLI no longer
 # calls them: the benchmark tracer (perfbench/spans.py) wraps cli.run_path,
@@ -46,10 +47,6 @@ CSV_COLUMNS = (
 )
 LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
-# a threshold holds its whole batch and the CF probe's temporaries at once,
-# about 150 bytes per path at peak, 200 for the product kind, whose sample
-# values are mostly distinct (1.5 to 2 GB at this ceiling)
-MAX_REPS = 10**7
 ESSEEN_SLACK = 0.02  # quadrature-and-MC allowance on top of the DKW band
 
 _MODEL_PARAM_KEYS = tuple(dict.fromkeys(

@@ -169,7 +169,6 @@ class CfProbe:
     se3: np.ndarray
     checks: tuple = ()
     a_n_eval: float = 1.0
-    n: float = float("nan")
     r: int = 0
 
     @property
@@ -432,7 +431,7 @@ def probe_from_batch(batch, n, t_grid):
                    for name, lhs, rhs, se in points[j])
     return CfProbe(t_grid=t_grid, c3=grid.expand(c3, mirrored=True),
                    se3=grid.expand(se3), checks=checks, a_n_eval=a,
-                   n=float(n), r=batch.size)
+                   r=batch.size)
 
 
 def cf_probe(spec, n, r, t_grid, seed):

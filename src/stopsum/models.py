@@ -23,12 +23,13 @@ from .errors import (
     ModelInvalidError,
     PathOverflowError,
 )
-from .streams import coin_signs, coins, doubles, philox_keys, philox_words
+from .streams import coins, doubles, philox_keys, philox_words
 
 __all__ = [
     "KINDS",
     "LAWS",
     "Lanes",
+    "MAX_REPS",
     "ModelSpec",
     "ModelState",
     "StepOutput",
@@ -48,7 +49,10 @@ class Law:
     nu < cap, or raising PathOverflowError.  ``step`` is written once for a
     ModelState (floats, drawn by numpy's Generator) and for the rows that
     ``_run_rows`` steps (arrays); it draws one sign and then, if
-    ``uniforms``, one uniform."""
+    ``uniforms``, one uniform.  The ``rng`` of ``sample_block`` is the
+    block's own fresh stream, ``Generator(Philox(SeedSequence(seed,
+    spawn_key=(b,))))``, which nothing has drawn from; the product and
+    regime samplers read its raw outputs from the first one on."""
 
     uniforms = False
 
@@ -110,11 +114,21 @@ def _check_threshold(spec, n):
         )
 
 
+# a threshold holds its whole batch and the CF probe's temporaries at once,
+# about 150 bytes per path at peak, 200 for the product kind, whose sample
+# values are mostly distinct (1.5 to 2 GB at this ceiling)
+MAX_REPS = 10**7
+
+
 def _largest_y(y):
-    """y, a law's largest Y_k, if y^4 is finite, as a_n = (E Y_nu^4)^(1/2)
-    needs; checked before a law squares its parameters."""
-    if not math.isfinite(y * y * y * y):
-        raise ConfigurationError(f"Y^4 overflows for the largest Y = {y}")
+    """y, a law's largest Y_k, if MAX_REPS * y^8 is finite: the estimate of
+    a_n = (E Y_nu^4)^(1/2) and its standard error sum up to MAX_REPS values
+    of Y^4 and of their squared deviations, so y may reach about 4.5e37;
+    checked before a law squares its parameters."""
+    y4 = y * y * y * y                  # y ** 8 would raise OverflowError
+    if not math.isfinite(MAX_REPS * y4 * y4):
+        raise ConfigurationError(
+            f"{MAX_REPS} * Y^8 overflows for the largest Y = {y}")
     return y
 
 
@@ -322,24 +336,15 @@ class Product(Law):
 
 def _cursor(rng, skip):
     """A Generator on the Philox stream of rng, ``skip`` 64-bit outputs
-    ahead of it, holding over the spare 32-bit half that rng holds.
-
-    ``advance(d)`` moves the counter d blocks of 4 outputs and drops the
-    buffered ones, so the outputs left in rng's buffer are skipped first
-    and the remainder of whole blocks is drawn."""
+    ahead of it.  rng's buffer must be empty and hold no 32-bit half, as
+    at every chunk start: a fresh stream's is, and each full chunk draws
+    512*cap uniforms and 512*cap int32 signs (256*cap outputs).
+    ``advance(d)`` moves the counter d blocks of 4 outputs."""
     state = rng.bit_generator.state
     ahead = np.random.Philox(key=state["state"]["key"])
     ahead.state = state
-    head = min(skip, 4 - state["buffer_pos"])       # outputs still buffered
-    ahead.random_raw(head)
-    blocks, rest = divmod(skip - head, 4)
-    if blocks:
-        ahead.advance(blocks)
-    ahead.random_raw(rest)
-    moved = ahead.state
-    moved["has_uint32"], moved["uinteger"] = (state["has_uint32"],
-                                              state["uinteger"])
-    ahead.state = moved
+    ahead.advance(skip // 4)
+    ahead.random_raw(skip % 4)
     return np.random.Generator(ahead)
 
 
@@ -362,18 +367,25 @@ class RegimeSwitch(Law):
 
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: one sign per live row
-        at each step, in row order, taken from 32-bit draws in 4096-sign
-        refills; the stream is the same however the draws are split."""
+        at each step, in row order, the signs of ``rng.integers(0, 2,
+        dtype=np.int32)`` drawn however the calls are split."""
         return _run_rows(self, _BlockRows(rng, size), n, cap, "regime_switch")
 
 
 class _BlockRows:
     """A regime block's rows for ``_run_rows``, with its signs in order,
-    refilled into one buffer that holds the signs left over and a refill."""
+    refilled into one buffer that holds the signs left over and a refill.
+
+    A refill is bit 31 of each 32-bit half of max(4096, rows + 1) // 2 raw
+    outputs, low half first: the int32 ``integers(0, 2)`` of the block's
+    fresh stream, since Lemire's method with two outcomes gives (2x) >> 32
+    of each 32-bit draw x and never rejects, as (2^32 - 2) mod 2 = 0.  A
+    refill takes whole outputs, so no half is held over."""
 
     def __init__(self, rng, size):
         self.running_sum, self.step = np.zeros(size), 0
-        self._rng, self._signs = rng, np.empty(2 * max(_REFILL, size))
+        self._philox = rng.bit_generator
+        self._signs = np.empty(2 * max(_REFILL, size))
         self._pos = self._end = 0
 
     def _sign(self):
@@ -381,8 +393,13 @@ class _BlockRows:
         if pos + m > self._end:
             left = self._end - pos
             signs[:left] = signs[pos:self._end]
-            self._end = left + max(_REFILL, m)
-            coin_signs(self._rng, signs[left:self._end])
+            words = self._philox.random_raw(max(_REFILL, m + 1) // 2)
+            halves = np.asarray(words, dtype="<u8").view("<u4")
+            self._end = left + halves.size
+            fresh = signs[left:self._end]
+            np.greater_equal(halves, 1 << 31, out=fresh)
+            fresh += fresh
+            fresh -= 1.0
             pos = 0
         self._pos = pos + m
         return signs[pos:pos + m]

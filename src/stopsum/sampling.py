@@ -53,7 +53,7 @@ class StoppedBatch:
         return np.size(self.nu)
 
 
-def sample_stopped_batch(spec, n, r, seed, workers=None):
+def sample_stopped_batch(spec, n, r, seed):
     """Draw r independent stopped paths of the given model.
 
     Returns a StoppedBatch whose row order is fixed by (spec, n, r, seed).
@@ -75,7 +75,7 @@ def sample_stopped_batch(spec, n, r, seed, workers=None):
         )
         return spec.law.sample_block(n, size, rng, cap)
 
-    w = workers if workers is not None else worker_count()
+    w = worker_count()
     if w > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(run_block, blocks))

@@ -176,30 +176,3 @@ def doubles(words):
     out *= 2.0 ** -53
     return out
 
-
-def coin_signs(rng, out):
-    """Fill ``out`` with 2b - 1 for the b of ``rng.integers(0, 2,
-    size=out.size, dtype=np.int32)``, leaving rng's bit generator as that
-    call leaves it, from its raw 64-bit outputs.  Lemire's method with two
-    outcomes gives (2x) >> 32 of each 32-bit draw x, its bit 31, and never
-    rejects, as (2^32 - 2) mod 2 = 0.  The draws are the 32-bit halves of
-    the outputs, low half first, after a half the generator holds over;
-    the last high half drawn stays in the generator, held over if the
-    count is odd."""
-    bits = rng.bit_generator
-    state = bits.state
-    head = min(out.size, state["has_uint32"])
-    if head:
-        out[0] = 1.0 if state["uinteger"] >> 31 else -1.0
-    rest, tail = out.size - head, out[head:]
-    words = bits.random_raw((rest + 1) // 2)
-    halves = np.asarray(words, dtype="<u8").view("<u4")
-    np.greater_equal(halves[:rest], 1 << 31, out=tail)
-    tail += tail
-    tail -= 1.0
-    if head or rest:
-        state = bits.state
-        state["has_uint32"] = rest % 2
-        if rest:
-            state["uinteger"] = int(halves[-1])
-        bits.state = state

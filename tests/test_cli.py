@@ -17,7 +17,8 @@ from stopsum.models import ModelSpec
 
 IID_ARGS = ["--model", "iid_bounded", "--n-list", "16,32",
             "--reps", "500", "--seed", "7"]
-# model parameters that are not finite, or whose largest Y has Y^4 = inf
+# model parameters that are not finite, or whose largest Y overflows the
+# estimate of a_n = (E Y^4)^(1/2)
 NON_FINITE_MODELS = [
     dict(model=kind, n_list=[16, 32, 64, 128], reps=200, **params)
     for kind, params in (
@@ -25,6 +26,7 @@ NON_FINITE_MODELS = [
         ("iid_bounded", {"m": 1e308}),
         ("iid_bounded", {"m": math.inf}),
         ("product", {"a_hi": math.nan}),
+        ("product", {"a_hi": 1e39}),
     )
 ]
 

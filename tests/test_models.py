@@ -56,6 +56,21 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             ModelSpec(kind, params)
 
+    # a_n's estimate sums up to MAX_REPS values of Y^8: Y = 4e37 keeps that
+    # finite and Y = 5e37 does not
+    @pytest.mark.parametrize("kind,param,square", [
+        ("iid_bounded", "m", False),
+        ("product", "a_hi", False),
+        ("regime_switch", "v_hi", True),    # Y = sqrt(v_hi)
+    ])
+    def test_largest_y_at_the_a_n_overflow_boundary(self, kind, param, square):
+        def spec(y):
+            return ModelSpec(kind, {param: y * y if square else y})
+
+        assert spec(4e37).law.ys.max() == pytest.approx(4e37)
+        with pytest.raises(ConfigurationError, match="Y\\^8 overflows"):
+            spec(5e37)
+
     def test_defaults_fill_in(self):
         spec = ModelSpec("iid_bounded", {})
         assert spec.params == {"m": 1.0, "v": 1.0}

@@ -17,7 +17,7 @@ from stopsum import (
     run_path,
     sample_stopped_batch,
 )
-from stopsum import models
+from stopsum import models, sampling
 from stopsum.models import compute_gamma
 from stopsum.sampling import worker_count
 
@@ -44,10 +44,13 @@ class TestDeterminism:
         assert_batch_equal(a, b)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-    def test_worker_count_does_not_change_output(self, spec):
-        a = sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9, workers=1)
-        b = sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9, workers=4)
-        assert_batch_equal(a, b)
+    def test_worker_count_does_not_change_output(self, spec, monkeypatch):
+        # worker_count is patched so that the pool runs on a 1-CPU host too
+        batches = []
+        for workers in (1, 4):
+            monkeypatch.setattr(sampling, "worker_count", lambda: workers)
+            batches.append(sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9))
+        assert_batch_equal(*batches)
 
     def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
         # a huge STOPSUM_WORKERS would start one thread per block
@@ -235,7 +238,8 @@ def block_rng():
 
 # (kind, params, n, block sizes).  Product caps of 66 and 302 sit below one
 # 256-column tile and end in a partial one; at n = 1500 a later chunk stops
-# a tile earlier than an earlier one, so a stale buffer tail would show.
+# a tile earlier than an earlier one, so a stale buffer tail would show; 4097
+# regime rows, more than a block holds, need a refill of 4098 signs.
 ORACLE_CASES = [
     ("product", {}, 1024.0, (4096,)),
     ("product", {}, 2048.0, (4096,)),
@@ -247,7 +251,8 @@ ORACLE_CASES = [
     ("product", {"a_lo": 1.1, "p_growth": 0.0}, 200 * 1.1 ** 2, (1000, 7)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 512.0, (4096,)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 1024.0, (4096,)),
-    ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 64.0, (4096, 1000, 7)),
+    ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 64.0,
+     (4097, 4096, 1000, 7)),
     ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 100.0, (4096, 1000, 7)),
     ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 150 * (1 / 3), (1000, 7)),
 ]
@@ -269,25 +274,15 @@ class TestBitIdentity:
         assert_columns_identical(got, want)
 
     def test_philox_int32_signs_split_freely(self):
-        # the regime sampler refills 4096 signs at a time with 32-bit draws
-        # where the reference drew one int64 call per step; both take one
-        # 32-bit half of a Philox output per sign, and the spare half
-        # carries over between calls
+        # the regime sampler refills 4096 signs at a time, the int32 draws
+        # of its raw outputs, where the reference drew one int64 call per
+        # step; both take one 32-bit half of a Philox output per sign, and
+        # the spare half carries over between calls
         sizes = (3, 4096, 1, 77)
         whole = block_rng().integers(0, 2, size=sum(sizes), dtype=np.int32)
         rng = block_rng()
         parts = [rng.integers(0, 2, size=k) for k in sizes]
         assert np.array_equal(whole, np.concatenate(parts))
-
-
-def predrawn_rng(outputs, half):
-    """block_rng after `outputs` raw 64-bit outputs and, if half, one int32
-    sign, which leaves the other 32-bit half of an output held over."""
-    rng = block_rng()
-    rng.bit_generator.random_raw(outputs)
-    if half:
-        rng.integers(0, 2, dtype=np.int32)
-    return rng
 
 
 class TestProductSubChunks:
@@ -296,13 +291,13 @@ class TestProductSubChunks:
     outputs ahead; any sub-chunk size gives the reference's bits."""
 
     @staticmethod
-    def assert_matches(monkeypatch, rows, params, n, size, make_rng=block_rng):
+    def assert_matches(monkeypatch, rows, params, n, size):
         spec = ModelSpec("product", params)
         cap = spec.step_cap(n)
         monkeypatch.setattr(models, "_PRODUCT_BUDGET",
                             rows * models._PRODUCT_CELL_BYTES * cap)
-        got = spec.law.sample_block(n, size, make_rng(), cap)
-        want = reference_product(spec.law, n, size, make_rng(), cap)
+        got = spec.law.sample_block(n, size, block_rng(), cap)
+        want = reference_product(spec.law, n, size, block_rng(), cap)
         assert_columns_identical(got, want)
 
     # rows 0 is a budget below one row, which still steps one row at a time
@@ -317,14 +312,10 @@ class TestProductSubChunks:
         self.assert_matches(monkeypatch, 100, {}, n, 1000)
 
     # cap 67 and 3 rows: each sub-chunk draws 201 signs, an odd count, so
-    # the spare 32-bit half carries over between sub-chunks, and from the
-    # block's stream into the second cursor when one is held over
-    @pytest.mark.parametrize("outputs", range(5))
-    @pytest.mark.parametrize("half", [False, True])
+    # the spare 32-bit half carries over between sub-chunks
     @pytest.mark.parametrize("size", [7, 513])
-    def test_odd_sign_counts(self, monkeypatch, outputs, half, size):
-        self.assert_matches(monkeypatch, 3, {}, 65.0, size,
-                            lambda: predrawn_rng(outputs, half))
+    def test_odd_sign_counts(self, monkeypatch, size):
+        self.assert_matches(monkeypatch, 3, {}, 65.0, size)
 
     # 513 rows are two chunks; the second cursor of the second chunk
     # starts where the first chunk's signs ended

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from stopsum import ModelSpec, derive_seed, init_model
-from stopsum.models import Lanes, _draw_signs, _draw_uniforms
+from stopsum.models import (
+    Lanes,
+    _BlockRows,
+    _cursor,
+    _draw_signs,
+    _draw_uniforms,
+)
 from stopsum.streams import (
-    coin_signs,
     coins,
     derive_seeds,
     doubles,
@@ -112,30 +117,44 @@ def test_lanes_read_the_model_state_refills(kind):
             assert np.array_equal(got, np.concatenate(want_unif)[:steps]), seed
 
 
-def _same_state(a, b):
-    """Equal Philox states, counter, key and buffer included."""
-    sa, sb = a.bit_generator.state, b.bit_generator.state
-    assert sa.keys() == sb.keys()
-    for name in ("counter", "key"):
-        assert np.array_equal(sa["state"][name], sb["state"][name]), name
-    assert np.array_equal(sa["buffer"], sb["buffer"])
-    for name in ("buffer_pos", "has_uint32", "uinteger"):
-        assert sa[name] == sb[name], name
+def _fresh_rng(seed=9):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-@pytest.mark.parametrize("held", [False, True], ids=["even", "held-half"])
-@pytest.mark.parametrize("count", [0, 1, 7, 8, 4096 + 3])
-def test_coin_signs_match_int32_integers(count, held):
-    want_rng, rng = (np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(9))) for _ in range(2))
-    for r in (want_rng, rng):                   # 32-bit draws, no rejection
-        r.integers(0, 2, size=4 + held, dtype=np.int32)
-    assert rng.bit_generator.state["has_uint32"] == held
-    want = 2.0 * want_rng.integers(0, 2, size=count, dtype=np.int32) - 1.0
-    got = np.full(count, np.nan)
-    coin_signs(rng, got)
+@pytest.mark.parametrize("shrink", [False, True], ids=["all-live", "shrinking"])
+@pytest.mark.parametrize("rows", [1, 3, 7, 8, 513, 4095, 4096, 4097])
+def test_block_row_signs_match_int32_integers(rows, shrink):
+    """A regime block's signs, over three refills or more, are those of
+    rng.integers(0, 2, dtype=np.int32) on the block's fresh stream, and no
+    refill leaves a 32-bit half held over."""
+    rng = _fresh_rng()
+    block = _BlockRows(rng, rows)
+    got = []
+    for _ in range(max(3, 3 * 4096 // rows + 2)):
+        got.append(block._sign().copy())
+        m = block.running_sum.size
+        if shrink and m > 1:                    # one row stops each step
+            block.keep(np.arange(m) < m - 1)
+        assert rng.bit_generator.state["has_uint32"] == 0
+    got = np.concatenate(got)
+    want = 2.0 * _fresh_rng().integers(0, 2, size=got.size,
+                                       dtype=np.int32) - 1.0
     assert np.array_equal(got, want)
-    _same_state(rng, want_rng)
-    # and the draws after them are the same
-    assert np.array_equal(rng.integers(0, 2, size=5, dtype=np.int32),
-                          want_rng.integers(0, 2, size=5, dtype=np.int32))
+
+
+@pytest.mark.parametrize("skip", [0, 1, 2, 3, 4, 5, 7, 8, 255, 256, 257,
+                                  512 * 67 + 3])
+def test_cursor_is_a_copy_skip_outputs_ahead(skip):
+    """_cursor draws what the stream would after skip raw outputs, and
+    leaves the stream it copies where it was."""
+    rng = _fresh_rng()
+    rng.random(512 * 4)                         # whole blocks of 4 outputs
+    ahead = _cursor(rng, skip)
+    want = _fresh_rng()
+    want.random(512 * 4)
+    want.bit_generator.random_raw(skip)
+    assert np.array_equal(ahead.integers(0, 2, size=9, dtype=np.int32),
+                          want.integers(0, 2, size=9, dtype=np.int32))
+    assert np.array_equal(ahead.bit_generator.random_raw(6),
+                          want.bit_generator.random_raw(6))
+    assert np.array_equal(rng.random(5), _fresh_rng().random(512 * 4 + 5)[-5:])
