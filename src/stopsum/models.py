@@ -161,12 +161,14 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
             rows.running_sum += x
             v = total
             continue
-        done = paths[stop]
+        at = np.flatnonzero(stop)
+        done = paths[at]
         nu[done] = k
-        level_nu[done] = np.where(stop, level, 0)[stop]  # iid: level is one 0
-        s_nu[done] = rows.running_sum[stop]
-        x_nu[done] = x[stop]
-        v_before[done] = v[stop]
+        if np.ndim(level):                  # iid: level is one 0
+            level_nu[done] = level[at]
+        s_nu[done] = rows.running_sum[at]
+        x_nu[done] = x[at]
+        v_before[done] = v[at]
         if done.size == paths.size:
             return _stopped(n, nu, s_nu, x_nu, law.ys.take(level_nu),
                             v_before, law.variances.take(level_nu))
@@ -220,8 +222,10 @@ _PRODUCT_CHUNK = 512  # rows whose uniforms all precede their signs
 # and 4 per int32 sign, cap cells a row
 _PRODUCT_BUDGET = 4 << 20
 _PRODUCT_CELL_BYTES = 12
-_PRODUCT_TILE = 256   # columns per arithmetic tile, or more so that
-_PRODUCT_TILE_CELLS = 1 << 15  # a tile of few rows still has this many cells
+# cells of an arithmetic tile, whose temporaries take about 30 bytes a
+# cell, and its fewest columns unless the rows are shorter
+_PRODUCT_TILE_CELLS = 1 << 15
+_PRODUCT_TILE = 256
 # 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
 _PRODUCT_LEVELS = 55
 
@@ -265,32 +269,34 @@ class Product(Law):
         crossing."""
         # A_k by growth count N_k < cap, from the level table
         amp = self.sds.take(np.minimum(np.arange(cap), _PRODUCT_LEVELS - 1))
-        rows = max(1, min(size, _PRODUCT_CHUNK,
-                          _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap)))
-        width = max(_PRODUCT_TILE, _PRODUCT_TILE_CELLS // rows)
+        rows, width = _sub_chunk(size, cap)
         unif = np.empty((rows, cap))
-        parts = []
+        nu = np.full(size, cap, dtype=np.int64)     # cap: not crossed yet
+        # S_nu, X_{nu+1}, Y_nu, v_before and sigma^2_nu
+        cols = [np.empty(size) for _ in range(5)]
         for start in range(0, size, _PRODUCT_CHUNK):
-            sz = min(_PRODUCT_CHUNK, size - start)
-            signs = _cursor(rng, sz * cap)
-            for r0 in range(0, sz, rows):
-                m = min(rows, sz - r0)
-                rng.random(out=unif[:m])            # column k drives N_{k+1}
-                zeta = signs.integers(0, 2, size=(m, cap), dtype=np.int32)
-                parts.append(self._step_rows(n, cap, amp, width,
-                                             unif[:m], zeta))
+            end = min(start + _PRODUCT_CHUNK, size)
+            signs = _cursor(rng, (end - start) * cap)
+            for r0 in range(start, end, rows):
+                r1 = min(r0 + rows, end)
+                rng.random(out=unif[:r1 - r0])      # column k drives N_{k+1}
+                # the signs are freed before the next sub-chunk's are drawn
+                self._step_rows(
+                    n, cap, amp, width, unif[:r1 - r0],
+                    signs.integers(0, 2, size=(r1 - r0, cap), dtype=np.int32),
+                    nu[r0:r1], *(col[r0:r1] for col in cols))
             rng = signs                             # past the chunk's signs
-        return _concat(parts)
+        return _stopped(n, nu, *cols)
 
-    def _step_rows(self, n, cap, amp, width, unif, zeta):
-        """Stopped columns of the rows drawn in unif and zeta.  A tile's
-        masked increments X_{k+1} 1{k < nu} overwrite the uniforms it has
+    def _step_rows(self, n, cap, amp, width, unif, zeta,
+                   nu, s_nu, x_nu, y_nu, v_before, sig_nu):
+        """The stopped columns, without gamma and S'_nu, of the rows drawn
+        in unif and zeta, written into nu, ..., sig_nu.  A tile's masked
+        increments X_{k+1} 1{k < nu} overwrite the uniforms it has
         consumed, and the columns past the last tile are zeroed, so that
         np.sum over all cap columns keeps the pairwise tree of a dense row."""
         q = self.p_growth
         m = unif.shape[0]
-        nu = np.full(m, cap)                        # cap: not crossed yet
-        v_before, sig_nu, y_nu, x_nu = (np.empty(m) for _ in range(4))
         growth = np.zeros(m, dtype=np.int32)        # N_k at the tile's first k
         v = np.zeros(m)                             # sum of sigma^2_j, j < k
         for c0 in range(0, cap, width):
@@ -330,8 +336,20 @@ class Product(Law):
         else:
             raise _overflow(cap, n, "product")
         unif[:, c1:] = 0.0
-        return _stopped(n, nu.astype(np.int64), np.sum(unif, axis=1), x_nu,
-                        y_nu, v_before, sig_nu)
+        np.sum(unif, axis=1, out=s_nu)
+
+
+def _sub_chunk(size, cap):
+    """(rows, width) of the product sampler.  A chunk is split into equal
+    sub-chunks, the last one smaller, of at most as many rows as the draw
+    budget holds (one at least) and a 2^15-cell tile of min(cap, 256)
+    columns holds: 128 from cap 256 on.  A tile of width columns has at
+    most 2^15 cells."""
+    chunk = min(size, _PRODUCT_CHUNK)
+    most = max(1, min(chunk, _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap),
+                      _PRODUCT_TILE_CELLS // min(cap, _PRODUCT_TILE)))
+    rows = -(-chunk // -(-chunk // most))
+    return rows, _PRODUCT_TILE_CELLS // rows
 
 
 def _cursor(rng, skip):
@@ -560,8 +578,11 @@ class Lanes:
 
     def keep(self, live):
         """Drop every lane but ``live``, with its key; the tile's draws stay
-        and are read at the live lanes' columns."""
-        self.running_sum, self.growth = self.running_sum[live], self.growth[live]
+        and are read at the live lanes' columns.  ``growth`` is kept only
+        for a law that reads it, one that draws uniforms."""
+        self.running_sum = self.running_sum[live]
+        if self.spec.law.uniforms:
+            self.growth = self.growth[live]
         self._keys = self._keys[:, live]
         self._cols = (np.flatnonzero(live) if self._cols is None
                       else self._cols[live])

@@ -73,8 +73,11 @@ class StoppedPaths(StoppedBatch):
         the partial sums of sigma^2 in order, as run_path keeps them.  All
         rows of a group share nu; a group holds at most _PREFIX_VALUES
         values unless nu alone is longer."""
-        for nu in sorted(set(self.nu.tolist())):
-            same = np.flatnonzero(self.nu == nu)
+        order = np.argsort(self.nu, kind="stable")  # rows in order per nu
+        nus = self.nu[order]
+        starts = np.flatnonzero(np.diff(nus, prepend=0)).tolist()  # nu >= 1
+        for lo, hi in zip(starts, starts[1:] + [nus.size]):
+            same, nu = order[lo:hi], int(nus[lo])
             per_group = max(1, _PREFIX_VALUES // nu)
             for start in range(0, same.size, per_group):
                 rows = same[start:start + per_group]

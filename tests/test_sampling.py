@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,40 +292,79 @@ class TestProductSubChunks:
     outputs ahead; any sub-chunk size gives the reference's bits."""
 
     @staticmethod
-    def assert_matches(monkeypatch, rows, params, n, size):
+    def assert_matches(params, n, size, rows):
+        """The block matches the reference, in sub-chunks of ``rows``."""
         spec = ModelSpec("product", params)
         cap = spec.step_cap(n)
-        monkeypatch.setattr(models, "_PRODUCT_BUDGET",
-                            rows * models._PRODUCT_CELL_BYTES * cap)
+        assert models._sub_chunk(size, cap) == (
+            rows, models._PRODUCT_TILE_CELLS // rows)
         got = spec.law.sample_block(n, size, block_rng(), cap)
         want = reference_product(spec.law, n, size, block_rng(), cap)
         assert_columns_identical(got, want)
 
-    # rows 0 is a budget below one row, which still steps one row at a time
-    @pytest.mark.parametrize("rows,size", [(0, 7), (0, 513), (1, 600)])
-    def test_one_row_at_a_time(self, monkeypatch, rows, size):
-        self.assert_matches(monkeypatch, rows, {}, 64.0, size)
+    @staticmethod
+    def budget_rows(monkeypatch, rows, n):
+        """A draw budget of ``rows`` rows at threshold n."""
+        cap = ModelSpec("product", {}).step_cap(n)
+        monkeypatch.setattr(models, "_PRODUCT_BUDGET",
+                            rows * models._PRODUCT_CELL_BYTES * cap)
 
-    # 512 = 5 * 100 + 12 and 488 = 4 * 100 + 88; at n = 1500 a later
+    # budget 0 is below one row, which still steps one row at a time
+    @pytest.mark.parametrize("budget,size", [(0, 7), (0, 513), (1, 600)])
+    def test_one_row_at_a_time(self, monkeypatch, budget, size):
+        self.budget_rows(monkeypatch, budget, 64.0)
+        self.assert_matches({}, 64.0, size, 1)
+
+    # a budget of 100 rows splits a chunk into sub-chunks of 86 rows:
+    # 512 = 5 * 86 + 82 and 488 = 5 * 86 + 58; at n = 1500 a later
     # sub-chunk stops a tile earlier than an earlier one
     @pytest.mark.parametrize("n", [1500.0, 333.3])
     def test_sub_chunks_that_do_not_divide_the_chunk(self, monkeypatch, n):
-        self.assert_matches(monkeypatch, 100, {}, n, 1000)
+        self.budget_rows(monkeypatch, 100, n)
+        self.assert_matches({}, n, 1000, 86)
 
     # cap 67 and 3 rows: each sub-chunk draws 201 signs, an odd count, so
     # the spare 32-bit half carries over between sub-chunks
     @pytest.mark.parametrize("size", [7, 513])
     def test_odd_sign_counts(self, monkeypatch, size):
-        self.assert_matches(monkeypatch, 3, {}, 65.0, size)
+        self.budget_rows(monkeypatch, 3, 65.0)
+        self.assert_matches({}, 65.0, size, 3)
 
     # 513 rows are two chunks; the second cursor of the second chunk
     # starts where the first chunk's signs ended
     @pytest.mark.parametrize("params,n", [({}, 1024.0), ({}, 65.0),
                                           ({"p_growth": 0.5}, 333.3)])
-    def test_two_chunks(self, monkeypatch, params, n):
-        cap = ModelSpec("product", params).step_cap(n)
-        rows = models._PRODUCT_BUDGET // (models._PRODUCT_CELL_BYTES * cap)
-        self.assert_matches(monkeypatch, rows, params, n, 513)
+    def test_two_chunks(self, params, n):
+        rows = {1024.0: 128, 65.0: 256, 333.3: 128}[n]
+        self.assert_matches(params, n, 513, rows)
+
+    # the bound that sets the rows: at cap 258 a 256-column tile of 2^15
+    # cells (128 rows; the draw budget holds 1354), at cap 4098 the draw
+    # budget (85 rows, so 290 rows split into 73, 73, 73 and 71), at cap 66
+    # a tile of the whole row (496 rows, so a chunk splits into 256 + 256)
+    @pytest.mark.parametrize("n,size,rows", [(256.0, 512, 128),
+                                             (4096.0, 290, 73),
+                                             (64.0, 1000, 256)])
+    def test_bound_that_sets_the_rows(self, n, size, rows):
+        self.assert_matches({}, n, size, rows)
+
+    @pytest.mark.parametrize("n", [64.0, 256.0, 1024.0, 2048.0, 4096.0])
+    def test_block_memory_within_stated_bound(self, n):
+        """The tracemalloc peak of one block is at most the draw budget,
+        32 bytes per tile cell (a tile's temporaries take about 30), the
+        block's seven output columns twice (the columns and the
+        temporaries of gamma and S'_nu) and 512 KiB for the rest."""
+        size = BLOCK_SIZE
+        spec = ModelSpec("product", {})
+        bound = (models._PRODUCT_BUDGET + 32 * models._PRODUCT_TILE_CELLS
+                 + 2 * len(COLUMNS) * 8 * size + (512 << 10))
+        tracemalloc.start()
+        try:
+            spec.law.sample_block(n, size, block_rng(), spec.step_cap(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_memory_bounded_at_large_n(self):
         """512 product rows (one chunk) at n = 2^18, where dense (512, cap)
