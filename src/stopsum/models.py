@@ -218,14 +218,17 @@ def _constant_crossing(v, n, cap):
 
 _REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
 _PRODUCT_CHUNK = 512  # rows whose uniforms all precede their signs
-# bytes of a sub-chunk of a chunk's rows, at least one row: 8 per uniform
-# and 4 per int32 sign, cap cells a row
-_PRODUCT_BUDGET = 4 << 20
-_PRODUCT_CELL_BYTES = 12
-# cells of an arithmetic tile, whose temporaries take about 30 bytes a
-# cell, and its fewest columns unless the rows are shorter
+# bytes of a sub-chunk's draws, at least one row: a bool growth draw and an
+# int8 sign a cell, cap cells a row
+_PRODUCT_BUDGET = 640 << 10
+_PRODUCT_CELL_BYTES = 2
+# cells of a column tile, whose buffers take 25 bytes a cell, and of a
+# staging slice of draws; a tile's fewest columns unless the rows are shorter
 _PRODUCT_TILE_CELLS = 1 << 15
 _PRODUCT_TILE = 256
+# numpy's pairwise summation adds at most 128 values in one unrolled loop
+# and splits a longer run at n2 = n // 2 - (n // 2) % 8
+_PAIRWISE_LEAF = 128
 # 1 - 2^-N rounds to 1.0 from N = 54 on, so A_k takes at most 55 values
 _PRODUCT_LEVELS = 55
 
@@ -264,92 +267,169 @@ class Product(Law):
         512 rows, sz*cap uniforms and then sz*cap signs, each a row-major
         (sz, cap) matrix whose column k drives step k.  A second cursor on
         the block's stream, sz*cap outputs ahead, draws the signs, so a
-        chunk is drawn and stepped a sub-chunk of rows at a time; the
-        arithmetic runs in column tiles and stops at the sub-chunk's last
-        crossing."""
-        # A_k by growth count N_k < cap, from the level table
-        amp = self.sds.take(np.minimum(np.arange(cap), _PRODUCT_LEVELS - 1))
+        chunk is drawn and stepped a sub-chunk of rows at a time; a
+        sub-chunk keeps its draws as bits, 2 bytes a cell, and the
+        arithmetic runs in column tiles, the nodes of np.sum's pairwise
+        tree over a row, up to the sub-chunk's last crossing.  The buffers
+        are allocated once a block."""
         rows, width = _sub_chunk(size, cap)
-        unif = np.empty((rows, cap))
+        nodes, depth = _pairwise_nodes(cap, width)
+        cols = max(c1 - c0 for c0, c1 in filter(None, nodes))
+        buf = _TileBuffers(rows, cap, cols, depth)
         nu = np.full(size, cap, dtype=np.int64)     # cap: not crossed yet
         # S_nu, X_{nu+1}, Y_nu, v_before and sigma^2_nu
-        cols = [np.empty(size) for _ in range(5)]
+        out = [np.empty(size) for _ in range(5)]
         for start in range(0, size, _PRODUCT_CHUNK):
             end = min(start + _PRODUCT_CHUNK, size)
             signs = _cursor(rng, (end - start) * cap)
             for r0 in range(start, end, rows):
                 r1 = min(r0 + rows, end)
-                rng.random(out=unif[:r1 - r0])      # column k drives N_{k+1}
-                # the signs are freed before the next sub-chunk's are drawn
-                self._step_rows(
-                    n, cap, amp, width, unif[:r1 - r0],
-                    signs.integers(0, 2, size=(r1 - r0, cap), dtype=np.int32),
-                    nu[r0:r1], *(col[r0:r1] for col in cols))
+                buf.draw(rng, signs, r1 - r0, self.p_growth)
+                self._step_rows(n, cap, nodes, buf, nu[r0:r1],
+                                *(col[r0:r1] for col in out))
             rng = signs                             # past the chunk's signs
-        return _stopped(n, nu, *cols)
+        return _stopped(n, nu, *out)
 
-    def _step_rows(self, n, cap, amp, width, unif, zeta,
-                   nu, s_nu, x_nu, y_nu, v_before, sig_nu):
+    def _step_rows(self, n, cap, nodes, buf, nu, s_nu, x_nu, y_nu,
+                   v_before, sig_nu):
         """The stopped columns, without gamma and S'_nu, of the rows drawn
-        in unif and zeta, written into nu, ..., sig_nu.  A tile's masked
-        increments X_{k+1} 1{k < nu} overwrite the uniforms it has
-        consumed, and the columns past the last tile are zeroed, so that
-        np.sum over all cap columns keeps the pairwise tree of a dense row."""
-        q = self.p_growth
-        m = unif.shape[0]
-        growth = np.zeros(m, dtype=np.int32)        # N_k at the tile's first k
+        into buf, written into nu, ..., sig_nu.  S_nu is np.sum over a
+        dense row of cap masked increments X_{k+1} 1{k < nu}, taken along
+        its pairwise tree (``nodes``): each tile's increments are summed
+        by np.add.reduce, a tile past the last crossing sums to +0.0, and
+        the node sums are added up the tree, which gives np.sum's bits."""
+        m = nu.size
+        grow, zeta = buf.grow[:m], buf.zeta[:m]
+        growth = np.zeros(m, dtype=np.intp)         # N_k at the tile's first k
         v = np.zeros(m)                             # sum of sigma^2_j, j < k
-        for c0 in range(0, cap, width):
-            c1 = min(c0 + width, cap)
-            counts = np.empty((m, c1 - c0), dtype=np.int32)
+        sums, held, live = buf.sums, 0, True
+        for node in nodes:
+            if node is None:                        # add the last two sums
+                held -= 1
+                np.add(sums[held - 1, :m], sums[held, :m],
+                       out=sums[held - 1, :m])
+                continue
+            held += 1
+            if not live:
+                sums[held - 1, :m] = 0.0
+                continue
+            c0, c1 = node
+            w = c1 - c0
+            counts = buf.tile(buf.counts, m, w)
             counts[:, 0] = growth
-            counts[:, 1:] = unif[:, c0:c1 - 1] < q
+            counts[:, 1:] = grow[:, c0:c1 - 1]
             np.cumsum(counts, axis=1, out=counts)              # N_k
-            growth = counts[:, -1] + (unif[:, c1 - 1] < q)
-            a = amp[counts]
+            growth = counts[:, -1] + grow[:, c1 - 1]
+            a = buf.tile(buf.amp, m, w)
+            self.sds.take(counts, out=a, mode="clip")  # level min(N_k, 54)
             # csum[:, j] = sum of sigma^2 over steps < c0 + j
-            csum = np.empty((m, c1 - c0 + 1))
+            csum = buf.tile(buf.csum, m, w + 1)
             csum[:, 0] = v
             np.multiply(a, a, out=csum[:, 1:])
             np.cumsum(csum, axis=1, out=csum)
-            v = csum[:, -1]
-            hit = csum[:, 1:] >= n
+            v = csum[:, -1].copy()              # the next tile reuses csum
+            hit = buf.tile(buf.hit, m, w)
+            np.greater_equal(csum[:, 1:], n, out=hit)
             if c0 == 0:
                 hit[:, 0] = False               # the k = 0 step never stops
             j = np.argmax(hit, axis=1)
             rows = np.flatnonzero((nu == cap) & hit[np.arange(m), j])
             j = j[rows]
-            # column k holds X_{k+1}; built in place, one temporary a tile
-            x = 2.0 * zeta[:, c0:c1]
-            x -= 1.0
-            x *= a
             nu[rows] = c0 + j
             v_before[rows] = csum[rows, j]
             y = a[rows, j]                      # max(1, A) = A since a_lo >= 1
             y_nu[rows] = y
             sig_nu[rows] = y * y
-            x_nu[rows] = x[rows, j]
-            np.multiply(x, np.arange(c0, c1) < nu[:, None],
-                        out=unif[:, c0:c1])
-            if np.all(nu < cap):
-                break
-        else:
+            np.multiply(a, zeta[:, c0:c1], out=a)  # column k holds X_{k+1}
+            x_nu[rows] = a[rows, j]
+            # X_{k+1} 1{k < nu}, a signed zero from k = nu on
+            np.greater_equal(buf.columns[:w], (nu - c0)[:, None], out=hit)
+            np.multiply(a, 0.0, out=a, where=hit)
+            np.add.reduce(a, axis=1, out=sums[held - 1, :m])
+            live = not np.all(nu < cap)
+        if live:
             raise _overflow(cap, n, "product")
-        unif[:, c1:] = 0.0
-        np.sum(unif, axis=1, out=s_nu)
+        s_nu[:] = sums[0, :m]
+
+
+class _TileBuffers:
+    """What one product block reuses for each sub-chunk: its draws, a bool
+    growth draw u < p_growth and an int8 sign a cell; a staging slice of
+    the draws; a tile's growth counts, amplitudes, variance sums and hits;
+    and the node sums of the pairwise tree.  Allocated once a block, since
+    fresh arrays of 128 KiB or more are mapped anew on every call."""
+
+    def __init__(self, rows, cap, cols, depth):
+        self.grow = np.empty((rows, cap), dtype=bool)
+        self.zeta = np.empty((rows, cap), dtype=np.int8)
+        self.stage = np.empty(min(_PRODUCT_TILE_CELLS, rows * cap))
+        self.counts = np.empty(rows * cols, dtype=np.intp)
+        self.amp = np.empty(rows * cols)
+        self.csum = np.empty(rows * (cols + 1))
+        self.hit = np.empty(rows * cols, dtype=bool)
+        self.columns = np.arange(cols)
+        self.sums = np.empty((depth, rows))
+
+    @staticmethod
+    def tile(flat, m, w):
+        """A contiguous (m, w) view of a flat tile buffer: ``take`` copies
+        into an ``out`` that is not contiguous."""
+        return flat[:m * w].reshape(m, w)
+
+    def draw(self, rng, signs, m, q):
+        """The growth draws of m rows from rng and their signs from the
+        sign cursor, in staging slices of at most _PRODUCT_TILE_CELLS
+        cells.  A float32 uniform is bits 31..8 of one 32-bit half, so
+        u >= 0.5 is bit 31, the int32 ``integers(0, 2)`` of that half; an
+        odd count leaves the spare half to the next call, as there."""
+        grow = self.grow[:m].reshape(-1)
+        zeta = self.zeta[:m].reshape(-1)
+        stage, half = self.stage, self.stage.view(np.float32)
+        for i in range(0, grow.size, stage.size):
+            k = min(stage.size, grow.size - i)
+            rng.random(out=stage[:k])
+            np.less(stage[:k], q, out=grow[i:i + k])
+        for i in range(0, zeta.size, stage.size):
+            k = min(stage.size, zeta.size - i)
+            signs.random(out=half[:k], dtype=np.float32)
+            np.greater_equal(half[:k], 0.5, out=zeta[i:i + k].view(bool))
+        zeta += zeta
+        zeta -= 1                                   # -1 or +1
 
 
 def _sub_chunk(size, cap):
     """(rows, width) of the product sampler.  A chunk is split into equal
     sub-chunks, the last one smaller, of at most as many rows as the draw
-    budget holds (one at least) and a 2^15-cell tile of min(cap, 256)
-    columns holds: 128 from cap 256 on.  A tile of width columns has at
-    most 2^15 cells."""
+    budget holds at 2 bytes a cell (one at least) and a 2^15-cell tile of
+    min(cap, 256) columns holds: 128 from cap 256 on.  Width columns hold
+    2^15 cells; a tile is a node of the pairwise tree of at most
+    max(width, 128) columns (``_pairwise_nodes``)."""
     chunk = min(size, _PRODUCT_CHUNK)
     most = max(1, min(chunk, _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap),
                       _PRODUCT_TILE_CELLS // min(cap, _PRODUCT_TILE)))
     rows = -(-chunk // -(-chunk // most))
     return rows, _PRODUCT_TILE_CELLS // rows
+
+
+def _pairwise_nodes(cap, width):
+    """np.add.reduce's pairwise tree over a row of cap values, cut into
+    column tiles: a node longer than max(width, 128) splits at
+    n2 = n//2 - (n//2) % 8, as numpy splits it, and the others are tiles,
+    which np.add.reduce sums along the same subtree.  Returns the tree in
+    post-order, (c0, c1) for a tile and None for adding the last two node
+    sums, and the most node sums held at once."""
+    nodes = []
+
+    def walk(c0, size, held):
+        if size <= max(width, _PAIRWISE_LEAF):
+            nodes.append((c0, c0 + size))
+            return held + 1
+        half = size // 2 - size // 2 % 8
+        most = max(walk(c0, half, held), walk(c0 + half, size - half, held + 1))
+        nodes.append(None)
+        return most
+
+    return nodes, walk(0, cap, 0)
 
 
 def _cursor(rng, skip):

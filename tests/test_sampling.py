@@ -286,6 +286,61 @@ class TestBitIdentity:
         assert np.array_equal(whole, np.concatenate(parts))
 
 
+class TestPairwiseNodes:
+    """The product sampler's column tiles are nodes of np.add.reduce's
+    pairwise tree over a row; their sums, added up the tree, are np.sum's
+    bits over the dense row, signed zeros included."""
+
+    CAPS = [*range(1, 2101), 4098, 16386, 262146]
+
+    @staticmethod
+    def tree_sum(x, nodes, depth, end):
+        """The node sums of x's rows added up the tree, each tile from
+        column ``end`` on summing to +0.0 without being read."""
+        sums = []
+        for node in nodes:
+            if node is None:
+                right = sums.pop()
+                sums[-1] = sums[-1] + right
+            else:
+                c0, c1 = node
+                sums.append(np.add.reduce(x[:, c0:c1], axis=1) if c0 < end
+                            else np.zeros(len(x)))
+                assert len(sums) <= depth
+        (total,) = sums
+        return total
+
+    # width 1: every node longer than 128 splits, as numpy splits it; and
+    # the width of the sampler's sub-chunks at this cap
+    @pytest.mark.parametrize("sampler_width", [False, True])
+    def test_tree_sum_is_numpy_sum(self, sampler_width):
+        rng = np.random.default_rng(11)
+        for cap in self.CAPS:
+            width = (models._sub_chunk(BLOCK_SIZE, cap)[1] if sampler_width
+                     else 1)
+            nodes, depth = models._pairwise_nodes(cap, width)
+            tiles = [node for node in nodes if node]
+            assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]]
+            assert tiles[-1][1] == cap and len(nodes) == 2 * len(tiles) - 1
+            x = rng.standard_normal((3, cap)) * np.exp(
+                rng.uniform(-30.0, 30.0, (3, cap)))
+            # each row's zero tail starts at a random column, signed as
+            # X_{k+1} * 0.0 up to the end of the tile of the last tail
+            # start and +0.0 past it; row 0 is zeros, -0.0 up to that end
+            x[0] = -np.abs(x[0])
+            tail = rng.integers(0, cap + 1, 3)
+            tail[0] = 0
+            end = next(c1 for c0, c1 in tiles if c1 > tail.max()) \
+                if tail.max() < cap else cap
+            for row, k in zip(x, tail):
+                row[k:end] *= 0.0
+                row[end:] = 0.0
+            got = self.tree_sum(x, nodes, depth, end)
+            want = np.add.reduce(x, axis=1)
+            assert np.array_equal(got, want), cap
+            assert np.array_equal(np.signbit(got), np.signbit(want)), cap
+
+
 class TestProductSubChunks:
     """A product chunk is drawn and stepped a sub-chunk of rows at a time,
     uniforms from the block's stream and signs from a second cursor sz*cap
@@ -293,11 +348,17 @@ class TestProductSubChunks:
 
     @staticmethod
     def assert_matches(params, n, size, rows):
-        """The block matches the reference, in sub-chunks of ``rows``."""
+        """The block matches the reference, in sub-chunks of ``rows``
+        stepped in tiles of at most 2^15 cells or pairwise leaves of at
+        most 128 columns."""
         spec = ModelSpec("product", params)
         cap = spec.step_cap(n)
-        assert models._sub_chunk(size, cap) == (
-            rows, models._PRODUCT_TILE_CELLS // rows)
+        got_rows, width = models._sub_chunk(size, cap)
+        assert got_rows == rows
+        nodes, _ = models._pairwise_nodes(cap, width)
+        for c0, c1 in filter(None, nodes):
+            assert (c1 - c0 <= models._PAIRWISE_LEAF
+                    or rows * (c1 - c0) <= models._PRODUCT_TILE_CELLS)
         got = spec.law.sample_block(n, size, block_rng(), cap)
         want = reference_product(spec.law, n, size, block_rng(), cap)
         assert_columns_identical(got, want)
@@ -339,28 +400,45 @@ class TestProductSubChunks:
         self.assert_matches(params, n, 513, rows)
 
     # the bound that sets the rows: at cap 258 a 256-column tile of 2^15
-    # cells (128 rows; the draw budget holds 1354), at cap 4098 the draw
-    # budget (85 rows, so 290 rows split into 73, 73, 73 and 71), at cap 66
-    # a tile of the whole row (496 rows, so a chunk splits into 256 + 256)
+    # cells (128 rows; the draw budget holds 1270), at cap 4098 the draw
+    # budget (79 rows, so 290 rows split into 73, 73, 73 and 71), at cap 66
+    # a tile of the whole row (496 rows, so a chunk splits into 256 + 256);
+    # at the odd cap 4097 the budget-bound sub-chunks of 73 rows draw an
+    # odd count of signs, 299081 in ten staging slices, so the spare
+    # 32-bit half carries over to the next sub-chunk
     @pytest.mark.parametrize("n,size,rows", [(256.0, 512, 128),
                                              (4096.0, 290, 73),
-                                             (64.0, 1000, 256)])
+                                             (64.0, 1000, 256),
+                                             (4095.0, 290, 73)])
     def test_bound_that_sets_the_rows(self, n, size, rows):
         self.assert_matches({}, n, size, rows)
 
-    @pytest.mark.parametrize("n", [64.0, 256.0, 1024.0, 2048.0, 4096.0])
+    # a pairwise leaf of up to 128 columns is one tile even where the
+    # width is narrower: cap 66 in 512-row sub-chunks of width 64 is one
+    # 66-column tile of 33792 cells, whose draws take two staging slices
+    # split inside a row
+    def test_leaf_wider_than_the_width(self, monkeypatch):
+        monkeypatch.setattr(models, "_sub_chunk", lambda size, cap: (512, 64))
+        assert models._pairwise_nodes(66, 64) == ([(0, 66)], 1)
+        self.assert_matches({}, 64.0, 1000, 512)
+
+    @pytest.mark.parametrize("n", [64.0, 256.0, 1024.0, 2048.0, 4096.0,
+                                   16384.0])
     def test_block_memory_within_stated_bound(self, n):
-        """The tracemalloc peak of one block is at most the draw budget,
-        32 bytes per tile cell (a tile's temporaries take about 30), the
-        block's seven output columns twice (the columns and the
-        temporaries of gamma and S'_nu) and 512 KiB for the rest."""
+        """The tracemalloc peak of one block is at most its draws at 2
+        bytes a cell, which the draw budget bounds, the tile buffers at 25
+        bytes per tile cell, the 8-byte staging slice of each tile cell,
+        the block's seven output columns twice (the columns and the
+        temporaries of gamma and S'_nu) and 256 KiB for the rest."""
         size = BLOCK_SIZE
         spec = ModelSpec("product", {})
-        bound = (models._PRODUCT_BUDGET + 32 * models._PRODUCT_TILE_CELLS
-                 + 2 * len(COLUMNS) * 8 * size + (512 << 10))
+        cap = spec.step_cap(n)
+        rows, _ = models._sub_chunk(size, cap)
+        bound = (2 * rows * cap + (25 + 8) * models._PRODUCT_TILE_CELLS
+                 + 2 * len(COLUMNS) * 8 * size + (256 << 10))
         tracemalloc.start()
         try:
-            spec.law.sample_block(n, size, block_rng(), spec.step_cap(n))
+            spec.law.sample_block(n, size, block_rng(), cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
