@@ -52,7 +52,9 @@ class Law:
     ``uniforms``, one uniform.  The ``rng`` of ``sample_block`` is the
     block's own fresh stream, ``Generator(Philox(SeedSequence(seed,
     spawn_key=(b,))))``, which nothing has drawn from; the product and
-    regime samplers read its raw outputs from the first one on."""
+    regime samplers read its raw outputs from the first one on and test
+    them as integers, for the bits that numpy's float and int32 draws of
+    the same outputs compare."""
 
     uniforms = False
 
@@ -216,14 +218,20 @@ def _constant_crossing(v, n, cap):
     return nu, v_before
 
 
-_REFILL = 4096  # draws per buffer refill, for signs and uniforms alike
+# draws per ModelState buffer refill, for signs and uniforms alike; Lanes
+# reads the streams in the same layout
+_REFILL = 4096
+# raw Philox outputs of a product draw piece, and of a regime refill at
+# least: 64 KiB, below glibc's 128 KiB mmap threshold, so each fresh array
+# that random_raw returns reuses the heap
+_RAW_PIECE = 1 << 13
 _PRODUCT_CHUNK = 512  # rows whose uniforms all precede their signs
 # bytes of a sub-chunk's draws, at least one row: a bool growth draw and an
 # int8 sign a cell, cap cells a row
 _PRODUCT_BUDGET = 640 << 10
 _PRODUCT_CELL_BYTES = 2
-# cells of a column tile, whose buffers take 25 bytes a cell, and of a
-# staging slice of draws; a tile's fewest columns unless the rows are shorter
+# cells of a column tile, whose buffers take 17 bytes a cell; a tile's
+# fewest columns unless the rows are shorter
 _PRODUCT_TILE_CELLS = 1 << 15
 _PRODUCT_TILE = 256
 # numpy's pairwise summation adds at most 128 values in one unrolled loop
@@ -265,29 +273,33 @@ class Product(Law):
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: per chunk of at most
         512 rows, sz*cap uniforms and then sz*cap signs, each a row-major
-        (sz, cap) matrix whose column k drives step k.  A second cursor on
-        the block's stream, sz*cap outputs ahead, draws the signs, so a
-        chunk is drawn and stepped a sub-chunk of rows at a time; a
-        sub-chunk keeps its draws as bits, 2 bytes a cell, and the
-        arithmetic runs in column tiles, the nodes of np.sum's pairwise
-        tree over a row, up to the sub-chunk's last crossing.  The buffers
-        are allocated once a block."""
+        (sz, cap) matrix whose column k drives step k.  Both are tested
+        on the raw Philox outputs as integers (``_growth_test``,
+        ``_TileBuffers.draw``).  A second cursor on the block's stream,
+        sz*cap outputs ahead, draws the signs, so a chunk is drawn and
+        stepped a sub-chunk of rows at a time; a sub-chunk keeps its draws
+        as bits, 2 bytes a cell, and the arithmetic runs in column tiles,
+        the nodes of np.sum's pairwise tree over a row, up to the
+        sub-chunk's last crossing.  The buffers are allocated once a
+        block."""
         rows, width = _sub_chunk(size, cap)
         nodes, depth = _pairwise_nodes(cap, width)
         cols = max(c1 - c0 for c0, c1 in filter(None, nodes))
         buf = _TileBuffers(rows, cap, cols, depth)
+        grows = _growth_test(self.p_growth)
         nu = np.full(size, cap, dtype=np.int64)     # cap: not crossed yet
         # S_nu, X_{nu+1}, Y_nu, v_before and sigma^2_nu
         out = [np.empty(size) for _ in range(5)]
+        bits = rng.bit_generator
         for start in range(0, size, _PRODUCT_CHUNK):
             end = min(start + _PRODUCT_CHUNK, size)
-            signs = _cursor(rng, (end - start) * cap)
+            signs, spare = _cursor(bits, (end - start) * cap), None
             for r0 in range(start, end, rows):
                 r1 = min(r0 + rows, end)
-                buf.draw(rng, signs, r1 - r0, self.p_growth)
+                spare = buf.draw(bits, signs, r1 - r0, grows, spare)
                 self._step_rows(n, cap, nodes, buf, nu[r0:r1],
                                 *(col[r0:r1] for col in out))
-            rng = signs                             # past the chunk's signs
+            bits = signs                            # past the chunk's signs
         return _stopped(n, nu, *out)
 
     def _step_rows(self, n, cap, nodes, buf, nu, s_nu, x_nu, y_nu,
@@ -315,7 +327,7 @@ class Product(Law):
                 continue
             c0, c1 = node
             w = c1 - c0
-            counts = buf.tile(buf.counts, m, w)
+            counts = buf.tile(buf.counts, m, w)     # dead once a is read
             counts[:, 0] = growth
             counts[:, 1:] = grow[:, c0:c1 - 1]
             np.cumsum(counts, axis=1, out=counts)              # N_k
@@ -328,6 +340,7 @@ class Product(Law):
             np.multiply(a, a, out=csum[:, 1:])
             np.cumsum(csum, axis=1, out=csum)
             v = csum[:, -1].copy()              # the next tile reuses csum
+            # csum never decreases, so hit = 1{k >= nu} once nu is set
             hit = buf.tile(buf.hit, m, w)
             np.greater_equal(csum[:, 1:], n, out=hit)
             if c0 == 0:
@@ -343,7 +356,6 @@ class Product(Law):
             np.multiply(a, zeta[:, c0:c1], out=a)  # column k holds X_{k+1}
             x_nu[rows] = a[rows, j]
             # X_{k+1} 1{k < nu}, a signed zero from k = nu on
-            np.greater_equal(buf.columns[:w], (nu - c0)[:, None], out=hit)
             np.multiply(a, 0.0, out=a, where=hit)
             np.add.reduce(a, axis=1, out=sums[held - 1, :m])
             live = not np.all(nu < cap)
@@ -354,20 +366,19 @@ class Product(Law):
 
 class _TileBuffers:
     """What one product block reuses for each sub-chunk: its draws, a bool
-    growth draw u < p_growth and an int8 sign a cell; a staging slice of
-    the draws; a tile's growth counts, amplitudes, variance sums and hits;
-    and the node sums of the pairwise tree.  Allocated once a block, since
-    fresh arrays of 128 KiB or more are mapped anew on every call."""
+    growth bit and an int8 sign a cell; a tile's amplitudes, variance sums
+    and hits, with the growth counts (intp) in the variance sums' buffer,
+    which they leave before it is written: 17 bytes a tile cell; and the
+    node sums of the pairwise tree.  Allocated once a block, since fresh
+    arrays of 128 KiB or more are mapped anew on every call."""
 
     def __init__(self, rows, cap, cols, depth):
         self.grow = np.empty((rows, cap), dtype=bool)
         self.zeta = np.empty((rows, cap), dtype=np.int8)
-        self.stage = np.empty(min(_PRODUCT_TILE_CELLS, rows * cap))
-        self.counts = np.empty(rows * cols, dtype=np.intp)
         self.amp = np.empty(rows * cols)
         self.csum = np.empty(rows * (cols + 1))
+        self.counts = self.csum.view(np.intp)
         self.hit = np.empty(rows * cols, dtype=bool)
-        self.columns = np.arange(cols)
         self.sums = np.empty((depth, rows))
 
     @staticmethod
@@ -376,25 +387,45 @@ class _TileBuffers:
         into an ``out`` that is not contiguous."""
         return flat[:m * w].reshape(m, w)
 
-    def draw(self, rng, signs, m, q):
-        """The growth draws of m rows from rng and their signs from the
-        sign cursor, in staging slices of at most _PRODUCT_TILE_CELLS
-        cells.  A float32 uniform is bits 31..8 of one 32-bit half, so
-        u >= 0.5 is bit 31, the int32 ``integers(0, 2)`` of that half; an
-        odd count leaves the spare half to the next call, as there."""
+    def draw(self, bits, signs, m, grows, spare):
+        """The growth bits of m rows, ``grows`` of the raw outputs of bits,
+        and their signs, bit 31 of each 32-bit half of the raw outputs of
+        the sign cursor, low half first: the int32 ``integers(0, 2)`` of
+        that half.  Both are drawn _RAW_PIECE outputs at a time.  ``spare``
+        is the sign bit of a half left over by the last call, or None, and
+        the one this call leaves over is returned: an odd count of signs
+        draws one half more than it reads."""
         grow = self.grow[:m].reshape(-1)
+        for i in range(0, grow.size, _RAW_PIECE):
+            raw = bits.random_raw(min(_RAW_PIECE, grow.size - i))
+            grows(raw, grow[i:i + raw.size])
         zeta = self.zeta[:m].reshape(-1)
-        stage, half = self.stage, self.stage.view(np.float32)
-        for i in range(0, grow.size, stage.size):
-            k = min(stage.size, grow.size - i)
-            rng.random(out=stage[:k])
-            np.less(stage[:k], q, out=grow[i:i + k])
-        for i in range(0, zeta.size, stage.size):
-            k = min(stage.size, zeta.size - i)
-            signs.random(out=half[:k], dtype=np.float32)
-            np.greater_equal(half[:k], 0.5, out=zeta[i:i + k].view(bool))
+        sign = zeta.view(bool)
+        i = 0
+        if spare is not None:
+            sign[0], i, spare = spare, 1, None
+        while i < sign.size:
+            raw = signs.random_raw(min(_RAW_PIECE, (sign.size - i + 1) // 2))
+            halves = np.asarray(raw, dtype="<u8").view("<u4")
+            k = min(halves.size, sign.size - i)
+            np.greater_equal(halves[:k], 1 << 31, out=sign[i:i + k])
+            if k < halves.size:
+                spare = bool(halves[k] >> 31)
+            i += k
         zeta += zeta
         zeta -= 1                                   # -1 or +1
+        return spare
+
+
+def _growth_test(p):
+    """The growth test of raw Philox outputs x, ``grows(x, out)``, which
+    sets out to 1{Generator.random() < p}: random() = (x >> 11) 2^-53 lies
+    below p iff x >> 11 < T = ceil(p 2^53), iff x < T 2^11, and every x
+    does at p = 1, where T 2^11 = 2^64."""
+    bound = math.ceil(p * 2.0 ** 53) << 11
+    if bound >> 64:
+        return lambda x, out: np.less_equal(x, np.uint64(bound - 1), out=out)
+    return lambda x, out: np.less(x, np.uint64(bound), out=out)
 
 
 def _sub_chunk(size, cap):
@@ -432,18 +463,18 @@ def _pairwise_nodes(cap, width):
     return nodes, walk(0, cap, 0)
 
 
-def _cursor(rng, skip):
-    """A Generator on the Philox stream of rng, ``skip`` 64-bit outputs
-    ahead of it.  rng's buffer must be empty and hold no 32-bit half, as
-    at every chunk start: a fresh stream's is, and each full chunk draws
-    512*cap uniforms and 512*cap int32 signs (256*cap outputs).
-    ``advance(d)`` moves the counter d blocks of 4 outputs."""
-    state = rng.bit_generator.state
+def _cursor(bits, skip):
+    """A Philox bit generator on the stream of bits, ``skip`` raw outputs
+    ahead of it.  bits' buffer of 4 outputs must be empty, as at every
+    chunk start: a fresh stream's is, and each full chunk draws 512*cap
+    growth outputs and 256*cap sign outputs.  ``advance(d)`` moves the
+    counter d blocks of 4 outputs."""
+    state = bits.state
     ahead = np.random.Philox(key=state["state"]["key"])
     ahead.state = state
     ahead.advance(skip // 4)
     ahead.random_raw(skip % 4)
-    return np.random.Generator(ahead)
+    return ahead
 
 
 class RegimeSwitch(Law):
@@ -474,16 +505,17 @@ class _BlockRows:
     """A regime block's rows for ``_run_rows``, with its signs in order,
     refilled into one buffer that holds the signs left over and a refill.
 
-    A refill is bit 31 of each 32-bit half of max(4096, rows + 1) // 2 raw
-    outputs, low half first: the int32 ``integers(0, 2)`` of the block's
-    fresh stream, since Lemire's method with two outcomes gives (2x) >> 32
-    of each 32-bit draw x and never rejects, as (2^32 - 2) mod 2 = 0.  A
-    refill takes whole outputs, so no half is held over."""
+    A refill is bit 31 of each 32-bit half of max(_RAW_PIECE, (rows + 1)
+    // 2) raw outputs, low half first, as float +/-1 signs: the int32
+    ``integers(0, 2)`` of the block's fresh stream, since Lemire's method
+    with two outcomes gives (2x) >> 32 of each 32-bit draw x and never
+    rejects, as (2^32 - 2) mod 2 = 0.  A refill takes whole outputs, so no
+    half is held over."""
 
     def __init__(self, rng, size):
         self.running_sum, self.step = np.zeros(size), 0
         self._philox = rng.bit_generator
-        self._signs = np.empty(2 * max(_REFILL, size))
+        self._signs = np.empty(size + 2 * max(_RAW_PIECE, (size + 1) // 2))
         self._pos = self._end = 0
 
     def _sign(self):
@@ -491,7 +523,7 @@ class _BlockRows:
         if pos + m > self._end:
             left = self._end - pos
             signs[:left] = signs[pos:self._end]
-            words = self._philox.random_raw(max(_REFILL, m + 1) // 2)
+            words = self._philox.random_raw(max(_RAW_PIECE, (m + 1) // 2))
             halves = np.asarray(words, dtype="<u8").view("<u4")
             self._end = left + halves.size
             fresh = signs[left:self._end]

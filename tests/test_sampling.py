@@ -248,6 +248,7 @@ ORACLE_CASES = [
     ("product", {}, 64.0, (4096, 1000, 7)),
     ("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}, 333.3, (4096, 1000, 7)),
     ("product", {"p_growth": 0.0}, 300.0, (1000, 7)),
+    ("product", {"p_growth": 0.5}, 300.0, (1000, 7)),
     ("product", {"p_growth": 1.0}, 700.0, (1000, 7)),
     ("product", {"a_lo": 1.1, "p_growth": 0.0}, 200 * 1.1 ** 2, (1000, 7)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 512.0, (4096,)),
@@ -275,15 +276,79 @@ class TestBitIdentity:
         assert_columns_identical(got, want)
 
     def test_philox_int32_signs_split_freely(self):
-        # the regime sampler refills 4096 signs at a time, the int32 draws
-        # of its raw outputs, where the reference drew one int64 call per
-        # step; both take one 32-bit half of a Philox output per sign, and
-        # the spare half carries over between calls
+        # the regime sampler refills 16384 signs or more at a time, the
+        # int32 draws of its raw outputs, where the reference drew one
+        # int64 call per step; both take one 32-bit half of a Philox output
+        # per sign, and the spare half carries over between calls
         sizes = (3, 4096, 1, 77)
         whole = block_rng().integers(0, 2, size=sum(sizes), dtype=np.int32)
         rng = block_rng()
         parts = [rng.integers(0, 2, size=k) for k in sizes]
         assert np.array_equal(whole, np.concatenate(parts))
+
+
+GROWTH_PROBABILITIES = [0.0, 2.0 ** -53, 0.05, 0.25, 0.5, 1 - 2.0 ** -53, 1.0]
+
+
+class TestGrowthTest:
+    """The product sampler sets a growth bit where a raw Philox output x
+    lies below ceil(p 2^53) 2^11, which is Generator.random() < p, where
+    random() = (x >> 11) 2^-53."""
+
+    @staticmethod
+    def grows(q, raw):
+        out = np.empty(raw.size, dtype=bool)
+        models._growth_test(q)(raw, out)
+        return out
+
+    # T 2^11 = 2^64 at q = 1, above every output, and 0 at q = 0
+    @pytest.mark.parametrize("q", GROWTH_PROBABILITIES)
+    def test_exact_at_the_bound(self, q):
+        bound = math.ceil(q * 2.0 ** 53) << 11
+        xs = [x for x in (0, bound - 1, bound, 2 ** 64 - 1) if 0 <= x < 2 ** 64]
+        got = self.grows(q, np.array(xs, dtype=np.uint64))
+        assert got.tolist() == [(x >> 11) * 2.0 ** -53 < q for x in xs]
+
+    @pytest.mark.parametrize("q", GROWTH_PROBABILITIES)
+    def test_fresh_stream_matches_random(self, q):
+        raw = block_rng().bit_generator.random_raw(10 ** 5)
+        assert np.array_equal(self.grows(q, raw), block_rng().random(10 ** 5) < q)
+
+
+class TestRawPieces:
+    """Raw outputs drawn 5 at a time: growth pieces split inside a row, and
+    sign pieces split with a spare 32-bit half carried across pieces and
+    sub-chunks; the blocks still match the references bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(models, "_RAW_PIECE", 5)
+
+    @pytest.mark.parametrize("kind,params,n,size", [
+        ("product", {}, 64.0, 1000),
+        ("product", {"a_lo": 1.1, "a_hi": 1.3, "p_growth": 0.5}, 333.3, 513),
+        ("product", {"p_growth": 1.0}, 700.0, 7),
+        ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 64.0, 4097),
+        ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 100.0, 1000),
+        ("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7}, 100.0, 7),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+    def test_block_matches_reference(self, kind, params, n, size):
+        spec = ModelSpec(kind, params)
+        cap = spec.step_cap(n)
+        got = spec.law.sample_block(n, size, block_rng(), cap)
+        want = REFERENCES[kind](spec.law, n, size, block_rng(), cap)
+        assert_columns_identical(got, want)
+
+    # odd caps: 67 in sub-chunks of 3 rows (201 signs each), and 4097 in
+    # the two budget-bound sub-chunks of 73 rows that 146 rows split into
+    @pytest.mark.parametrize("budget,n,size,rows", [(3, 65.0, 7, 3),
+                                                    (3, 65.0, 513, 3),
+                                                    (None, 4095.0, 146, 73)])
+    def test_spare_half_across_sub_chunks(self, monkeypatch, budget, n, size,
+                                          rows):
+        if budget:
+            TestProductSubChunks.budget_rows(monkeypatch, budget, n)
+        TestProductSubChunks.assert_matches({}, n, size, rows)
 
 
 class TestPairwiseNodes:
@@ -404,8 +469,8 @@ class TestProductSubChunks:
     # budget (79 rows, so 290 rows split into 73, 73, 73 and 71), at cap 66
     # a tile of the whole row (496 rows, so a chunk splits into 256 + 256);
     # at the odd cap 4097 the budget-bound sub-chunks of 73 rows draw an
-    # odd count of signs, 299081 in ten staging slices, so the spare
-    # 32-bit half carries over to the next sub-chunk
+    # odd count of signs, 299081 in 19 pieces of raw outputs, so the
+    # spare 32-bit half carries over to the next sub-chunk
     @pytest.mark.parametrize("n,size,rows", [(256.0, 512, 128),
                                              (4096.0, 290, 73),
                                              (64.0, 1000, 256),
@@ -415,8 +480,8 @@ class TestProductSubChunks:
 
     # a pairwise leaf of up to 128 columns is one tile even where the
     # width is narrower: cap 66 in 512-row sub-chunks of width 64 is one
-    # 66-column tile of 33792 cells, whose draws take two staging slices
-    # split inside a row
+    # 66-column tile of 33792 cells, whose growth draws take five pieces
+    # of raw outputs, split inside a row
     def test_leaf_wider_than_the_width(self, monkeypatch):
         monkeypatch.setattr(models, "_sub_chunk", lambda size, cap: (512, 64))
         assert models._pairwise_nodes(66, 64) == ([(0, 66)], 1)
@@ -426,19 +491,21 @@ class TestProductSubChunks:
                                    16384.0])
     def test_block_memory_within_stated_bound(self, n):
         """The tracemalloc peak of one block is at most its draws at 2
-        bytes a cell, which the draw budget bounds, the tile buffers at 25
-        bytes per tile cell, the 8-byte staging slice of each tile cell,
-        the block's seven output columns twice (the columns and the
-        temporaries of gamma and S'_nu) and 256 KiB for the rest."""
+        bytes a cell, which the draw budget bounds, the tile buffers at 17
+        bytes per tile cell, one piece of 8-byte raw outputs, the block's
+        seven output columns twice (the columns and the temporaries of
+        gamma and S'_nu) and 256 KiB for the rest."""
         size = BLOCK_SIZE
         spec = ModelSpec("product", {})
         cap = spec.step_cap(n)
         rows, _ = models._sub_chunk(size, cap)
-        bound = (2 * rows * cap + (25 + 8) * models._PRODUCT_TILE_CELLS
-                 + 2 * len(COLUMNS) * 8 * size + (256 << 10))
+        bound = (2 * rows * cap + 17 * models._PRODUCT_TILE_CELLS
+                 + 8 * models._RAW_PIECE + 2 * len(COLUMNS) * 8 * size
+                 + (256 << 10))
+        rng = block_rng()
         tracemalloc.start()
         try:
-            spec.law.sample_block(n, size, block_rng(), cap)
+            spec.law.sample_block(n, size, rng, cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,6 +5,7 @@ import pytest
 
 from stopsum import ModelSpec, derive_seed, init_model
 from stopsum.models import (
+    _RAW_PIECE,
     Lanes,
     _BlockRows,
     _cursor,
@@ -130,7 +131,7 @@ def test_block_row_signs_match_int32_integers(rows, shrink):
     rng = _fresh_rng()
     block = _BlockRows(rng, rows)
     got = []
-    for _ in range(max(3, 3 * 4096 // rows + 2)):
+    for _ in range(max(3, 3 * 2 * _RAW_PIECE // rows + 2)):
         got.append(block._sign().copy())
         m = block.running_sum.size
         if shrink and m > 1:                    # one row stops each step
@@ -145,16 +146,14 @@ def test_block_row_signs_match_int32_integers(rows, shrink):
 @pytest.mark.parametrize("skip", [0, 1, 2, 3, 4, 5, 7, 8, 255, 256, 257,
                                   512 * 67 + 3])
 def test_cursor_is_a_copy_skip_outputs_ahead(skip):
-    """_cursor draws what the stream would after skip raw outputs, and
-    leaves the stream it copies where it was."""
+    """_cursor is a Philox bit generator that draws the raw outputs the
+    stream would after skip of them, and leaves the stream it copies where
+    it was."""
     rng = _fresh_rng()
     rng.random(512 * 4)                         # whole blocks of 4 outputs
-    ahead = _cursor(rng, skip)
-    want = _fresh_rng()
-    want.random(512 * 4)
-    want.bit_generator.random_raw(skip)
-    assert np.array_equal(ahead.integers(0, 2, size=9, dtype=np.int32),
-                          want.integers(0, 2, size=9, dtype=np.int32))
-    assert np.array_equal(ahead.bit_generator.random_raw(6),
-                          want.bit_generator.random_raw(6))
+    ahead = _cursor(rng.bit_generator, skip)
+    assert isinstance(ahead, np.random.Philox)
+    want = _fresh_rng().bit_generator
+    want.random_raw(512 * 4 + skip)
+    assert np.array_equal(ahead.random_raw(15), want.random_raw(15))
     assert np.array_equal(rng.random(5), _fresh_rng().random(512 * 4 + 5)[-5:])
