@@ -279,13 +279,11 @@ class Product(Law):
         sz*cap outputs ahead, draws the signs, so a chunk is drawn and
         stepped a sub-chunk of rows at a time; a sub-chunk keeps its draws
         as bits, 2 bytes a cell, and the arithmetic runs in column tiles,
-        the nodes of np.sum's pairwise tree over a row, up to the
-        sub-chunk's last crossing.  The buffers are allocated once a
-        block."""
+        the leaves of np.sum's pairwise tree over a row (``_pairwise``),
+        up to the sub-chunk's last crossing.  The buffers are allocated
+        once a block."""
         rows, width = _sub_chunk(size, cap)
-        nodes, depth = _pairwise_nodes(cap, width)
-        cols = max(c1 - c0 for c0, c1 in filter(None, nodes))
-        buf = _TileBuffers(rows, cap, cols, depth)
+        buf = _TileBuffers(rows, cap, min(cap, max(width, _PAIRWISE_LEAF)))
         grows = _growth_test(self.p_growth)
         nu = np.full(size, cap, dtype=np.int64)     # cap: not crossed yet
         # S_nu, X_{nu+1}, Y_nu, v_before and sigma^2_nu
@@ -297,35 +295,28 @@ class Product(Law):
             for r0 in range(start, end, rows):
                 r1 = min(r0 + rows, end)
                 spare = buf.draw(bits, signs, r1 - r0, grows, spare)
-                self._step_rows(n, cap, nodes, buf, nu[r0:r1],
+                self._step_rows(n, cap, width, buf, nu[r0:r1],
                                 *(col[r0:r1] for col in out))
             bits = signs                            # past the chunk's signs
         return _stopped(n, nu, *out)
 
-    def _step_rows(self, n, cap, nodes, buf, nu, s_nu, x_nu, y_nu,
+    def _step_rows(self, n, cap, width, buf, nu, s_nu, x_nu, y_nu,
                    v_before, sig_nu):
         """The stopped columns, without gamma and S'_nu, of the rows drawn
         into buf, written into nu, ..., sig_nu.  S_nu is np.sum over a
         dense row of cap masked increments X_{k+1} 1{k < nu}, taken along
-        its pairwise tree (``nodes``): each tile's increments are summed
-        by np.add.reduce, a tile past the last crossing sums to +0.0, and
-        the node sums are added up the tree, which gives np.sum's bits."""
+        its pairwise tree by ``_pairwise``: each tile, left to right, sums
+        its increments by np.add.reduce, or to 0.0 once every row has
+        crossed, which gives np.sum's bits."""
         m = nu.size
         grow, zeta = buf.grow[:m], buf.zeta[:m]
         growth = np.zeros(m, dtype=np.intp)         # N_k at the tile's first k
         v = np.zeros(m)                             # sum of sigma^2_j, j < k
-        sums, held, live = buf.sums, 0, True
-        for node in nodes:
-            if node is None:                        # add the last two sums
-                held -= 1
-                np.add(sums[held - 1, :m], sums[held, :m],
-                       out=sums[held - 1, :m])
-                continue
-            held += 1
-            if not live:
-                sums[held - 1, :m] = 0.0
-                continue
-            c0, c1 = node
+
+        def tile(c0, c1):
+            nonlocal growth, v
+            if np.all(nu < cap):                    # never at the first tile
+                return 0.0
             w = c1 - c0
             counts = buf.tile(buf.counts, m, w)     # dead once a is read
             counts[:, 0] = growth
@@ -357,29 +348,29 @@ class Product(Law):
             x_nu[rows] = a[rows, j]
             # X_{k+1} 1{k < nu}, a signed zero from k = nu on
             np.multiply(a, 0.0, out=a, where=hit)
-            np.add.reduce(a, axis=1, out=sums[held - 1, :m])
-            live = not np.all(nu < cap)
-        if live:
+            return np.add.reduce(a, axis=1)
+
+        total = _pairwise(0, cap, width, tile)
+        if not np.all(nu < cap):
             raise _overflow(cap, n, "product")
-        s_nu[:] = sums[0, :m]
+        s_nu[:] = total
 
 
 class _TileBuffers:
     """What one product block reuses for each sub-chunk: its draws, a bool
     growth bit and an int8 sign a cell; a tile's amplitudes, variance sums
     and hits, with the growth counts (intp) in the variance sums' buffer,
-    which they leave before it is written: 17 bytes a tile cell; and the
-    node sums of the pairwise tree.  Allocated once a block, since fresh
-    arrays of 128 KiB or more are mapped anew on every call."""
+    which they leave before it is written: 17 bytes a cell of a tile of
+    at most ``cols`` columns.  Allocated once a block, since fresh arrays
+    of 128 KiB or more are mapped anew on every call."""
 
-    def __init__(self, rows, cap, cols, depth):
+    def __init__(self, rows, cap, cols):
         self.grow = np.empty((rows, cap), dtype=bool)
         self.zeta = np.empty((rows, cap), dtype=np.int8)
         self.amp = np.empty(rows * cols)
         self.csum = np.empty(rows * (cols + 1))
         self.counts = self.csum.view(np.intp)
         self.hit = np.empty(rows * cols, dtype=bool)
-        self.sums = np.empty((depth, rows))
 
     @staticmethod
     def tile(flat, m, w):
@@ -433,8 +424,8 @@ def _sub_chunk(size, cap):
     sub-chunks, the last one smaller, of at most as many rows as the draw
     budget holds at 2 bytes a cell (one at least) and a 2^15-cell tile of
     min(cap, 256) columns holds: 128 from cap 256 on.  Width columns hold
-    2^15 cells; a tile is a node of the pairwise tree of at most
-    max(width, 128) columns (``_pairwise_nodes``)."""
+    2^15 cells; a tile is a leaf of the pairwise tree of at most
+    max(width, 128) columns (``_pairwise``)."""
     chunk = min(size, _PRODUCT_CHUNK)
     most = max(1, min(chunk, _PRODUCT_BUDGET // (_PRODUCT_CELL_BYTES * cap),
                       _PRODUCT_TILE_CELLS // min(cap, _PRODUCT_TILE)))
@@ -442,25 +433,19 @@ def _sub_chunk(size, cap):
     return rows, _PRODUCT_TILE_CELLS // rows
 
 
-def _pairwise_nodes(cap, width):
-    """np.add.reduce's pairwise tree over a row of cap values, cut into
-    column tiles: a node longer than max(width, 128) splits at
-    n2 = n//2 - (n//2) % 8, as numpy splits it, and the others are tiles,
-    which np.add.reduce sums along the same subtree.  Returns the tree in
-    post-order, (c0, c1) for a tile and None for adding the last two node
-    sums, and the most node sums held at once."""
-    nodes = []
-
-    def walk(c0, size, held):
-        if size <= max(width, _PAIRWISE_LEAF):
-            nodes.append((c0, c0 + size))
-            return held + 1
-        half = size // 2 - size // 2 % 8
-        most = max(walk(c0, half, held), walk(c0 + half, size - half, held + 1))
-        nodes.append(None)
-        return most
-
-    return nodes, walk(0, cap, 0)
+def _pairwise(c0, c1, width, tile):
+    """A row's sum over columns c0..c1 with np.add.reduce's bits: a run
+    longer than max(width, 128) splits at n2 = n//2 - (n//2) % 8, as
+    numpy splits it, into halves summed left first, so ``tile(c0, c1)``
+    sees the shorter runs, its tiles, left to right, and each returns
+    np.add.reduce's sum over its columns or 0.0 (x + 0.0 has the bits of
+    x plus a +0.0 array)."""
+    size = c1 - c0
+    if size <= max(width, _PAIRWISE_LEAF):
+        return tile(c0, c1)
+    half = size // 2 - size // 2 % 8
+    left = _pairwise(c0, c0 + half, width, tile)
+    return left + _pairwise(c0 + half, c1, width, tile)
 
 
 def _cursor(bits, skip):

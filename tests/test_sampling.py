@@ -251,6 +251,11 @@ ORACLE_CASES = [
     ("product", {"p_growth": 0.5}, 300.0, (1000, 7)),
     ("product", {"p_growth": 1.0}, 700.0, (1000, 7)),
     ("product", {"a_lo": 1.1, "p_growth": 0.0}, 200 * 1.1 ** 2, (1000, 7)),
+    # nu <= 189 against caps of 3002 and 3001, in 103-row sub-chunks of
+    # width 318: whole subtrees past the last crossing sum to 0.0 at
+    # several levels of the pairwise tree
+    ("product", {"a_hi": 4.0, "p_growth": 1.0}, 3000.0, (4096, 1000, 7)),
+    ("product", {"a_hi": 4.0, "p_growth": 1.0}, 2999.0, (1000, 7)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 512.0, (4096,)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 1024.0, (4096,)),
     ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 64.0,
@@ -351,42 +356,45 @@ class TestRawPieces:
         TestProductSubChunks.assert_matches({}, n, size, rows)
 
 
+def pairwise_leaves(cap, width):
+    """The (c0, c1) of each tile that ``models._pairwise`` asks for over a
+    row of cap columns, in the order it asks."""
+    leaves = []
+    models._pairwise(0, cap, width,
+                     lambda c0, c1: leaves.append((c0, c1)) or 0.0)
+    return leaves
+
+
 class TestPairwiseNodes:
-    """The product sampler's column tiles are nodes of np.add.reduce's
-    pairwise tree over a row; their sums, added up the tree, are np.sum's
-    bits over the dense row, signed zeros included."""
+    """The product sampler sums a row along np.add.reduce's pairwise tree
+    (``models._pairwise``), a column tile at each leaf; with np.add.reduce
+    at the leaves it gives np.sum's bits over the dense row, signed zeros
+    included."""
 
     CAPS = [*range(1, 2101), 4098, 16386, 262146]
 
     @staticmethod
-    def tree_sum(x, nodes, depth, end):
-        """The node sums of x's rows added up the tree, each tile from
-        column ``end`` on summing to +0.0 without being read."""
-        sums = []
-        for node in nodes:
-            if node is None:
-                right = sums.pop()
-                sums[-1] = sums[-1] + right
-            else:
-                c0, c1 = node
-                sums.append(np.add.reduce(x[:, c0:c1], axis=1) if c0 < end
-                            else np.zeros(len(x)))
-                assert len(sums) <= depth
-        (total,) = sums
-        return total
+    def width(cap, sampler_width):
+        """1, so that every run longer than 128 splits as numpy splits it,
+        or the width of the sampler's sub-chunks at this cap."""
+        return models._sub_chunk(BLOCK_SIZE, cap)[1] if sampler_width else 1
 
-    # width 1: every node longer than 128 splits, as numpy splits it; and
-    # the width of the sampler's sub-chunks at this cap
+    # numpy adds at most 128 values in one unrolled loop
     @pytest.mark.parametrize("sampler_width", [False, True])
-    def test_tree_sum_is_numpy_sum(self, sampler_width):
+    def test_leaves_cover_the_row_in_order(self, sampler_width):
+        for cap in self.CAPS:
+            width = self.width(cap, sampler_width)
+            tiles = pairwise_leaves(cap, width)
+            assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]]
+            assert tiles[-1][1] == cap
+            assert all(c1 - c0 <= max(width, 128) for c0, c1 in tiles), cap
+
+    @pytest.mark.parametrize("sampler_width", [False, True])
+    def test_pairwise_is_numpy_sum(self, sampler_width):
         rng = np.random.default_rng(11)
         for cap in self.CAPS:
-            width = (models._sub_chunk(BLOCK_SIZE, cap)[1] if sampler_width
-                     else 1)
-            nodes, depth = models._pairwise_nodes(cap, width)
-            tiles = [node for node in nodes if node]
-            assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]]
-            assert tiles[-1][1] == cap and len(nodes) == 2 * len(tiles) - 1
+            width = self.width(cap, sampler_width)
+            tiles = pairwise_leaves(cap, width)
             x = rng.standard_normal((3, cap)) * np.exp(
                 rng.uniform(-30.0, 30.0, (3, cap)))
             # each row's zero tail starts at a random column, signed as
@@ -400,7 +408,13 @@ class TestPairwiseNodes:
             for row, k in zip(x, tail):
                 row[k:end] *= 0.0
                 row[end:] = 0.0
-            got = self.tree_sum(x, nodes, depth, end)
+
+            def leaf(c0, c1):
+                """A tile from column ``end`` on sums to 0.0 unread."""
+                return (np.add.reduce(x[:, c0:c1], axis=1) if c0 < end
+                        else 0.0)
+
+            got = models._pairwise(0, cap, width, leaf)
             want = np.add.reduce(x, axis=1)
             assert np.array_equal(got, want), cap
             assert np.array_equal(np.signbit(got), np.signbit(want)), cap
@@ -420,8 +434,7 @@ class TestProductSubChunks:
         cap = spec.step_cap(n)
         got_rows, width = models._sub_chunk(size, cap)
         assert got_rows == rows
-        nodes, _ = models._pairwise_nodes(cap, width)
-        for c0, c1 in filter(None, nodes):
+        for c0, c1 in pairwise_leaves(cap, width):
             assert (c1 - c0 <= models._PAIRWISE_LEAF
                     or rows * (c1 - c0) <= models._PRODUCT_TILE_CELLS)
         got = spec.law.sample_block(n, size, block_rng(), cap)
@@ -484,7 +497,7 @@ class TestProductSubChunks:
     # of raw outputs, split inside a row
     def test_leaf_wider_than_the_width(self, monkeypatch):
         monkeypatch.setattr(models, "_sub_chunk", lambda size, cap: (512, 64))
-        assert models._pairwise_nodes(66, 64) == ([(0, 66)], 1)
+        assert pairwise_leaves(66, 64) == [(0, 66)]
         self.assert_matches({}, 64.0, 1000, 512)
 
     @pytest.mark.parametrize("n", [64.0, 256.0, 1024.0, 2048.0, 4096.0,
