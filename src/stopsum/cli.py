@@ -2,7 +2,7 @@
 
 Experiments are described by a flat JSON config file, optionally overridden
 by flags; the same config and master seed always produce byte-identical
-report files, whatever the worker count.
+report files.
 
 Config keys: model, n_list, reps, seed, delta, checks, out, format, plus the
 parameters of the model kind (the ``defaults`` of its class in

@@ -108,12 +108,19 @@ def _concat(parts):
 
 def _check_threshold(spec, n):
     """The start gate of every engine: n >= 2 sigma^2_0, so that a stop at
-    nu = 1, where v_before = sigma^2_0, still has gamma > 0."""
+    nu = 1, where v_before = sigma^2_0, still has gamma > 0; and n within
+    reach of the step cap.  Where max_steps clamps the cap, n above
+    2 * cap * (largest sigma^2) is beyond any float sum of cap variances
+    (their rounding error is far below the factor 2), so no path stops and
+    the gate raises the engines' overflow before a step is drawn."""
     if n < 2.0 * spec.sigma0_sq_max:
         raise DegenerateStartError(
             f"n = {n} < 2 * max sigma^2_0 = {2.0 * spec.sigma0_sq_max}; "
             "the nu = 1 edge could make gamma nonpositive"
         )
+    cap = spec.step_cap(n)
+    if n > 2.0 * cap * float(spec.law.variances.max()):
+        raise _overflow(cap, n, spec.kind)
 
 
 # a threshold holds its whole batch and the CF probe's temporaries at once,

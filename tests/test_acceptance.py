@@ -12,11 +12,10 @@ line (visible with ``pytest -s`` or in captured output).  Criteria:
  6. pathwise exponential-sum inequality: zero violations
  7. smoothing-inequality quadrature on injected Gaussians
  8. model hypothesis validation, including exact boundary equality
- 9. byte-identical reports across worker counts
+ 9. byte-identical reports against the committed golden reports
 """
 
 import math
-import os
 
 import mpmath
 import numpy as np
@@ -38,8 +37,9 @@ from stopsum import (
     theorem_bound_H,
     validate_model,
 )
-from stopsum.cli import build_config, run_experiment
 from stopsum.models import derive_seed
+
+from golden.regen import HERE as GOLDEN, moved_cells, recorded, run_set
 
 mpmath.mp.dps = 40
 
@@ -219,42 +219,16 @@ def test_criterion_8_model_validation(_verdict):
     assert _verdict(8, ok, "validate_model passes; boundary case has zero slack")
 
 
-def test_criterion_9_worker_determinism(tmp_path, monkeypatch, _verdict):
-    def run(tag, workers):
-        monkeypatch.setenv("STOPSUM_WORKERS", str(workers))
-        blobs = {}
-        for kind, spec in SPECS.items():
-            out = tmp_path / f"{tag}_{kind}"
-            argv = ["--model", kind, "--n-list", "16,24,32,48",
-                    "--reps", "4000", "--seed", str(MASTER_SEED),
-                    "--checks", "distance,cf,lemma1,esseen,rate",
-                    "--out", str(out)]
-            if kind == "regime_switch":
-                argv = ["--config", str(_regime_cfg(tmp_path, tag, out))]
-            cfg = build_config(argv)
-            status, _records, files = run_experiment(cfg)
-            assert status == 0
-            for path in files:
-                key = os.path.basename(path).replace(tag, "X")
-                blobs[key] = open(path, "rb").read()
-        return blobs
-
-    def _regime_cfg(base, tag, out):
-        import json
-
-        path = base / f"{tag}_regime.cfg.json"
-        path.write_text(json.dumps({
-            "model": "regime_switch", "v_lo": 0.25, "v_hi": 4.0,
-            "n_list": [16, 24, 32, 48], "reps": 4000, "seed": MASTER_SEED,
-            "checks": ["distance", "cf", "lemma1", "esseen", "rate"],
-            "out": str(out),
-        }))
-        return path
-
-    one = run("w1", 1)
-    four = run("w4", 4)
-    ok = one == four and len(one) > 0
-    assert _verdict(
-        9, ok,
-        f"{len(one)} report files byte-identical for 1 vs 4 workers",
-    )
+def test_criterion_9_golden_reports(tmp_path, _verdict):
+    # the committed reports of every kind at n = 16..48, R = 4000, all checks
+    moved, files = [], 0
+    for kind in ("iid", "product", "regime"):
+        set_dir = GOLDEN / f"{kind}-small"
+        want_status, want = recorded(set_dir)
+        status, got = run_set(set_dir, tmp_path / kind)
+        assert status == want_status == 0
+        moved += moved_cells(want, got)
+        files += len(got)
+    ok = not moved and files == 27
+    assert _verdict(9, ok, f"{files} report files match the golden reports"
+                    + "".join(f"\n  moved {m}" for m in moved))

@@ -197,6 +197,22 @@ class TestMain:
         assert err.startswith("stopsum: path overflow:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("checks", ["distance", "lemma1"])
+    @pytest.mark.parametrize("kind", stopsum.KINDS)
+    def test_unreachable_threshold_exit_2(self, monkeypatch, capsys, kind,
+                                          checks):
+        # no 10^7 steps reach n = 1e300: the start gate stops the run
+        def drawn(*args):
+            raise AssertionError("a step or block was drawn")
+
+        monkeypatch.setattr(stopsum.LAWS[kind], "sample_block", drawn)
+        monkeypatch.setattr(stopsum.LAWS[kind], "step", drawn)
+        assert main(["--model", kind, "--n-list", "1e300",
+                     "--checks", checks]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"stopsum: path overflow: no stop after 10000000 "
+                       f"steps (n = 1e+300, kind = {kind})\n")
+
     def test_rows_read_the_harness_verdicts(self, monkeypatch):
         reports = []
 
@@ -294,8 +310,7 @@ class TestCfGate:
 
 
 class TestDeterminism:
-    def _run(self, tmp_path, tag, workers, monkeypatch, fmt="csv"):
-        monkeypatch.setenv("STOPSUM_WORKERS", str(workers))
+    def _run(self, tmp_path, tag, fmt="csv"):
         out = tmp_path / tag
         cfg = tmp_path / f"{tag}.cfg.json"
         cfg.write_text(json.dumps({
@@ -310,19 +325,14 @@ class TestDeterminism:
         return {name.replace(tag, "X"): (tmp_path / name).read_bytes()
                 for name in names}
 
-    def test_rerun_byte_identical(self, tmp_path, monkeypatch):
-        a = self._run(tmp_path, "a", 1, monkeypatch)
-        b = self._run(tmp_path, "b", 1, monkeypatch)
+    def test_rerun_byte_identical(self, tmp_path):
+        a = self._run(tmp_path, "a")
+        b = self._run(tmp_path, "b")
         assert a == b
 
-    def test_worker_count_byte_identical(self, tmp_path, monkeypatch):
-        a = self._run(tmp_path, "w1", 1, monkeypatch)
-        b = self._run(tmp_path, "w4", 4, monkeypatch)
-        assert a == b
-
-    def test_csv_json_numeric_equality(self, tmp_path, monkeypatch):
-        self._run(tmp_path, "c", 1, monkeypatch, fmt="csv")
-        self._run(tmp_path, "j", 1, monkeypatch, fmt="json")
+    def test_csv_json_numeric_equality(self, tmp_path):
+        self._run(tmp_path, "c", fmt="csv")
+        self._run(tmp_path, "j", fmt="json")
         csv_lines = (tmp_path / "c.csv").read_text().strip().split("\n")
         header = csv_lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in csv_lines[1:]]

@@ -105,6 +105,21 @@ class TestStepCapOverflow:
         assert len(set(got.values())) == 1, got
         assert got["batch"].startswith(f"n = {n} < 2 * max sigma^2_0")
 
+    def test_unreachable_threshold_raises_before_any_draw(self, spec,
+                                                          monkeypatch):
+        # 10 steps at the largest variance reach less than half of n
+        small = ModelSpec(spec.kind, {}, max_steps=10)
+        n = 21.0 * float(small.law.variances.max())
+
+        def drawn(*args):
+            raise AssertionError("a step or block was drawn")
+
+        monkeypatch.setattr(small.law, "sample_block", drawn)
+        monkeypatch.setattr(small.law, "step", drawn)
+        got = self.messages(PathOverflowError, small, n)
+        want = f"no stop after 10 steps (n = {n}, kind = {spec.kind})"
+        assert got == dict.fromkeys(ENGINES, want)
+
     @pytest.mark.parametrize("max_steps,fits", [(64, True), (63, False)])
     def test_same_boundary_in_both_engines(self, max_steps, fits):
         # unit variance at n = 64 stops at nu = 63

@@ -18,9 +18,8 @@ from stopsum import (
     run_path,
     sample_stopped_batch,
 )
-from stopsum import models, sampling
+from stopsum import models
 from stopsum.models import compute_gamma
-from stopsum.sampling import worker_count
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -32,9 +31,11 @@ COLUMNS = ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu", "v_before",
            "sigma_nu_sq")
 
 
-def assert_batch_equal(a, b):
+def assert_batch_equal(a, b, rows=None):
+    """Equal columns, over the first ``rows`` rows of each if given."""
     for name in COLUMNS:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(getattr(a, name)[:rows],
+                                      getattr(b, name)[:rows])
 
 
 class TestDeterminism:
@@ -45,28 +46,15 @@ class TestDeterminism:
         assert_batch_equal(a, b)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-    def test_worker_count_does_not_change_output(self, spec, monkeypatch):
-        # worker_count is patched so that the pool runs on a 1-CPU host too
-        batches = []
-        for workers in (1, 4):
-            monkeypatch.setattr(sampling, "worker_count", lambda: workers)
-            batches.append(sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE, 9))
-        assert_batch_equal(*batches)
-
-    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
-        # a huge STOPSUM_WORKERS would start one thread per block
-        monkeypatch.setenv("STOPSUM_WORKERS", str(10**6))
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        assert worker_count() == cpus
-        monkeypatch.setenv("STOPSUM_WORKERS", "1")
-        assert worker_count() == 1
-
-    def test_block_prefix_property(self):
-        # rows of the first block do not depend on how many later blocks exist
-        a = sample_stopped_batch(REGIME, 64.0, BLOCK_SIZE, 9)
-        b = sample_stopped_batch(REGIME, 64.0, 2 * BLOCK_SIZE + 7, 9)
-        np.testing.assert_array_equal(a.s_nu, b.s_nu[:BLOCK_SIZE])
+    def test_block_prefix_property(self, spec):
+        # rows of the first blocks do not depend on how many blocks, whole
+        # or short, come after them
+        full = sample_stopped_batch(spec, 64.0, 3 * BLOCK_SIZE + 7, 9)
+        assert full.size == 3 * BLOCK_SIZE + 7
+        for blocks in (1, 3):
+            rows = blocks * BLOCK_SIZE
+            assert_batch_equal(sample_stopped_batch(spec, 64.0, rows, 9),
+                               full, rows)
 
 
 class TestStoppedInvariants:
