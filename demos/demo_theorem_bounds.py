@@ -10,7 +10,8 @@ bounded iid kind), so the margins widen with n.
 Run:  python3 demos/demo_theorem_bounds.py     (about 20 s)
 """
 
-from stopsum import ModelSpec, estimate_distances, rate_fit
+from stopsum import (ModelSpec, rate_fit, report_from_batch,
+                     sample_stopped_batch)
 
 SPECS = {
     "iid_bounded": ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0}),
@@ -28,7 +29,8 @@ print("-" * len(header))
 for kind, spec in SPECS.items():
     reports = []
     for i, n in enumerate(N_GRID):
-        rep = estimate_distances(spec, n, R, seed=100 + i)
+        batch = sample_stopped_batch(spec, n, R, seed=100 + i)
+        rep = report_from_batch(batch, n)
         reports.append(rep)
         print(f"{kind:14s} {n:6.0f} {rep.d_f.d_sup:8.4f} {rep.bound_f:8.4f} "
               f"{rep.d_h.d_sup:8.4f} {rep.bound_h:8.4f} {rep.a_n_hat:6.3f}")

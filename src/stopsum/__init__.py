@@ -14,10 +14,8 @@ from .harness import (
     EsseenResult,
     InequalityCheck,
     RateFit,
-    cf_probe,
     esseen_numeric,
     estimate_a_n,
-    estimate_distances,
     make_t_grid,
     probe_from_batch,
     rate_fit,

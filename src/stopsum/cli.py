@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ConfigurationError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigurationError("n_list must be strictly increasing")
-        floor = 2.0 * self.model.sigma0_sq_max
+        floor = 2.0 * self.model.law.sigma0_sq_max
         for n in self.n_list:
             if not floor <= n < math.inf:
                 raise ConfigurationError(
@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ConfigurationError("seed must be >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
+        if not math.isfinite(2.0 / self.delta):
+            raise ConfigurationError(
+                f"delta = {self.delta} is too small: 2/delta overflows")
         bad = set(self.checks) - set(CHECKS)
         if bad:
             raise ConfigurationError(f"unknown checks: {sorted(bad)}")

@@ -20,13 +20,12 @@ import numpy as np
 
 from .normal import (DEFAULT_DELTA, DistanceResult, EmpiricalCdf,
                      kolmogorov_distance, std_normal_cdf)
-from .sampling import sample_stopped_batch
 
 __all__ = [
     "BoundReport", "CfProbe", "InequalityCheck", "EsseenResult", "RateFit",
     "theorem_bound_F", "theorem_bound_H", "estimate_a_n",
-    "estimate_distances", "report_from_batch", "make_t_grid", "cf_probe",
-    "probe_from_batch", "esseen_numeric", "rate_fit", "RATE_BOUND",
+    "report_from_batch", "make_t_grid", "probe_from_batch", "esseen_numeric",
+    "rate_fit", "RATE_BOUND",
 ]
 
 
@@ -125,25 +124,16 @@ def report_from_batch(batch, n, delta=DEFAULT_DELTA):
     )
 
 
-def estimate_distances(spec, n, r, seed, delta=DEFAULT_DELTA):
-    """Run r stopped paths and compare both sup-distances to the bounds."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    batch = sample_stopped_batch(spec, n, r, seed)
-    return report_from_batch(batch, n, delta=delta)
-
-
 # characteristic-function inequalities
 
-def make_t_grid(y, count=129):
-    """Symmetric grid on [-y, y] clustered at 0 and at the endpoints.
+def make_t_grid(y):
+    """The 129-point grid on [-y, y] that ``esseen_numeric`` needs,
+    symmetric and clustered at 0 and at the endpoints.
 
     The smoothing integrand varies fastest near 0 and +/-y, so points are
-    placed at +/- y sin^2(pi j / 2m); 0 is always included.
+    placed at +/- y sin^2(pi j / 2m), j = 0..m, m = 64; 0 is included.
     """
-    if count < 3 or count % 2 == 0:
-        raise ValueError("count must be an odd integer >= 3")
-    m = count // 2
+    m = 64
     half = y * np.sin(0.5 * np.pi * np.arange(m + 1) / m) ** 2
     return np.concatenate([-half[:0:-1], half])
 
@@ -432,12 +422,6 @@ def probe_from_batch(batch, n, t_grid):
     return CfProbe(t_grid=t_grid, c3=grid.expand(c3, mirrored=True),
                    se3=grid.expand(se3), checks=checks, a_n_eval=a,
                    r=batch.size)
-
-
-def cf_probe(spec, n, r, t_grid, seed):
-    """Sample r stopped paths and probe the CF inequalities on t_grid."""
-    batch = sample_stopped_batch(spec, n, r, seed)
-    return probe_from_batch(batch, n, t_grid)
 
 
 # smoothing-inequality quadrature

@@ -30,6 +30,7 @@ __all__ = [
     "LAWS",
     "Lanes",
     "MAX_REPS",
+    "MAX_STEPS",
     "ModelSpec",
     "ModelState",
     "StepOutput",
@@ -109,13 +110,14 @@ def _concat(parts):
 def _check_threshold(spec, n):
     """The start gate of every engine: n >= 2 sigma^2_0, so that a stop at
     nu = 1, where v_before = sigma^2_0, still has gamma > 0; and n within
-    reach of the step cap.  Where max_steps clamps the cap, n above
+    reach of the step cap.  Where MAX_STEPS clamps the cap, n above
     2 * cap * (largest sigma^2) is beyond any float sum of cap variances
     (their rounding error is far below the factor 2), so no path stops and
     the gate raises the engines' overflow before a step is drawn."""
-    if n < 2.0 * spec.sigma0_sq_max:
+    sigma0_sq = spec.law.sigma0_sq_max
+    if n < 2.0 * sigma0_sq:
         raise DegenerateStartError(
-            f"n = {n} < 2 * max sigma^2_0 = {2.0 * spec.sigma0_sq_max}; "
+            f"n = {n} < 2 * max sigma^2_0 = {2.0 * sigma0_sq}; "
             "the nu = 1 edge could make gamma nonpositive"
         )
     cap = spec.step_cap(n)
@@ -127,6 +129,8 @@ def _check_threshold(spec, n):
 # about 150 bytes per path at peak, 200 for the product kind, whose sample
 # values are mostly distinct (1.5 to 2 GB at this ceiling)
 MAX_REPS = 10**7
+# the hard step cap of every path, whatever n and the variance floor
+MAX_STEPS = 10_000_000
 
 
 def _largest_y(y):
@@ -537,11 +541,10 @@ KINDS = tuple(LAWS)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model kind plus its flat parameter set and a hard step cap."""
+    """Model kind plus its flat parameter set."""
 
     kind: str
     params: dict
-    max_steps: int = 10_000_000
     law: Law = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -560,23 +563,13 @@ class ModelSpec:
         if not all(map(math.isfinite, merged.values())):
             raise ConfigurationError(f"{self.kind} parameters must be finite")
         object.__setattr__(self, "params", merged)
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be positive")
         object.__setattr__(self, "law", LAWS[self.kind](**merged))
 
-    @property
-    def variance_floor(self):
-        """Lower bound on sigma^2_k, valid on every path."""
-        return self.law.variance_floor
-
-    @property
-    def sigma0_sq_max(self):
-        """Largest possible first conditional variance sigma^2_0."""
-        return self.law.sigma0_sq_max
-
     def step_cap(self, n):
-        """Worst-case path length for threshold n, clamped by max_steps."""
-        return min(self.max_steps, math.ceil(n / self.variance_floor) + 2)
+        """Worst-case path length for threshold n, clamped by MAX_STEPS;
+        the quotient is clamped first, so an inf one gives MAX_STEPS."""
+        steps = min(n / self.law.variance_floor, MAX_STEPS)
+        return min(MAX_STEPS, math.ceil(steps) + 2)
 
 
 @dataclass(frozen=True)
@@ -704,9 +697,9 @@ def step_model(state):
     """Advance a ModelState one step, emitting (X_{k+1}, sigma^2_k, Y_k):
     the level that the history selects, then X_{k+1} = sign * sigma_k."""
     spec = state.spec
-    if state.step >= spec.max_steps:
+    if state.step >= MAX_STEPS:
         raise PathOverflowError(
-            f"step cap {spec.max_steps} reached for kind {spec.kind}"
+            f"step cap {MAX_STEPS} reached for kind {spec.kind}"
         )
     sign, level = spec.law.step(state)
     sigma_sq, sd, y = spec.law.levels[level]

@@ -114,6 +114,8 @@ def dkw_halfwidth(r, delta=DEFAULT_DELTA):
         raise ValueError(f"sample count must be >= 1, got {r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not math.isfinite(2.0 / delta):
+        raise ValueError(f"delta = {delta} is too small: 2/delta overflows")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * r))
 
 

@@ -153,9 +153,9 @@ def _lemma1_lhs(prefix, c):
 
 @dataclass(frozen=True)
 class Lemma1Result:
-    lhs: float
-    rhs: float
-    margin: float
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
 
     @property
     def ok(self):
@@ -169,29 +169,22 @@ def lemma1_check(paths, t, n):
     with P_j = sum_{p=0}^{j-1} sigma^2_p, against
     RHS = exp(t^2/2) * (1 + Y_nu^2 t^2 / n).
 
-    ``paths`` is a StoppedSample or a StoppedPaths;
-    ``t`` is a float or a sequence.  The result's arrays have the shape
-    (paths, t) with either axis dropped for a single path or a float t,
-    and floats when both are.  Each LHS is np.sum over exactly its path's
-    nu terms (pairwise summation, whose rounding depends on the count) and
-    each RHS is evaluated in floats, so a path's result does not depend on
-    the other paths checked with it.
+    ``paths`` is a StoppedSample (one row) or a StoppedPaths, and ``t`` a
+    sequence; the result's arrays have the shape (paths, t).  Each LHS is
+    np.sum over exactly its path's nu terms (pairwise summation, whose
+    rounding depends on the count) and each RHS is evaluated in floats, so
+    a path's result does not depend on the other paths checked with it.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-    ts = t.reshape(-1)
-    c = ts * ts / (2.0 * n)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError("t must be a sequence of finite values")
+    c = t * t / (2.0 * n)
     y_nu = np.atleast_1d(paths.y_nu)
-    lhs = np.empty((y_nu.size, ts.size))
+    lhs = np.empty((y_nu.size, t.size))
     for rows, prefix in paths.prefixes():
         lhs[rows] = _lemma1_lhs(prefix, c)
     # Y_nu takes few values (one per variance level at most)
     ys, which = np.unique(y_nu, return_inverse=True)
     rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
-                     for tj in ts.tolist()] for y in ys.tolist()])[which]
-    shape = np.shape(paths.y_nu) + t.shape
-    lhs, rhs = lhs.reshape(shape), rhs.reshape(shape)
-    if not shape:
-        lhs, rhs = float(lhs), float(rhs)
+                     for tj in t.tolist()] for y in ys.tolist()])[which]
     return Lemma1Result(lhs=lhs, rhs=rhs, margin=rhs - lhs)

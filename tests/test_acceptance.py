@@ -24,13 +24,13 @@ import pytest
 from stopsum import (
     CfProbe,
     ModelSpec,
-    cf_probe,
     esseen_numeric,
-    estimate_distances,
     init_model,
     lemma1_check,
     make_t_grid,
+    probe_from_batch,
     rate_fit,
+    report_from_batch,
     run_path,
     sample_stopped_batch,
     theorem_bound_F,
@@ -74,7 +74,8 @@ def bound_reports():
     for k, (kind, spec) in enumerate(SPECS.items()):
         for i, n in enumerate(N_GRID):
             seed = derive_seed(MASTER_SEED, k, i)
-            out[(kind, n)] = estimate_distances(spec, n, THEOREM_R, seed)
+            batch = sample_stopped_batch(spec, n, THEOREM_R, seed)
+            out[(kind, n)] = report_from_batch(batch, n)
     return out
 
 
@@ -152,8 +153,9 @@ def test_criterion_4_rate_slope(bound_reports, _verdict):
 
 def test_criterion_5_cf_inequalities(_verdict):
     t_grid = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
-    probe = cf_probe(SPECS["iid_bounded"], 1024.0, 1_000_000, t_grid,
-                     derive_seed(MASTER_SEED, 4))
+    batch = sample_stopped_batch(SPECS["iid_bounded"], 1024.0, 1_000_000,
+                                 derive_seed(MASTER_SEED, 4))
+    probe = probe_from_batch(batch, 1024.0, t_grid)
     ok = probe.passed
     n_limited = sum(c.resolution_limited for c in probe.checks)
     assert _verdict(
@@ -170,10 +172,9 @@ def test_criterion_6_pathwise_exponential_inequality(_verdict):
     for k, spec in enumerate(SPECS.values()):
         for path in range(10_000):
             state = init_model(spec, derive_seed(MASTER_SEED, 5, k, path))
-            sample = run_path(state, 64.0)
-            for t in t_values:
-                violations += not lemma1_check(sample, t, 64.0).ok
-                n_checks += 1
+            res = lemma1_check(run_path(state, 64.0), t_values, 64.0)
+            violations += np.count_nonzero(~res.ok)
+            n_checks += res.ok.size
     ok = violations == 0
     assert _verdict(
         6, ok, f"{violations} violations over {n_checks} pathwise checks"

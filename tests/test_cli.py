@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stopsum
-from stopsum import ConfigurationError, InequalityCheck, cli, harness
+from stopsum import ConfigurationError, InequalityCheck, cli, harness, models
 from stopsum.cli import ExperimentConfig, build_config, emit_report, main
 from stopsum.models import ModelSpec
 
@@ -77,6 +77,7 @@ class TestBuildConfig:
         ["--reps", "1"],
         ["--delta", "0"],
         ["--delta", "1"],
+        ["--delta", "1e-320"],      # 2/delta overflows
         ["--checks", "nonsense"],
         ["--checks", "rate"],       # rate needs >= 4 n values
         ["--n-list", "16,inf"],
@@ -152,6 +153,7 @@ class TestMain:
         {"n_list": [16, 32], "seed": 1.5},
         {"n_list": [16, 32], "reps": math.inf},    # int() raises OverflowError
         {"n_list": [16, 32], "m": True},
+        {"n_list": [16, 32], "delta": 1e-320},     # 2/delta overflows
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, raw):
         path = tmp_path / "cfg.json"
@@ -188,30 +190,35 @@ class TestMain:
 
     @pytest.mark.parametrize("checks", ["distance", "lemma1"])
     def test_path_overflow_exit_2(self, monkeypatch, capsys, checks):
-        # a step cap below n / v stands in for n beyond the default max_steps
-        monkeypatch.setattr(
-            cli, "ModelSpec",
-            lambda kind, params: ModelSpec(kind, params, max_steps=20))
+        # a step cap below n / v stands in for n beyond MAX_STEPS
+        monkeypatch.setattr(models, "MAX_STEPS", 20)
         assert main(IID_ARGS + ["--checks", checks]) == 2
         err = capsys.readouterr().err
         assert err.startswith("stopsum: path overflow:")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("checks", ["distance", "lemma1"])
-    @pytest.mark.parametrize("kind", stopsum.KINDS)
-    def test_unreachable_threshold_exit_2(self, monkeypatch, capsys, kind,
-                                          checks):
-        # no 10^7 steps reach n = 1e300: the start gate stops the run
+    @pytest.mark.parametrize("kind,params,n", [
+        *(pytest.param(kind, {}, 1e300, id=kind) for kind in stopsum.KINDS),
+        # n / (variance floor) overflows to inf; the cap is still 10^7
+        pytest.param("iid_bounded", {"v": 1e-10}, 1e300, id="iid-inf-steps"),
+        pytest.param("regime_switch", {"v_lo": 1e-300, "v_hi": 1e-300}, 1e10,
+                     id="regime-inf-steps"),
+    ])
+    def test_unreachable_threshold_exit_2(self, tmp_path, monkeypatch,
+                                          capsys, kind, params, n, checks):
+        # no 10^7 steps reach n: the start gate stops the run
         def drawn(*args):
             raise AssertionError("a step or block was drawn")
 
         monkeypatch.setattr(stopsum.LAWS[kind], "sample_block", drawn)
         monkeypatch.setattr(stopsum.LAWS[kind], "step", drawn)
-        assert main(["--model", kind, "--n-list", "1e300",
-                     "--checks", checks]) == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(params, model=kind, n_list=[n])))
+        assert main(["--config", str(path), "--checks", checks]) == 2
         err = capsys.readouterr().err
         assert err == (f"stopsum: path overflow: no stop after 10000000 "
-                       f"steps (n = 1e+300, kind = {kind})\n")
+                       f"steps (n = {n!r}, kind = {kind})\n")
 
     def test_rows_read_the_harness_verdicts(self, monkeypatch):
         reports = []

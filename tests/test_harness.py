@@ -13,10 +13,8 @@ from stopsum import (
     CfProbe,
     InequalityCheck,
     ModelSpec,
-    cf_probe,
     esseen_numeric,
     estimate_a_n,
-    estimate_distances,
     make_t_grid,
     probe_from_batch,
     rate_fit,
@@ -115,16 +113,25 @@ class TestEstimateAn:
             estimate_a_n(np.array([]))
 
 
-class TestEstimateDistances:
+def sampled_report(spec, n, r, seed):
+    return report_from_batch(sample_stopped_batch(spec, n, r, seed), n)
+
+
+def sampled_probe(spec, n, r, t, seed):
+    return probe_from_batch(sample_stopped_batch(spec, n, r, seed), n,
+                            np.array(t))
+
+
+class TestReportFromBatch:
     def test_iid_a_is_one_exactly(self):
-        rep = estimate_distances(IID, 64.0, 5000, seed=4)
+        rep = sampled_report(IID, 64.0, 5000, seed=4)
         assert rep.a_n_hat == 1.0
         assert rep.a_n_stderr == 0.0
         assert rep.y_smoothing == pytest.approx(64.0**0.25, rel=1e-12)
         assert rep.passed
 
     def test_regime_a_is_four_exactly(self):
-        rep = estimate_distances(REGIME, 64.0, 5000, seed=4)
+        rep = sampled_report(REGIME, 64.0, 5000, seed=4)
         assert rep.a_n_hat == 4.0  # constant Y = 2, E Y^4 = 16
 
     def test_cutoff_is_the_cf_grids(self):
@@ -140,58 +147,50 @@ class TestEstimateDistances:
             probe_from_batch(batch, n, make_t_grid(rep.y_smoothing * 1.01))
 
     def test_margins_match_fields(self):
-        rep = estimate_distances(IID, 64.0, 5000, seed=4)
+        rep = sampled_report(IID, 64.0, 5000, seed=4)
         assert rep.margin_f == pytest.approx(
             rep.bound_f - (rep.d_f.d_sup + rep.d_f.dkw_halfwidth), abs=1e-15
         )
         assert rep.bound_f < rep.bound_h
 
-    def test_small_r_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_distances(IID, 64.0, 1, seed=4)
-
 
 class TestTGrid:
     def test_shape_and_symmetry(self):
-        g = make_t_grid(5.0, 129)
+        g = make_t_grid(5.0)
         assert g.size == 129
         assert g[64] == 0.0
         assert g[0] == -5.0 and g[-1] == 5.0
         np.testing.assert_allclose(g, -g[::-1], atol=0)
         assert np.all(np.diff(g) > 0)
 
-    def test_rejects_even_count(self):
-        with pytest.raises(ValueError):
-            make_t_grid(5.0, 128)
-
 
 class TestCfProbe:
     def test_zero_t_exact(self):
-        probe = cf_probe(IID, 64.0, 2000, np.array([0.0]), seed=8)
+        probe = sampled_probe(IID, 64.0, 2000, [0.0], seed=8)
         assert probe.c3[0] == 1.0 + 0.0j
         for chk in probe.checks:
             assert chk.lhs <= 1e-15
             assert chk.ok
 
     def test_symmetric_model_real_cf(self):
-        probe = cf_probe(IID, 256.0, 20_000, np.array([0.5, 1.0, 2.0]), seed=8)
+        probe = sampled_probe(IID, 256.0, 20_000, [0.5, 1.0, 2.0], seed=8)
         for i in range(probe.t_grid.size):
             assert abs(probe.c3[i].imag) <= 4.0 * probe.se3[i] + 1e-12
 
     def test_t_outside_range_rejected(self):
         with pytest.raises(ValueError):
-            cf_probe(IID, 64.0, 2000, np.array([10.0]), seed=8)  # y ~ 2.83
+            sampled_probe(IID, 64.0, 2000, [10.0], seed=8)  # y ~ 2.83
 
     def test_resolution_limited_flagged_not_failed(self):
         # r = 200 cannot resolve the O(t^2/n) right-hand side of (9)
-        probe = cf_probe(IID, 1024.0, 200, np.array([0.25]), seed=8)
+        probe = sampled_probe(IID, 1024.0, 200, [0.25], seed=8)
         chk = [c for c in probe.checks if c.name == "cf9"][0]
         assert chk.resolution_limited
         assert chk.ok
 
     def test_inequalities_hold_moderate_scale(self):
-        probe = cf_probe(REGIME, 256.0, 50_000,
-                         np.array([-2.0, -0.5, 0.5, 2.0]), seed=8)
+        probe = sampled_probe(REGIME, 256.0, 50_000, [-2.0, -0.5, 0.5, 2.0],
+                            seed=8)
         assert probe.passed
 
 
@@ -539,7 +538,8 @@ class TestEsseen:
             esseen_numeric(probe, 10.0)
 
     def test_grid_density_required(self):
-        probe = CfProbe.from_samples(np.zeros(10), make_t_grid(10.0, count=65))
+        # every other point of the grid: 65 points that still span [-y, y]
+        probe = CfProbe.from_samples(np.zeros(10), make_t_grid(10.0)[::2])
         with pytest.raises(ValueError):
             esseen_numeric(probe, 10.0)
 

@@ -12,6 +12,7 @@ from stopsum import (
     ModelSpec,
     PathOverflowError,
     init_model,
+    models,
     run_path,
     sample_stopped_batch,
     step_model,
@@ -32,14 +33,15 @@ def test_registry_names_every_kind():
 
 def test_first_variance_is_sigma0_max(spec):
     for seed in range(20):
-        assert step_model(init_model(spec, seed)).sigma_sq == spec.sigma0_sq_max
+        sigma_sq = step_model(init_model(spec, seed)).sigma_sq
+        assert sigma_sq == spec.law.sigma0_sq_max
 
 
 def test_variances_respect_the_floor(spec):
     for seed in range(20):
         state = init_model(spec, seed)
         for _ in range(300):
-            assert step_model(state).sigma_sq >= spec.variance_floor
+            assert step_model(state).sigma_sq >= spec.law.variance_floor
 
 
 def test_batch_and_scalar_agree_in_mean(spec):
@@ -57,7 +59,7 @@ def test_batch_and_scalar_agree_in_mean(spec):
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 def test_block_sampler_rejects_n_at_most_sigma0(spec, scale):
     # the k = 0 step never stops, so the first stop has v_before >= n
-    n = scale * spec.sigma0_sq_max
+    n = scale * spec.law.sigma0_sq_max
     rng = np.random.Generator(np.random.Philox(0))
     with pytest.raises(DegenerateStartError):
         spec.law.sample_block(n, 8, rng, spec.step_cap(n))
@@ -74,15 +76,15 @@ ENGINES = {
 class TestStepCapOverflow:
     """nu must stay below step_cap(n); otherwise every engine raises."""
 
-    def test_batch_raises(self, spec):
-        small = ModelSpec(spec.kind, {}, max_steps=5)
+    def test_batch_raises(self, spec, monkeypatch):
+        monkeypatch.setattr(models, "MAX_STEPS", 5)
         with pytest.raises(PathOverflowError):
-            sample_stopped_batch(small, 64.0, 64, 0)
+            sample_stopped_batch(spec, 64.0, 64, 0)
 
-    def test_scalar_raises(self, spec):
-        small = ModelSpec(spec.kind, {}, max_steps=5)
+    def test_scalar_raises(self, spec, monkeypatch):
+        monkeypatch.setattr(models, "MAX_STEPS", 5)
         with pytest.raises(PathOverflowError):
-            run_path(init_model(small, 0), 64.0)
+            run_path(init_model(spec, 0), 64.0)
 
     @staticmethod
     def messages(error, spec, n):
@@ -93,14 +95,14 @@ class TestStepCapOverflow:
             out[name] = str(info.value)
         return out
 
-    def test_every_engine_gives_one_overflow_message(self, spec):
-        small = ModelSpec(spec.kind, {}, max_steps=5)
-        got = self.messages(PathOverflowError, small, 64.0)
+    def test_every_engine_gives_one_overflow_message(self, spec, monkeypatch):
+        monkeypatch.setattr(models, "MAX_STEPS", 5)
+        got = self.messages(PathOverflowError, spec, 64.0)
         want = f"no stop after 5 steps (n = 64.0, kind = {spec.kind})"
         assert got == dict.fromkeys(ENGINES, want)
 
     def test_every_engine_gives_one_threshold_message(self, spec):
-        n = 1.5 * spec.sigma0_sq_max        # below the n >= 2 sigma^2_0 gate
+        n = 1.5 * spec.law.sigma0_sq_max    # below the n >= 2 sigma^2_0 gate
         got = self.messages(DegenerateStartError, spec, n)
         assert len(set(got.values())) == 1, got
         assert got["batch"].startswith(f"n = {n} < 2 * max sigma^2_0")
@@ -108,22 +110,23 @@ class TestStepCapOverflow:
     def test_unreachable_threshold_raises_before_any_draw(self, spec,
                                                           monkeypatch):
         # 10 steps at the largest variance reach less than half of n
-        small = ModelSpec(spec.kind, {}, max_steps=10)
-        n = 21.0 * float(small.law.variances.max())
+        monkeypatch.setattr(models, "MAX_STEPS", 10)
+        n = 21.0 * float(spec.law.variances.max())
 
         def drawn(*args):
             raise AssertionError("a step or block was drawn")
 
-        monkeypatch.setattr(small.law, "sample_block", drawn)
-        monkeypatch.setattr(small.law, "step", drawn)
-        got = self.messages(PathOverflowError, small, n)
+        monkeypatch.setattr(spec.law, "sample_block", drawn)
+        monkeypatch.setattr(spec.law, "step", drawn)
+        got = self.messages(PathOverflowError, spec, n)
         want = f"no stop after 10 steps (n = {n}, kind = {spec.kind})"
         assert got == dict.fromkeys(ENGINES, want)
 
-    @pytest.mark.parametrize("max_steps,fits", [(64, True), (63, False)])
-    def test_same_boundary_in_both_engines(self, max_steps, fits):
+    @pytest.mark.parametrize("cap,fits", [(64, True), (63, False)])
+    def test_same_boundary_in_both_engines(self, monkeypatch, cap, fits):
         # unit variance at n = 64 stops at nu = 63
-        spec = ModelSpec("iid_bounded", {}, max_steps=max_steps)
+        monkeypatch.setattr(models, "MAX_STEPS", cap)
+        spec = ModelSpec("iid_bounded", {})
         if fits:
             assert sample_stopped_batch(spec, 64.0, 8, 0).nu[0] == 63
             assert run_path(init_model(spec, 0), 64.0).nu == 63

@@ -11,6 +11,7 @@ from stopsum import (
     PathOverflowError,
     derive_seed,
     init_model,
+    models,
     step_model,
     validate_model,
 )
@@ -76,14 +77,15 @@ class TestConfiguration:
         assert spec.params == {"m": 1.0, "v": 1.0}
 
     def test_variance_floor(self):
-        assert IID.variance_floor == 1.0
-        assert PRODUCT.variance_floor == 1.0
-        assert REGIME.variance_floor == 0.25
+        assert IID.law.variance_floor == 1.0
+        assert PRODUCT.law.variance_floor == 1.0
+        assert REGIME.law.variance_floor == 0.25
 
     def test_sigma0_max(self):
-        assert IID.sigma0_sq_max == 1.0
-        assert PRODUCT.sigma0_sq_max == 1.0
-        assert REGIME.sigma0_sq_max == 0.25  # S_0 = 0 selects the low regime
+        assert IID.law.sigma0_sq_max == 1.0
+        assert PRODUCT.law.sigma0_sq_max == 1.0
+        # S_0 = 0 selects the low regime
+        assert REGIME.law.sigma0_sq_max == 0.25
 
 
 class TestDeterminism:
@@ -160,8 +162,8 @@ class TestStepSemantics:
         ids=lambda s: "-".join([s.kind, *map(str, s.params.values())]))
     def test_level_table(self, spec, monkeypatch):
         law = spec.law
-        assert spec.variance_floor == law.variances.min()
-        assert spec.sigma0_sq_max == law.variances[0]
+        assert law.variance_floor == law.variances.min()
+        assert law.sigma0_sq_max == law.variances[0]
         steps = []                      # (sign, level) of each step
 
         def step(state):
@@ -204,9 +206,9 @@ class TestStepSemantics:
         for out in take(spec, 3, 100):
             assert out.sigma_sq == 1.0
 
-    def test_step_cap_enforced(self):
-        spec = ModelSpec("iid_bounded", {}, max_steps=5)
-        state = init_model(spec, 0)
+    def test_step_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_STEPS", 5)
+        state = init_model(IID, 0)
         for _ in range(5):
             step_model(state)
         with pytest.raises(PathOverflowError):
@@ -227,7 +229,7 @@ class TestPathwiseInvariants:
             assert out.sigma_sq * math.sqrt(out.sigma_sq) <= out.y * out.sigma_sq
             prev_y = out.y
             total += out.sigma_sq
-        assert total >= len(outs) * spec.variance_floor
+        assert total >= len(outs) * spec.law.variance_floor
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_branch_table_moments(self, spec):

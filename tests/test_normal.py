@@ -132,6 +132,12 @@ class TestDkwHalfwidth:
             with pytest.raises(ValueError):
                 dkw_halfwidth(100, delta)
 
+    def test_rejects_delta_whose_two_over_delta_overflows(self):
+        assert math.isfinite(dkw_halfwidth(100, 1.2e-308))
+        for delta in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match="2/delta overflows"):
+                dkw_halfwidth(100, delta)
+
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             dkw_halfwidth(0, 0.05)

@@ -542,34 +542,34 @@ class TestProductSubChunks:
 class TestOverflowBoundary:
     """nu = cap - 1 still fits the block samplers; nu = cap overflows."""
 
-    def test_regime_cap_at_max_nu(self):
+    def test_regime_cap_at_max_nu(self, monkeypatch):
         n, r = 64.0, 3000
         free = sample_stopped_batch(REGIME, n, r, 4)
         top = int(free.nu.max())
         assert top + 1 < REGIME.step_cap(n)
-        fits = ModelSpec(REGIME.kind, REGIME.params, max_steps=top + 1)
-        assert_batch_equal(sample_stopped_batch(fits, n, r, 4), free)
-        short = ModelSpec(REGIME.kind, REGIME.params, max_steps=top)
+        monkeypatch.setattr(models, "MAX_STEPS", top + 1)
+        assert_batch_equal(sample_stopped_batch(REGIME, n, r, 4), free)
+        monkeypatch.setattr(models, "MAX_STEPS", top)
         with pytest.raises(PathOverflowError):
-            sample_stopped_batch(short, n, r, 4)
+            sample_stopped_batch(REGIME, n, r, 4)
 
     # the product draw layout is (rows, cap), so a new cap redraws every
     # row; growth probability 0 or 1 fixes nu on every path, and the capped
     # batch is checked against the reference at the same cap
     @pytest.mark.parametrize("p_growth,n", [(0.0, 300.0), (1.0, 1100.0)])
-    def test_product_cap_at_nu(self, p_growth, n):
-        params = {"p_growth": p_growth}
-        nu = sample_stopped_batch(ModelSpec("product", params), n, 600, 4).nu
+    def test_product_cap_at_nu(self, monkeypatch, p_growth, n):
+        spec = ModelSpec("product", {"p_growth": p_growth})
+        nu = sample_stopped_batch(spec, n, 600, 4).nu
         assert nu.min() == nu.max() > 256
         top = int(nu[0])
-        fits = ModelSpec("product", params, max_steps=top + 1)
-        batch = sample_stopped_batch(fits, n, 600, 4)
+        monkeypatch.setattr(models, "MAX_STEPS", top + 1)
+        batch = sample_stopped_batch(spec, n, 600, 4)
         assert np.all(batch.nu == top)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(4, spawn_key=(0,))))
-        want = reference_product(fits.law, n, 600, rng, top + 1)
+        want = reference_product(spec.law, n, 600, rng, top + 1)
         assert_columns_identical(
             {name: getattr(batch, name) for name in COLUMNS}, want)
-        short = ModelSpec("product", params, max_steps=top)
+        monkeypatch.setattr(models, "MAX_STEPS", top)
         with pytest.raises(PathOverflowError):
-            sample_stopped_batch(short, n, 600, 4)
+            sample_stopped_batch(spec, n, 600, 4)

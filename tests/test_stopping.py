@@ -196,7 +196,7 @@ class TestTies:
         # a rounding step above n - v_before = sigma^2_nu
         spec = ModelSpec(kind, params)
         for k in range(3, 40):
-            n = k * spec.variance_floor
+            n = k * spec.law.variance_floor
             batch = sample_stopped_batch(spec, n, 500, k)
             assert np.all((batch.gamma > 0.0) & (batch.gamma <= 1.0)), k
             assert np.all((batch.v_before < n)
@@ -206,22 +206,22 @@ class TestTies:
 class TestLemma1:
     def test_zero_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check(sample, 0.0, 10.0)
-        assert res.lhs == 0.0
-        assert res.rhs == 1.0
-        assert res.ok
+        res = lemma1_check(sample, [0.0], 10.0)
+        assert res.lhs.tolist() == [[0.0]]
+        assert res.rhs.tolist() == [[1.0]]
+        assert res.ok.all()
 
     def test_unit_variance_closed_form(self):
         # sigma^2 = 1, n = 10, nu = 9: LHS is the geometric sum
         # sum_{j=1}^{9} e^{j/20} / 20
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check(sample, 1.0, 10.0)
+        res = lemma1_check(sample, [1.0], 10.0)
         q = mpmath.e ** (mpmath.mpf(1) / 20)
         lhs_oracle = float(q * (q**9 - 1) / (q - 1) / 20)
         rhs_oracle = float(mpmath.e ** mpmath.mpf("0.5") * mpmath.mpf("1.1"))
-        assert abs(res.lhs - lhs_oracle) <= 1e-12
-        assert abs(res.rhs - rhs_oracle) <= 1e-12
-        assert res.ok
+        assert abs(res.lhs[0, 0] - lhs_oracle) <= 1e-12
+        assert abs(res.rhs[0, 0] - rhs_oracle) <= 1e-12
+        assert res.ok[0, 0]
 
     @pytest.mark.parametrize("kind,params", [
         ("iid_bounded", {"m": 1.0, "v": 1.0}),
@@ -232,14 +232,14 @@ class TestLemma1:
         spec = ModelSpec(kind, params)
         for seed in range(25):
             sample = run_path(init_model(spec, seed), 64.0)
-            for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-                res = lemma1_check(sample, t, 64.0)
-                assert res.ok, (kind, seed, t, res)
+            res = lemma1_check(sample, (0.5, 1.0, 2.0, 5.0, 10.0), 64.0)
+            assert res.lhs.shape == (1, 5)
+            assert res.ok.all(), (kind, seed, res)
 
     def test_rejects_non_finite_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError):
-            lemma1_check(sample, math.inf, 10.0)
+            lemma1_check(sample, [1.0, math.inf], 10.0)
 
 
 def _lemma1_oracle(prefix, y, t, n):
@@ -312,14 +312,14 @@ class TestLockstep:
                 assert col[i] == getattr(sample, name), (i, name)
             assert np.array_equal(prefixes[i], sample.sigma_prefix), i
 
-    def test_same_threshold_rule(self):
+    def test_same_threshold_rule(self, monkeypatch):
         with pytest.raises(DegenerateStartError):   # n < 2 sigma_0^2
             next(stopping.run_lockstep(IID, [0], 1.5))
-        small = ModelSpec("iid_bounded", {}, max_steps=63)
+        monkeypatch.setattr(models, "MAX_STEPS", 63)
         with pytest.raises(PathOverflowError):      # nu would be 63
-            next(stopping.run_lockstep(small, [0], 64.0))
-        fits = ModelSpec("iid_bounded", {}, max_steps=64)
-        assert next(stopping.run_lockstep(fits, [0], 64.0)).nu[0] == 63
+            next(stopping.run_lockstep(IID, [0], 64.0))
+        monkeypatch.setattr(models, "MAX_STEPS", 64)
+        assert next(stopping.run_lockstep(IID, [0], 64.0)).nu[0] == 63
 
     @pytest.mark.parametrize("seeds,error", [
         ([-1], ValueError),
@@ -375,13 +375,18 @@ class TestLockstep:
             assert np.array_equal(prefixes[i], sample.sigma_prefix), i
 
     def test_shapes_follow_the_inputs(self):
+        # (paths, t) arrays, one row for a StoppedSample; t is a sequence
         spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
         paths = next(stopping.run_lockstep(spec, range(5), 32.0))
-        assert lemma1_check(paths, LEMMA1_T_GRID, 32.0).lhs.shape == (5, 5)
-        assert lemma1_check(paths, 2.0, 32.0).lhs.shape == (5,)
         sample = run_path(init_model(spec, 0), 32.0)
-        assert lemma1_check(sample, LEMMA1_T_GRID, 32.0).lhs.shape == (5,)
-        assert isinstance(lemma1_check(sample, 2.0, 32.0).lhs, float)
+        for checked, rows in ((paths, 5), (sample, 1)):
+            for t in (LEMMA1_T_GRID, [2.0]):
+                res = lemma1_check(checked, t, 32.0)
+                shape = (rows, len(t))
+                assert res.lhs.shape == res.rhs.shape == shape
+                assert res.margin.shape == res.ok.shape == shape
+            with pytest.raises(ValueError):
+                lemma1_check(checked, 2.0, 32.0)
 
 
 # lemma1 rows at R = 500, seed 3, n = 16 and 64, as the path-by-path engine
