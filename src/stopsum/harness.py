@@ -169,14 +169,14 @@ class CfProbe:
     def from_samples(cls, samples, t_grid):
         """CF-only probe of raw normalized samples (e.g. injected Gaussians)."""
         x = np.ravel(samples).astype(float)
-        grid, key = _AbsTGrid(t_grid), _Key(x)
+        grid, paths = _AbsTGrid(t_grid), _Paths([x])
+        key, = paths.columns
         blocks = grid.blocks(x.size)
         out, it = _buffer(blocks, x.size), 1j * grid.values[:, None]
         c3, se3 = [], []
         for b in blocks:
-            # _moments reads the paths in ``out`` before it writes there
-            moments = _moments(_cf(key, it[b], out), out)
-            for t, (c, se) in zip(grid.values[b], moments):
+            w = paths.at(0, np.exp(it[b] * key.values))
+            for t, (c, se) in zip(grid.values[b], _moments(paths, w, out)):
                 c3.append(_mirror(c, t, key, out))
                 se3.append(se)
         return cls(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
@@ -188,7 +188,7 @@ class CfProbe:
 # calls serves k of them at desk-scale R and one at large R (2^13 saved
 # about 1 ms per threshold at R = 1000 but raised peak RSS by 0.2-0.4 MB)
 _BLOCK_VALUES = 1 << 12
-# pair codes on a grid of at most this many cells per path are keyed by
+# joint codes on a grid of at most this many cells per path are keyed by
 # counting them, larger grids by sorting
 _COUNTED_CELLS = 4
 
@@ -224,17 +224,11 @@ def _buffer(blocks, r):
     return np.empty((blocks[0].stop, r), dtype=complex)
 
 
-def _cf(key, it, out):
-    """The table of exp(i t x) per key of x, for a (k, 1) column it = i t,
-    with its paths in ``out``."""
-    return _Table(key, np.exp(it * key.values), out)
-
-
 def _mirror(c, t, key, out):
     """(c, c at -t) for the mean c of exp(i t x) over key's paths."""
     if c.imag or not t:
         return c, c.conjugate()
-    w = _cf(key, np.full((1, 1), 1j * -t), out).paths
+    w = key.gather(np.exp(np.full((1, 1), 1j * -t) * key.values), out)
     return c, complex(np.add.reduce(w[0]) / w.shape[1])
 
 
@@ -255,74 +249,70 @@ class _Key:
     """The paths of a batch grouped by a float column's bit patterns (its
     ``values`` at each key), or by int64 codes in [0, span), for tables of
     values per key gathered back through ``inverse``: a value computed per
-    key has the bits of the one computed per path.  Stopped sums of the iid
-    and regime kinds take far fewer values than there are paths.  A key
-    with more than half as many codes as paths is ``distinct`` (the product
-    kind's): its moments are taken per path, and a pair keyed so keeps no
-    ``inverse``.  A column keeps its sorted codes even so, as the complex
-    exponential runs faster on ordered arguments."""
+    key has the bits of the one computed per path."""
 
     def __init__(self, x, span=None):
         self.codes, self.inverse = _unique(x.view(np.int64), span)
-        self.distinct = 2 * self.codes.size > x.size
         self.values = self.codes.view(np.float64)
 
-    def gather(self, table, out=None):
+    def gather(self, table, out):
         """A (k, keys) table as one C-ordered (k, paths) row per value of
-        t, in the first k rows of ``out`` if given: fresh arrays cost page
-        faults (``take`` clips: to raise on bad indices it buffers
-        ``out``)."""
-        if self.inverse is None:
-            return table
+        t, in the first k rows of ``out``: fresh arrays cost page faults
+        (``take`` clips: to raise on bad indices it buffers ``out``)."""
         return table.take(self.inverse, axis=-1, mode="clip",
-                          out=None if out is None else out[:len(table)])
+                          out=out[:len(table)])
 
 
-class _Pair(_Key):
-    """The paths keyed by the keys of two columns, a and b."""
+class _Paths:
+    """The paths of a batch keyed once by the bit patterns of its columns
+    together, for the estimator tables: a table holds one value per joint
+    key, computed from each column's values read there (``at``), and
+    ``gather`` reads it back at each path.  Stopped sums of the iid and
+    regime kinds take far fewer values than there are paths, and V adds
+    few keys to (S, S').  The keys are folded in a column at a time; with
+    more than half as many joint keys as paths (the product kind's) the
+    keys are the paths, and the tables are per path.  Each column keeps
+    its own key, whose sorted values are the arguments of the complex
+    exponential: it runs faster on ordered arguments."""
 
-    def __init__(self, a, b):
-        self.distinct = a.distinct or b.distinct
-        if not self.distinct:
-            super().__init__(a.inverse * b.codes.size + b.inverse,
-                             span=a.codes.size * b.codes.size)
-        if self.distinct:
-            self.inverse = self.codes = None
+    def __init__(self, columns):
+        self.columns = [_Key(x) for x in columns]   # each x freed once keyed
+        size = self.columns[0].inverse.size
+        joint = self.columns[0]
+        for key in self.columns[1:]:
+            if 2 * joint.codes.size > size:
+                break
+            joint = _Key(joint.inverse * key.codes.size + key.inverse,
+                         span=joint.codes.size * key.codes.size)
+        if 2 * joint.codes.size > size:
+            self._joint, self._rows = None, [k.inverse for k in self.columns]
         else:
-            self._rows = np.divmod(self.codes, b.codes.size)
+            path = np.empty(joint.codes.size, dtype=np.intp)
+            path[joint.inverse] = np.arange(size)   # a path of each key
+            self._joint = joint
+            self._rows = [k.inverse.take(path) for k in self.columns]
 
-    def at(self, table_a, table_b):
-        """The _Tables of a and b, read at each key of the pair."""
-        if self.distinct:
-            return table_a.paths, table_b.paths
-        return (table_a.values.take(self._rows[0], axis=-1),
-                table_b.values.take(self._rows[1], axis=-1))
+    def at(self, column, table):
+        """A (k, keys) table of a column's values per key of that column,
+        read at each joint key."""
+        return table.take(self._rows[column], axis=-1)
 
-
-class _Table:
-    """Values per key of ``key``, a row per value of t; ``paths`` gathers
-    them into ``out``, once, after which a distinct key's table is read
-    per path only."""
-
-    def __init__(self, key, values, out=None):
-        self.key, self.values, self._out, self._paths = key, values, out, None
-
-    @property
-    def paths(self):
-        if self._paths is None:
-            self._paths = self.key.gather(self.values, self._out)
-            if self.key.distinct:
-                self.values = None
-        return self._paths
+    def gather(self, table, out):
+        """A table per joint key as one row of paths per value of t, in
+        ``out`` (see _Key.gather); a table per path as it is."""
+        if self._joint is None:
+            return table
+        return self._joint.gather(table, out)
 
 
-def _moments(table, out):
-    """Per row of w = table.paths, its mean and a scalar stderr for its
-    magnitude error from the std (ddof 1) of each part, with the bits of
-    np.mean and np.std of the row but not their wrappers (Python divides
-    floats as numpy does).  The parts' squared deviations are taken per key
-    and gathered at once (per path if distinct) into ``out``."""
-    w, key = table.paths, table.key
+def _moments(paths, table, out):
+    """Per row of w, the (k, keys) table gathered at each path, its mean
+    and a scalar stderr for its magnitude error from the std (ddof 1) of
+    each part, with the bits of np.mean and np.std of the row but not their
+    wrappers (Python divides floats as numpy does).  The parts' squared
+    deviations are taken per key and gathered at once into ``out``, where
+    w was."""
+    w = paths.gather(table, out)
     r = w.shape[1]
     means = [complex(c / r) for c in np.add.reduce(w, axis=1)]
     if r < 2:
@@ -330,12 +320,9 @@ def _moments(table, out):
     m = np.array([complex(re / r, im / r) for re, im in
                   zip(np.add.reduce(w.real, axis=1).tolist(),
                       np.add.reduce(w.imag, axis=1).tolist())])[:, None]
-    if key.distinct:
-        dev = np.subtract(w, m, out=out[:len(w)])
-    else:
-        dev = table.values - m
+    dev = table - m
     np.square(dev.view(np.float64), out=dev.view(np.float64))  # both parts
-    sq = dev if key.distinct else key.gather(dev, out)
+    sq = paths.gather(dev, out)
     root_r = math.sqrt(r)
     return [(mean, math.hypot(math.sqrt(re / (r - 1)) / root_r,
                               math.sqrt(im / (r - 1)) / root_r))
@@ -359,11 +346,11 @@ def probe_from_batch(batch, n, t_grid):
 
     Each |t| is evaluated once (see _AbsTGrid), in blocks of
     k = max(1, _BLOCK_VALUES // r) values of |t|, so that one set of numpy
-    calls serves a whole block at desk-scale r.  Each estimator is a
-    (k, keys) table with one value per key of the columns it reads,
-    gathered once into a (k, r) array whose rows are reduced: w3 per S,
-    w1 = growth w3 and w1 - w2 per (V, S), w3 - w4 per (S, S'), all per
-    path if mostly distinct (see _Key), when w4 per S' is gathered too.  The
+    calls serves a whole block at desk-scale r.  The paths are keyed once
+    by (S, S', V) (see _Paths): exp(i t S), exp(i t S') and the growth
+    factor exp((t^2/2n) V) are taken per key of their column and read at
+    the joint keys, and w1, w3, w1 - w2 and w3 - w4 are (k, keys) tables
+    there, each gathered into one (k, r) array whose rows are reduced.  The
     right-hand sides and records are computed per |t|.  The floats are
     those of evaluating every t on every path.
     """
@@ -375,28 +362,31 @@ def probe_from_batch(batch, n, t_grid):
     sqrt_n, r = math.sqrt(n), batch.size
     grid = _AbsTGrid(t_grid)
     blocks = grid.blocks(r)
-    s, s_h = _Key(batch.s_nu / sqrt_n), _Key(batch.s_prime_nu / sqrt_n)
-    v = _Key(np.asarray(batch.v_before, dtype=float))
-    vs, ss = _Pair(v, s), _Pair(s, s_h)
-    # a block's paths, allocated after the keys' sorts: those of w3, of w4
-    # (written only if (S, S') is mostly distinct) and ``out``, where
-    # _moments writes once it has read a table's paths
-    w3_out, w4_out, out = (_buffer(blocks, r) for _ in range(3))
+
+    def columns():      # S, S' and V, each freed once keyed
+        yield batch.s_nu / sqrt_n
+        yield batch.s_prime_nu / sqrt_n
+        yield np.asarray(batch.v_before, dtype=float)
+
+    paths = _Paths(columns())
+    s, s_h, v = paths.columns
+    out = _buffer(blocks, r)        # after the keys' sorts
     t_col = grid.values[:, None]    # |t| >= 0
     it, rate = 1j * t_col, t_col * t_col / (2.0 * n)
     e_half = [math.exp(t * t / 2.0) for t in grid.values]
     e_half_col = np.array(e_half)[:, None]
     per_abs_t = []
     for b in blocks:
-        w3, w4 = _cf(s, it[b], w3_out), _cf(s_h, it[b], w4_out)
-        growth, w3_vs = vs.at(_Table(v, np.exp(rate[b] * v.values)), w3)
-        w1 = growth * w3_vs
-        c1 = _moments(_Table(vs, w1, out), out)
-        c3 = _moments(w3, out)
-        w1 -= e_half_col[b] * w3_vs  # w1 - w2, in place
-        d12 = _moments(_Table(vs, w1, out), out)
-        d34 = _moments(_Table(ss, np.subtract(*ss.at(w3, w4)), out), out)
-        del w1, w3, w4, growth, w3_vs  # before the next block makes its own
+        w3 = paths.at(0, np.exp(it[b] * s.values))
+        w1 = paths.at(2, np.exp(rate[b] * v.values)) * w3
+        c1 = _moments(paths, w1, out)
+        c3 = _moments(paths, w3, out)
+        w1 -= e_half_col[b] * w3    # w1 - w2, in place
+        d12 = _moments(paths, w1, out)
+        del w1
+        w3 -= paths.at(1, np.exp(it[b] * s_h.values))     # w3 - w4
+        d34 = _moments(paths, w3, out)
+        del w3      # before the next block makes its own
         for t, e, (c1_t, se1), (c3_t, se3_t), (d12_t, se12), (d34_t, se34) \
                 in zip(grid.values[b], e_half[b], c1, c3, d12, d34):
             rhs7 = a * e * (t / (3.0 * sqrt_n) + t * t / (4.0 * n)
@@ -413,7 +403,7 @@ def probe_from_batch(batch, n, t_grid):
                 ("cf9", abs(d34_t), rhs9, se34),
                 ("cf_combined", abs(c3_t - math.exp(-t * t / 2.0)), rhs_comb,
                  se3_t),
-            ), se3_t, _mirror(c3_t, t, s, w3_out)))
+            ), se3_t, _mirror(c3_t, t, s, out)))
     points, se3, c3 = zip(*per_abs_t)
     checks = tuple(InequalityCheck(name, float(t), float(lhs), float(rhs),
                                    float(se), bool(rhs < se))

@@ -110,24 +110,30 @@ def _concat(parts):
 def _check_threshold(spec, n):
     """The start gate of every engine: n >= 2 sigma^2_0, so that a stop at
     nu = 1, where v_before = sigma^2_0, still has gamma > 0; and n within
-    reach of the step cap.  Where MAX_STEPS clamps the cap, n above
-    2 * cap * (largest sigma^2) is beyond any float sum of cap variances
-    (their rounding error is far below the factor 2), so no path stops and
-    the gate raises the engines' overflow before a step is drawn."""
+    reach of the step cap, so that an n no path reaches raises the
+    engines' overflow before a step is drawn."""
     sigma0_sq = spec.law.sigma0_sq_max
     if n < 2.0 * sigma0_sq:
         raise DegenerateStartError(
             f"n = {n} < 2 * max sigma^2_0 = {2.0 * sigma0_sq}; "
             "the nu = 1 edge could make gamma nonpositive"
         )
+    # A path reaches at most the float sum of cap variances, each at most M,
+    # the largest sigma^2, added in order from 0: cap - 1 roundings, so
+    # cap M (1 + u)^(cap - 1) <= cap M (1 + 2 (cap - 1) u), u = 2^-53.  The
+    # bound below, cap M (1 + 4 cap u), loses at most a factor (1 - u)^3 to
+    # rounding, less than its extra 2 (cap + 1) u, so no path reaches an n
+    # above it; n = cap M passes.  Only a cap that MAX_STEPS clamps can
+    # fail, as an unclamped one exceeds n / (least sigma^2).
     cap = spec.step_cap(n)
-    if n > 2.0 * cap * float(spec.law.variances.max()):
+    largest = float(spec.law.variances.max())
+    if n > cap * largest * (1.0 + 4.0 * cap * 2.0**-53):
         raise _overflow(cap, n, spec.kind)
 
 
 # a threshold holds its whole batch and the CF probe's temporaries at once,
-# about 150 bytes per path at peak, 200 for the product kind, whose sample
-# values are mostly distinct (1.5 to 2 GB at this ceiling)
+# about 120 bytes per path at peak, 155 for the product kind, whose sample
+# values are mostly distinct (1.2 to 1.55 GB at this ceiling)
 MAX_REPS = 10**7
 # the hard step cap of every path, whatever n and the variance floor
 MAX_STEPS = 10_000_000

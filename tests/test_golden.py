@@ -3,9 +3,17 @@ bytes and exit status.  A change meant to move report bytes regenerates
 them (``PYTHONPATH=src python tests/golden/regen.py``), so that its diff
 shows the moved cells."""
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from golden.regen import HERE, moved_cells, recorded, run_set, set_dirs
+
+
+def simd_targets():
+    """The SIMD targets numpy dispatches to here: the golden bytes were
+    recorded at one SIMD level, and np.exp's last bits follow it."""
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
 
 
 @pytest.mark.parametrize("set_dir", set_dirs(), ids=lambda p: p.name)
@@ -15,7 +23,8 @@ def test_reports_match_golden(set_dir, tmp_path):
     moved = moved_cells(want, got)
     if status != want_status:
         moved.insert(0, f"exit status {want_status} -> {status}")
-    assert not moved, f"{set_dir.name} moved:\n" + "\n".join(moved)
+    assert not moved, (f"{set_dir.name} moved (numpy {np.__version__} "
+                       f"dispatching {simd_targets()}):\n" + "\n".join(moved))
 
 
 class TestMovedCells:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath
@@ -24,7 +25,7 @@ from stopsum import (
     theorem_bound_H,
 )
 from stopsum import harness
-from stopsum.harness import _Key, _Pair, _Table, _unique
+from stopsum.harness import _Key, _Paths, _unique
 from stopsum.models import KINDS
 from stopsum.sampling import StoppedBatch
 
@@ -193,6 +194,25 @@ class TestCfProbe:
                             seed=8)
         assert probe.passed
 
+    @pytest.mark.parametrize("kind,n,r,bound", [
+        ("iid_bounded", 4096.0, 20_000, 86),
+        ("product", 256.0, 10**5, 124),
+    ])
+    def test_memory_per_path(self, kind, n, r, bound):
+        """The tracemalloc peak of one probe call, in bytes per path: the
+        column keys and the joint key (none for the product kind, whose
+        values are mostly distinct), the temporaries of one key's sort or
+        count, and then one (k, r) buffer and the block's tables."""
+        batch = sample_stopped_batch(ModelSpec(kind, {}), n, r, 1)
+        t_grid = make_t_grid(report_from_batch(batch, n).y_smoothing)
+        tracemalloc.start()
+        try:
+            probe_from_batch(batch, n, t_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * r
+
 
 def reference_moments(w):
     """np.mean of a complex sample, and the stderr of its magnitude from
@@ -344,7 +364,7 @@ class TestProbeMatchesPerTLoop:
         rng = np.random.default_rng(11)
         batch = make_batch(rng.normal(size=3000), rng.normal(size=3000),
                            rng.uniform(280.0, 299.0, size=3000))
-        assert _Key(batch.s_nu).distinct
+        assert probe_paths(batch, PROBE_N)._joint is None
         t_block(batch.size, EDGE_GRID)
         assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
 
@@ -353,10 +373,10 @@ class TestProbeMatchesPerTLoop:
         n = 30.0
         spec = ModelSpec("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7})
         batch = sample_stopped_batch(spec, n, 3000, 5)
-        s = _Key(batch.s_nu / math.sqrt(n))
-        s_h = _Key(batch.s_prime_nu / math.sqrt(n))
-        assert not s.distinct and s_h.distinct
-        assert _Pair(s, s_h).inverse is None
+        paths = probe_paths(batch, n)
+        s, s_h, _ = paths.columns
+        assert 2 * s.codes.size <= batch.size < 2 * s_h.codes.size
+        assert paths._joint is None
         assert_probe_is_reference(batch, n, make_t_grid(2.0))
 
     @pytest.mark.parametrize("kind", ["iid_bounded", "distinct"])
@@ -432,31 +452,107 @@ def assert_from_samples_is_reference(samples):
     return probe
 
 
-class TestKeys:
-    def test_lattice_column_is_keyed(self):
-        key = _Key(np.array([0.5, -0.0, 0.5, 0.0, 0.5, 0.5]))
-        assert not key.distinct
-        # keyed by bits: -0.0 and 0.0 are two keys
+def probe_paths(batch, n):
+    """The _Paths of a batch's (S, S', V), as probe_from_batch keys them."""
+    return _Paths([batch.s_nu / math.sqrt(n), batch.s_prime_nu / math.sqrt(n),
+                   batch.v_before])
+
+
+def lattice_columns(counts, r, seed):
+    """Columns of r paths in random order, each path in one of r // 2
+    states s: column j is (s mod counts[j]) / 2, so it takes counts[j]
+    values and the paths at most r // 2 joint values."""
+    state = np.random.default_rng(seed).permutation(np.arange(r) % (r // 2))
+    return [(state % k) * 0.5 for k in counts]
+
+
+def assert_joint_is_unique(paths, columns):
+    """The joint key groups the paths as np.unique over their bit patterns
+    does, in its order."""
+    bits = np.stack(columns, axis=1).view(np.int64)
+    keys, inverse = np.unique(bits, axis=0, return_inverse=True)
+    assert paths._joint.codes.size == len(keys)
+    assert np.array_equal(paths._joint.inverse, inverse.reshape(-1))
+
+
+def assert_columns_read_per_path(paths, columns):
+    """Each column's values read at the joint keys gather to the column."""
+    for j, (key, x) in enumerate(zip(paths.columns, columns)):
+        out = np.empty((1, x.size))
+        got = paths.gather(paths.at(j, key.values[None, :]), out)[0]
+        assert np.array_equal(got.view(np.int64), x.view(np.int64))
+
+
+class TestPaths:
+    def test_column_is_keyed_by_bits(self):
+        x = np.array([0.5, -0.0, 0.5, 0.0, 0.5, 0.5])
+        key = _Key(x)
+        # -0.0 and 0.0 are two keys
         assert key.values.size == 3
         assert np.array_equal(key.values[key.inverse].view(np.int64),
-                              np.array([0.5, -0.0, 0.5, 0.0, 0.5, 0.5])
-                              .view(np.int64))
+                              x.view(np.int64))
+
+    # the first fold's grid of (S, S') cells is counted up to 4 cells per
+    # path, and sorted above that
+    @pytest.mark.parametrize("counts,r,counted", [
+        ((1, 150, 1), 1000, True),      # one-key columns, as V of iid
+        ((150, 1, 1), 1000, True),
+        ((1, 1, 1), 50, True),          # one key in all
+        ((40, 50, 1), 500, True),       # a grid at the cut
+        ((40, 50, 1), 499, False),      # just above it
+        ((60, 70, 3), 1000, False),
+        ((12, 1, 40), 3000, True),
+    ])
+    def test_joint_key_is_unique_over_bit_triples(self, monkeypatch, counts,
+                                                   r, counted):
+        columns = lattice_columns(counts, r, sum(counts) + r)
+        spans = []
+        monkeypatch.setattr(harness, "_unique", lambda codes, span=None:
+                            spans.append(span) or _unique(codes, span))
+        paths = _Paths(columns)
+        assert spans[:3] == [None] * 3 and len(spans) == 5
+        assert (spans[3] <= harness._COUNTED_CELLS * r) == counted
+        assert_joint_is_unique(paths, columns)
+        assert_columns_read_per_path(paths, columns)
+
+    def test_signed_zeros_are_two_joint_keys(self):
+        columns = [np.array([0.0, -0.0] * 4), np.repeat([1.0, 2.0], 4),
+                   np.zeros(8)]
+        paths = _Paths(columns)
+        assert_joint_is_unique(paths, columns)
+        assert paths._joint.codes.size == 4
+        assert_columns_read_per_path(paths, columns)
+
+    @pytest.mark.parametrize("columns", [
+        [[1.0, 1.0, 2.0, 3.0]],             # three keys for four paths
+        [[0.0, 1.0] * 4, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]],
+        [[0.0, 1.0] * 4, np.arange(8.0), [5.0] * 8],
+    ], ids=["one-column", "pairs", "distinct-column"])
+    def test_mostly_distinct_keys_are_the_paths(self, columns):
+        columns = [np.array(x) for x in columns]
+        paths = _Paths(columns)
+        assert paths._joint is None
+        table = np.ones((2, columns[0].size), dtype=complex)
+        assert paths.gather(table, None) is table
+        assert_columns_read_per_path(paths, columns)
 
     def test_half_distinct_is_keyed(self):
-        assert not _Key(np.array([1.0, 1.0, 2.0, 2.0])).distinct
-        assert _Key(np.array([1.0, 1.0, 2.0, 3.0])).distinct
+        columns = [np.array([1.0, 1.0, 2.0, 2.0]), np.array([3.0] * 4)]
+        paths = _Paths(columns)
+        assert paths._joint.codes.size == 2
+        assert_columns_read_per_path(paths, columns)
 
-    def test_mostly_distinct_pair_keeps_no_inverse(self):
-        a = _Key(np.array([0.0, 1.0] * 4))
-        b = _Key(np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
-        assert not a.distinct and not b.distinct
-        pair = _Pair(a, b)      # eight paths, eight distinct pairs
-        assert pair.distinct and pair.inverse is None
-        table = np.arange(8.0)
-        assert pair.gather(table) is table
-        # a pair with a mostly distinct column is mostly distinct too
-        c = _Key(np.arange(8.0))
-        assert c.distinct and _Pair(a, c).inverse is None
+    def test_a_mostly_distinct_column_stops_the_fold(self, monkeypatch):
+        spans = []
+        monkeypatch.setattr(harness, "_unique", lambda codes, span=None:
+                            spans.append(span) or _unique(codes, span))
+        lattice = np.array([0.0, 1.0] * 4)
+        distinct, zeros = np.arange(8.0), np.zeros(8)
+        _Paths([distinct, lattice, zeros])
+        assert spans == [None] * 3              # no joint codes
+        del spans[:]
+        _Paths([lattice, distinct, zeros])      # (S, S') and no more
+        assert spans == [None] * 3 + [2 * 8]
 
     @pytest.mark.parametrize("keys_a,keys_b,r", [
         (1, 150, 1000),     # a one-key column, as V of the iid kind
@@ -466,8 +562,8 @@ class TestKeys:
         (40, 50, 499),      # just above it: sorted
         (30, 30, 3000),
     ])
-    def test_pair_keys_by_counting_equal_unique(self, monkeypatch, keys_a,
-                                                keys_b, r):
+    def test_unique_by_counting_equals_np_unique(self, monkeypatch, keys_a,
+                                                 keys_b, r):
         rng = np.random.default_rng(keys_a * keys_b + r)
         a, b = (_Key(rng.permutation(np.arange(r) % k).astype(float))
                 for k in (keys_a, keys_b))
@@ -482,19 +578,6 @@ class TestKeys:
         assert bool(sorted_) == (span > harness._COUNTED_CELLS * r)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-        pair = _Pair(a, b)
-        if not pair.distinct:
-            assert np.array_equal(pair.codes, want[0])
-            assert np.array_equal(pair.inverse, want[1])
-
-    def test_keyed_pair_reads_each_column_at_its_keys(self):
-        a = _Key(np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
-        b = _Key(np.array([5.0, 5.0, 5.0, 7.0, 5.0, 7.0]))
-        pair = _Pair(a, b)
-        assert not pair.distinct and pair.codes.size == 3
-        at_a, at_b = pair.at(_Table(a, a.values), _Table(b, b.values))
-        assert np.array_equal(pair.gather(at_a), [0.0, 1.0] * 3)
-        assert np.array_equal(pair.gather(at_b), [5.0, 5.0, 5.0, 7.0, 5.0, 7.0])
 
 
 class TestEsseen:

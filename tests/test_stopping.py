@@ -397,6 +397,50 @@ _DEFAULT_ROWS = (
 )
 
 
+class TestUnreachableThreshold:
+    """An n above the gate's bound on the float sum of cap variances raises
+    the overflow before any engine draws a step; n = cap M passes."""
+
+    CAP = 1000
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_STEPS", self.CAP)
+
+    def bound(self, spec):
+        m = float(spec.law.variances.max())
+        return self.CAP * m * (1.0 + 4.0 * self.CAP * 2.0**-53)
+
+    @pytest.mark.parametrize("spec", [
+        IID, ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}),
+        ModelSpec("product", {}),
+    ], ids=lambda spec: spec.kind)
+    def test_above_the_bound_raises_before_a_step(self, monkeypatch, spec):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a step was drawn")
+        for module in (models, stopping):
+            monkeypatch.setattr(module, "_run_rows", stepped)
+            monkeypatch.setattr(module, "step_model", stepped)
+        monkeypatch.setattr(models, "_constant_crossing", stepped)
+        monkeypatch.setattr(models.Product, "_step_rows", stepped)
+        n = math.nextafter(self.bound(spec), math.inf)
+        assert spec.step_cap(n) == self.CAP
+        with pytest.raises(PathOverflowError):
+            sample_stopped_batch(spec, n, 10, 1)
+        with pytest.raises(PathOverflowError):
+            next(stopping.run_lockstep(spec, [0, 1], n))
+        with pytest.raises(PathOverflowError):
+            run_path(init_model(spec, 0), n)
+
+    def test_cap_times_largest_variance_passes(self):
+        n = float(self.CAP)         # IID: M = 1, every path reaches n
+        models._check_threshold(IID, n)
+        assert sample_stopped_batch(IID, n, 10, 1).nu[0] == self.CAP - 1
+        assert run_path(init_model(IID, 0), n).nu == self.CAP - 1
+        spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
+        models._check_threshold(spec, 4.0 * self.CAP)
+
+
 class TestLemma1Records:
     @pytest.mark.parametrize("params,rows", [
         ({"model": "iid_bounded"}, _DEFAULT_ROWS),
