@@ -160,9 +160,10 @@ def _overflow(cap, n, kind):
 def _run_rows(law, rows, n, cap, kind, levels=None):
     """Stopped columns of the paths of a row state (per live row the
     ``running_sum`` and what else ``law.step`` reads and draws, ``step``,
-    and ``keep(live)`` to drop stopped rows), each stepped to its first
-    k >= 1 with v_before + sigma^2_k >= n; ``levels[path, k]``, if given,
-    gets the level of step k, and sigma^2_nu and Y_nu are read at the end."""
+    and ``keep(live)`` to keep only the rows at the indices ``live``), each
+    stepped to its first k >= 1 with v_before + sigma^2_k >= n;
+    ``levels[path, k]``, if given, gets the level of step k, and
+    sigma^2_nu and Y_nu are read at the end."""
     size = rows.running_sum.size
     nu, level_nu = np.zeros(size, np.int64), np.zeros(size, np.int8)
     s_nu, x_nu, v_before = (np.zeros(size) for _ in range(3))
@@ -191,10 +192,10 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
         if done.size == paths.size:
             return _stopped(n, nu, s_nu, x_nu, law.ys.take(level_nu),
                             v_before, law.variances.take(level_nu))
-        live = ~stop
+        live = np.flatnonzero(~stop)
         rows.running_sum += x
         rows.keep(live)
-        paths, v = paths[live], total[live]
+        paths, v = paths.take(live), total.take(live)
     raise _overflow(cap, n, kind)
 
 
@@ -537,7 +538,7 @@ class _BlockRows:
         return signs[pos:pos + m]
 
     def keep(self, live):
-        self.running_sum = self.running_sum[live]
+        self.running_sum = self.running_sum.take(live)
 
 
 LAWS = {"iid_bounded": IidBounded, "product": Product,
@@ -641,7 +642,8 @@ class Lanes:
     sign of step k is bit 7 of byte k mod 4096 of the refill's 512 sign
     words; ``random`` gives (word >> 11) * 2^-53 from the 4096 words that
     follow.  The draws are computed _TILE steps (four Philox blocks of
-    signs) at a time, for live lanes."""
+    signs) at a time, for the lanes live at the tile's first step, and the
+    signs kept as int8 -1 or +1."""
 
     def __init__(self, spec, seeds):
         self.spec, self.step = spec, 0
@@ -654,12 +656,17 @@ class Lanes:
         self._cols = None       # the tile column of each live lane, or all
 
     def _draw_tile(self):
+        if self._cols is not None:              # the live lanes' keys
+            self._keys = self._keys.take(self._cols, axis=1)
         refill, pos = divmod(self.step, _REFILL)   # the step is a tile start
         uniforms = self.spec.law.uniforms
         base = refill * (_REFILL // 8 + uniforms * _REFILL)  # in 64-bit words
         self._draws = []        # dropped before the next tile is computed
-        self._draws = [coins(philox_words(self._keys, (base + pos // 8) // 4,
-                                          _TILE // 32))]
+        signs = coins(philox_words(self._keys, (base + pos // 8) // 4,
+                                   _TILE // 32)).view(np.int8)
+        signs += signs
+        signs -= 1                              # -1 or +1
+        self._draws = [signs]
         if uniforms:
             first = (base + _REFILL // 8 + pos) // 4
             self._draws.append(
@@ -671,24 +678,24 @@ class Lanes:
         if self.step >= self._tile_end:
             self._draw_tile()
         row = self._draws[draws][self.step % _TILE]
-        return row if self._cols is None else row[self._cols]
+        return row if self._cols is None else row.take(self._cols)
 
     def _sign(self):
-        return 2.0 * self._row(0) - 1.0
+        # a float copy: an int8 factor makes each product a buffered cast
+        return self._row(0).astype(np.float64)
 
     def _uniform(self):
         return self._row(1)
 
     def keep(self, live):
-        """Drop every lane but ``live``, with its key; the tile's draws stay
-        and are read at the live lanes' columns.  ``growth`` is kept only
-        for a law that reads it, one that draws uniforms."""
-        self.running_sum = self.running_sum[live]
+        """Keep only the lanes at the indices ``live``; the tile's draws
+        stay and are read at the live lanes' columns, and the keys are
+        gathered at the next tile.  ``growth`` is kept only for a law that
+        reads it, one that draws uniforms."""
+        self.running_sum = self.running_sum.take(live)
         if self.spec.law.uniforms:
-            self.growth = self.growth[live]
-        self._keys = self._keys[:, live]
-        self._cols = (np.flatnonzero(live) if self._cols is None
-                      else self._cols[live])
+            self.growth = self.growth.take(live)
+        self._cols = live if self._cols is None else self._cols.take(live)
 
 
 def init_model(spec, seed):

@@ -11,6 +11,11 @@ crossed already carries the extra increment X_{nu+1} used by S'_nu.
 Generator; it is the oracle.  ``run_lockstep`` steps many paths of one
 spec together in ``models._run_rows``, each on its seed's stream (``Lanes``)
 evaluated counter-based, and gives, path by path, the same floats.
+
+``lemma1_check`` rebuilds the prefixes of such paths a slab at a time
+(``StoppedPaths.slabs``), laid out flat with a 0.0 before each path, and
+sums every path's terms of a slab with one np.add.reduceat, which gives
+the bits of np.sum over that path alone; a StoppedSample is one slab.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 _LOCKSTEP_BYTES = 4 << 20   # bound on the draws and levels one chunk keeps
-_PREFIX_VALUES = 1 << 11    # bound on the prefix values rebuilt at once
+_SLAB_VALUES = 1 << 12      # bound on the prefix cells of a slab
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,10 @@ class StoppedSample(StoppedBatch):
 
     sigma_prefix: np.ndarray
 
-    def prefixes(self):
-        """The path's prefix as one group of ``StoppedPaths.prefixes``."""
-        yield np.zeros(1, dtype=np.int64), self.sigma_prefix[None, :]
+    def slabs(self):
+        """The path's prefix as one slab of ``StoppedPaths.slabs``."""
+        start = np.zeros(1, dtype=np.intp)
+        yield start, np.concatenate(([0.0], self.sigma_prefix)), start
 
 
 @dataclass(frozen=True)
@@ -68,24 +74,51 @@ class StoppedPaths(StoppedBatch):
     levels: np.ndarray
     variances: np.ndarray
 
-    def prefixes(self):
-        """Yield (rows, P) with P[i, j - 1] = P_j, j = 1..nu, of path rows[i]:
-        the partial sums of sigma^2 in order, as run_path keeps them.  All
-        rows of a group share nu; a group holds at most _PREFIX_VALUES
-        values unless nu alone is longer."""
-        order = np.argsort(self.nu, kind="stable")  # rows in order per nu
+    def slabs(self):
+        """Yield (rows, prefix, starts): from starts[i] on, the flat prefix
+        holds 0.0 and then P_j, j = 1..nu, of path rows[i], the partial
+        sums of sigma^2 in order, as run_path keeps them.  Paths go in
+        order of nu (stable), a slab of them at a time: at most
+        _SLAB_VALUES cells when each is padded to the slab's longest,
+        unless one path alone is longer.  One cumsum over the slab's
+        variances rebuilds it, in a buffer that the next slab reuses: each
+        path's first cell holds the negated v_before of the path before
+        it, which P_nu of that path equals, so the sum restarts at 0.0
+        exactly."""
+        order = np.argsort(self.nu, kind="stable")
         nus = self.nu[order]
-        starts = np.flatnonzero(np.diff(nus, prepend=0)).tolist()  # nu >= 1
-        for lo, hi in zip(starts, starts[1:] + [nus.size]):
-            same, nu = order[lo:hi], int(nus[lo])
-            per_group = max(1, _PREFIX_VALUES // nu)
-            for start in range(0, same.size, per_group):
-                rows = same[start:start + per_group]
-                prefix = np.cumsum(self.variances[self.levels[rows, :nu]],
-                                   axis=1)
-                if not np.array_equal(prefix[:, -1], self.v_before[rows]):
-                    raise RuntimeError("variance levels do not rebuild v_before")
-                yield rows, prefix
+        sizes = nus + 1
+        ends = np.cumsum(sizes)                 # one past each path's P_nu
+        values = np.empty(_slab_width(nus))
+        cols = np.arange(int(nus[-1]) + 1)
+        lo = 0
+        while lo < nus.size:
+            # sizes[lo] is the slab's least, so it holds at most this many
+            ahead = sizes[lo:lo + _SLAB_VALUES // int(sizes[lo])]
+            area = ahead * np.arange(1, ahead.size + 1)   # up to each path
+            hi = lo + max(1, int(np.searchsorted(area, _SLAB_VALUES, "right")))
+            rows, nu, width = order[lo:hi], nus[lo:hi], int(sizes[hi - 1])
+            last = ends[lo:hi] - (ends[lo - 1] if lo else 0) - 1
+            starts = last - nu
+            # the levels of steps 0..nu of each path, the last one of
+            # which lands on the next path's first cell
+            steps = self.levels[rows, :width][cols[:width] <= nu[:, None]]
+            prefix = values[:steps.size]
+            prefix[0] = 0.0
+            self.variances.take(steps[:-1], out=prefix[1:])
+            v_before = self.v_before[rows]
+            prefix[starts[1:]] = -v_before[:-1]
+            np.cumsum(prefix, out=prefix)
+            if not np.array_equal(prefix[last], v_before):
+                raise RuntimeError("variance levels do not rebuild v_before")
+            yield rows, prefix, starts
+            lo = hi
+
+
+def _slab_width(nu):
+    """Cells of a slab's buffers: _SLAB_VALUES, or one path's 0.0 and P_nu
+    if it is longer."""
+    return max(_SLAB_VALUES, int(np.max(nu)) + 1)
 
 
 def run_path(state, n):
@@ -110,11 +143,13 @@ def run_path(state, n):
 
 
 def _lanes_per_chunk(spec, cap):
-    """Paths per chunk: each keeps cap int8 levels and one tile of draws, a
-    sign byte and, if the law draws them, an 8-byte uniform per step.  The
-    next tile is computed next to it from 64-bit words as large and the
-    cipher's six scratch arrays of half their size (``philox_words``), so
-    a lane holds about five times a tile's bytes at once; six are counted."""
+    """Paths per chunk: each keeps cap int8 levels, a 16-byte Philox key
+    and one tile of draws, an int8 sign and, if the law draws them, an
+    8-byte uniform per step.  The next tile is computed next to it, from
+    the live lanes' keys gathered once a tile, as 64-bit words as large
+    and the cipher's six scratch arrays of half their size
+    (``philox_words``), so a lane holds about five times a tile's bytes
+    at once; six are counted, and the key is not."""
     per_step = 1 + 8 * spec.law.uniforms
     return max(1, _LOCKSTEP_BYTES // (cap + 6 * per_step * _TILE))
 
@@ -140,15 +175,23 @@ def run_lockstep(spec, seeds, n):
         yield StoppedPaths(**cols, levels=levels, variances=spec.law.variances)
 
 
-def _lemma1_lhs(prefix, c):
-    """LHS for each row of the (paths, nu) prefix matrix and each c."""
-    sigmas = prefix.copy()                   # P_1 and P_j - P_{j-1}
-    np.subtract(prefix[:, 1:], prefix[:, :-1], out=sigmas[:, 1:])
-    terms = c[:, None] * prefix[:, None, :]      # (paths, c, nu), C order
+def _lemma1_lhs(prefix, starts, c, scratch):
+    """LHS for each path of a slab (``StoppedPaths.slabs``) and each c, as
+    a (paths, c) array, in ``scratch``'s (c.size + 1) * prefix.size floats.
+    The terms take the elementwise operations of np.sum(exp(c * P) * c *
+    sigma) over one path, in order; np.add.reduceat adds a segment's first
+    value, here the 0.0 term of a path's start, to np.add.reduce's
+    pairwise sum of the rest, so each path's sum has np.sum's bits."""
+    size = prefix.size
+    sigmas = scratch[:size]                 # P_j - P_{j-1}, P_0 = 0.0
+    np.subtract(prefix[1:], prefix[:-1], out=sigmas[1:])
+    sigmas[starts] = 0.0                    # 0.0 terms at each start
+    terms = scratch[size:size * (c.size + 1)].reshape(c.size, size)
+    np.multiply(c[:, None], prefix, out=terms)
     np.exp(terms, out=terms)
     terms *= c[:, None]
-    terms *= sigmas[:, None, :]
-    return terms.sum(axis=2)
+    terms *= sigmas
+    return np.add.reduceat(terms, starts, axis=1).T
 
 
 @dataclass(frozen=True)
@@ -181,8 +224,9 @@ def lemma1_check(paths, t, n):
     c = t * t / (2.0 * n)
     y_nu = np.atleast_1d(paths.y_nu)
     lhs = np.empty((y_nu.size, t.size))
-    for rows, prefix in paths.prefixes():
-        lhs[rows] = _lemma1_lhs(prefix, c)
+    scratch = np.empty((t.size + 1) * _slab_width(paths.nu))
+    for rows, prefix, starts in paths.slabs():
+        lhs[rows] = _lemma1_lhs(prefix, starts, c, scratch)
     # Y_nu takes few values (one per variance level at most)
     ys, which = np.unique(y_nu, return_inverse=True)
     rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +23,8 @@ from stopsum import (
     step_model,
     stopping,
 )
-from stopsum.cli import LEMMA1_T_GRID, build_config, run_experiment
+from stopsum.cli import (LEMMA1_T_GRID, _lemma1_record, build_config,
+                         run_experiment)
 
 mpmath.mp.dps = 40
 
@@ -242,6 +244,35 @@ class TestLemma1:
             lemma1_check(sample, [1.0, math.inf], 10.0)
 
 
+class TestZeroLedSum:
+    """lemma1_check sums each path's terms by np.add.reduceat over a
+    segment led by 0.0; reduceat adds a segment's first value to the
+    pairwise sum of the rest, so the segment gives np.sum's bits."""
+
+    LENGTHS = [*range(1, 601), 4097, 10_000]
+
+    def test_equals_np_sum_per_segment(self):
+        rng = np.random.default_rng(11)
+        lengths = np.array(self.LENGTHS)
+        # per length, a segment of positive terms and one of zeros (t = 0)
+        sizes = np.repeat(lengths + 1, 2)
+        starts = np.cumsum(sizes) - sizes
+        flat = np.exp(rng.uniform(-30.0, 30.0, (2, sizes.sum())))
+        flat[:, starts] = 0.0
+        zero = starts[1::2]
+        for start, size in zip(zero.tolist(), sizes[1::2].tolist()):
+            flat[:, start:start + size] = 0.0
+        got = np.add.reduceat(flat, starts, axis=1)           # 2-D form
+        assert np.array_equal(got[1], np.add.reduceat(flat[1], starts))
+        want = np.array([[np.sum(row[start + 1:start + size])
+                          for start, size in zip(starts.tolist(),
+                                                 sizes.tolist())]
+                         for row in flat])
+        mismatched = np.flatnonzero((got != want).any(axis=0))
+        assert mismatched.size == 0, np.repeat(lengths, 2)[mismatched]
+        assert not np.signbit(got[:, 1::2]).any()       # +0.0, as np.sum
+
+
 def _lemma1_oracle(prefix, y, t, n):
     """The single-path Lemma-1 formula: one 1-D np.sum over the prefix."""
     c = t * t / (2.0 * n)
@@ -250,17 +281,16 @@ def _lemma1_oracle(prefix, y, t, n):
 
 
 def _lockstep(spec, seeds, n):
-    """Concatenated columns and per-path prefixes of run_lockstep."""
+    """Concatenated columns of run_lockstep, each path's prefix rebuilt
+    from its variance levels, and the Lemma-1 checks of the chunks."""
     cols = {name: [] for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
                                   "v_before", "sigma_nu_sq")}
     prefixes, checks = [], []
     for paths in stopping.run_lockstep(spec, seeds, n):
         for name in cols:
             cols[name].append(getattr(paths, name))
-        by_row = {}
-        for rows, prefix in paths.prefixes():
-            by_row.update(zip(rows.tolist(), prefix))
-        prefixes += [by_row[i] for i in range(paths.nu.size)]
+        prefixes += [np.cumsum(paths.variances[levels[:nu]])
+                     for levels, nu in zip(paths.levels, paths.nu)]
         checks.append(lemma1_check(paths, LEMMA1_T_GRID, n))
     cols = {name: np.concatenate(vals) for name, vals in cols.items()}
     lhs = np.concatenate([res.lhs for res in checks])
@@ -297,6 +327,49 @@ class TestLockstep:
             for j, t in enumerate(LEMMA1_T_GRID):
                 oracle = _lemma1_oracle(sample.sigma_prefix, sample.y_nu, t, n)
                 assert (lhs[i, j], rhs[i, j]) == oracle, (i, t)
+
+    def test_small_slabs(self, monkeypatch):
+        # 8-cell slabs: a path longer than a slab, slabs of mixed nu and a
+        # last slab that the paths leave partial; each slab's prefix is
+        # run_path's and each LHS the single-path formula's
+        monkeypatch.setattr(stopping, "_lanes_per_chunk", lambda spec, cap: 16)
+        monkeypatch.setattr(stopping, "_SLAB_VALUES", 8)
+        slabs, seen = stopping.StoppedPaths.slabs, set()
+        prefixes = {}                           # of the chunk's paths
+
+        def spied(paths):
+            for rows, prefix, starts in slabs(paths):
+                nu = paths.nu[rows]
+                if np.unique(nu).size > 1:
+                    seen.add("mixed nu")
+                if prefix.size > 8:
+                    seen.add("longer path")
+                for path, start, size in zip(rows.tolist(), starts.tolist(),
+                                             (nu + 1).tolist()):
+                    prefixes[path] = prefix[start:start + size].copy()
+                yield rows, prefix, starts
+            if (rows.size + 1) * (nu.max() + 1) <= 8:
+                seen.add("partial last")
+
+        monkeypatch.setattr(stopping.StoppedPaths, "slabs", spied)
+        for kind, params in (
+                ("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}),
+                ("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.5})):
+            spec, n = ModelSpec(kind, params), 3.0
+            seeds = [derive_seed(29, path) for path in range(40)]
+            got = []                            # (prefix, LHS row) per path
+            for paths in stopping.run_lockstep(spec, seeds, n):
+                lhs = lemma1_check(paths, LEMMA1_T_GRID, n).lhs
+                got += [(prefixes[i], lhs[i]) for i in range(paths.nu.size)]
+            for (prefix, lhs), seed in zip(got, seeds, strict=True):
+                sample = run_path(init_model(spec, seed), n)
+                assert prefix[0] == 0.0
+                assert np.array_equal(prefix[1:], sample.sigma_prefix), seed
+                for j, t in enumerate(LEMMA1_T_GRID):
+                    oracle = _lemma1_oracle(sample.sigma_prefix,
+                                            sample.y_nu, t, n)
+                    assert lhs[j] == oracle[0], (kind, seed, t)
+        assert seen == {"mixed nu", "longer path", "partial last"}
 
     @pytest.mark.parametrize("seeds", [
         [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],    # Python ints
@@ -461,3 +534,29 @@ class TestLemma1Records:
         assert status == 0
         got = [(r["estimate"], r["bound"], r["margin"]) for r in records]
         assert got == list(rows)
+
+    def test_record_memory_within_stated_bound(self, tmp_path):
+        """The tracemalloc peak of one record, 1000 regime paths at n = 128
+        (one chunk), after a first one: at most the chunk's int8 levels, a
+        byte a step of the cap, the slab buffers and temporaries, (t + 3)
+        floats a cell of _SLAB_VALUES, and 512 KiB for the rest, the lanes'
+        tile draws and the stopped columns and results.  It reads about
+        1050 KiB against a bound of 1270 KiB."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "regime_switch",
+                                    "v_lo": 0.25, "v_hi": 4.0}))
+        config = build_config(["--config", str(path), "--n-list", "128",
+                               "--reps", "1000", "--seed", "3",
+                               "--checks", "lemma1"])
+        n = config.n_list[0]
+        bound = (1000 * config.model.step_cap(n)
+                 + (len(LEMMA1_T_GRID) + 3) * 8 * stopping._SLAB_VALUES
+                 + (512 << 10))
+        _lemma1_record(config, n, 0)        # imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            _lemma1_record(config, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
