@@ -29,14 +29,14 @@ from .harness import (
     rate_fit,
     report_from_batch,
 )
-from .models import (KINDS, LAWS, MAX_REPS, ModelSpec, derive_seed,
-                     init_model)
+from .models import (KINDS, LAWS, MAX_REPS, ModelSpec, _check_threshold,
+                     derive_seed, init_model)
+from .normal import DEFAULT_DELTA
 from .sampling import sample_stopped_batch
 # init_model and run_path stay importable here although the CLI no longer
 # calls them: the benchmark tracer (perfbench/spans.py) wraps cli.run_path,
 # cli.lemma1_check, cli.init_model and cli.derive_seed
 from .stopping import lemma1_check, run_lockstep, run_path
-from .streams import derive_seeds
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -55,6 +55,9 @@ _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every n is finite and passes the engines' start gate
+    (``models._check_threshold``) here, before any n is sampled."""
+
     model: ModelSpec
     n_list: tuple
     reps: int
@@ -69,12 +72,10 @@ class ExperimentConfig:
             raise ConfigurationError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigurationError("n_list must be strictly increasing")
-        floor = 2.0 * self.model.law.sigma0_sq_max
         for n in self.n_list:
-            if not floor <= n < math.inf:
-                raise ConfigurationError(
-                    f"n = {n} must be finite and >= 2 * max sigma^2_0 = {floor}"
-                )
+            if not math.isfinite(n):
+                raise ConfigurationError(f"n = {n} must be finite")
+            _check_threshold(self.model, n)
         if not 2 <= self.reps <= MAX_REPS:
             raise ConfigurationError(f"reps must lie in [2, {MAX_REPS}]")
         if self.master_seed < 0:
@@ -210,7 +211,7 @@ def _lemma1_record(config, n, n_index):
     worst_rhs = math.inf
     min_margin = math.inf
     violations = 0
-    for paths in run_lockstep(config.model, derive_seeds(seed, n_paths), n):
+    for paths in run_lockstep(config.model, seed, n_paths, n):
         res = lemma1_check(paths, LEMMA1_T_GRID, n)
         worst = np.unravel_index(np.argmin(res.margin), res.margin.shape)
         if res.margin[worst] < min_margin:
@@ -352,7 +353,7 @@ def build_config(argv):
                      for n in _listed(raw, "n_list", [])),
         reps=_number("reps", raw.get("reps", 10_000), int),
         master_seed=_number("seed", raw.get("seed", 0), int),
-        delta=_number("delta", raw.get("delta", 0.01), float),
+        delta=_number("delta", raw.get("delta", DEFAULT_DELTA), float),
         checks=tuple(_listed(raw, "checks", ["distance"])),
         out=raw.get("out"),
         format=raw.get("format", "csv"),
@@ -386,6 +387,9 @@ def main(argv=None):
         return 2
     except (OSError, TypeError, ValueError) as exc:
         print(f"stopsum: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except PathOverflowError as exc:
+        print(f"stopsum: path overflow: {exc}", file=sys.stderr)
         return 2
     try:
         status, records, _files = run_experiment(config)

@@ -16,7 +16,7 @@ class PathOverflowError(RuntimeError):
     """
 
 
-class DegenerateStartError(ValueError):
+class DegenerateStartError(ConfigurationError):
     """The threshold n is too small relative to the first conditional
     variance, so the fractional correction would leave (0, 1]."""
 

@@ -461,8 +461,8 @@ class RateFit:
     stderr: float
     intercept: float
 
-    def passes(self, threshold=RATE_BOUND):
-        return self.slope <= threshold
+    def passes(self):
+        return self.slope <= RATE_BOUND
 
 
 def rate_fit(reports):

@@ -632,8 +632,8 @@ _TILE = 128   # steps whose draws lanes compute at once: four blocks of signs
 
 class Lanes:
     """Paths of one spec stepped together, one array entry (lane) per path;
-    lane i draws what ``init_model(spec, seeds[i])`` draws, evaluated from
-    the stream's counter rather than by a Generator.
+    lane i draws what ``init_model(spec, seeds[i])`` draws, seeds a uint64
+    array, evaluated from the stream's counter rather than by a Generator.
 
     A ModelState refills 4096 signs and then, if ``law.uniforms``, 4096
     uniforms at the steps k = 0, 4096, 8192, ..., so refill b starts at

@@ -8,9 +8,10 @@ order in floats by every engine, so the step at which the threshold is
 crossed already carries the extra increment X_{nu+1} used by S'_nu.
 
 ``run_path`` steps one path of a ModelState, whose draws come from numpy's
-Generator; it is the oracle.  ``run_lockstep`` steps many paths of one
-spec together in ``models._run_rows``, each on its seed's stream (``Lanes``)
-evaluated counter-based, and gives, path by path, the same floats.
+Generator; it is the oracle.  ``run_lockstep`` steps the paths p < count
+of one spec and one seed together in ``models._run_rows``, path p on the
+stream of ``derive_seed(seed, p)`` (``Lanes``) evaluated counter-based,
+and gives, path by path, the same floats.
 
 ``lemma1_check`` rebuilds the prefixes of such paths a slab at a time
 (``StoppedPaths.slabs``), laid out flat with a 0.0 before each path, and
@@ -36,7 +37,7 @@ from .models import (
     step_model,
 )
 from .sampling import StoppedBatch
-from .streams import seed_array
+from .streams import derive_seeds
 
 __all__ = [
     "StoppedSample",
@@ -154,21 +155,21 @@ def _lanes_per_chunk(spec, cap):
     return max(1, _LOCKSTEP_BYTES // (cap + 6 * per_step * _TILE))
 
 
-def run_lockstep(spec, seeds, n):
-    """Run the paths of ``spec`` with the given seeds, integers in
-    [0, 2^64), to their stopping times, a chunk of paths at a time,
-    yielding one StoppedPaths per chunk in seed order.
+def run_lockstep(spec, seed, count, n):
+    """Run paths p < count of ``spec``, path p on the seed
+    ``derive_seed(seed, p)``, to their stopping times, a chunk of paths at
+    a time, yielding one StoppedPaths per chunk in path order.
 
     Path by path, nu, the sums, gamma, Y_nu, v_before, sigma^2_nu and the
-    prefix equal those of ``run_path(init_model(spec, seed), n)``: the
-    lanes draw each seed's stream, and every float is computed by the same
-    operations in the same order.
+    prefix equal those of ``run_path(init_model(spec, derive_seed(seed,
+    p)), n)``: the lanes draw each path's stream, and every float is
+    computed by the same operations in the same order.
     """
-    seeds = seed_array(seeds)
     _check_threshold(spec, n)
+    seeds = derive_seeds(seed, count)
     cap = spec.step_cap(n)
     size = _lanes_per_chunk(spec, cap)
-    for start in range(0, seeds.size, size):
+    for start in range(0, count, size):
         lanes = Lanes(spec, seeds[start:start + size])
         levels = np.empty((lanes.running_sum.size, cap), dtype=np.int8)
         cols = _run_rows(spec.law, lanes, n, cap, spec.kind, levels)

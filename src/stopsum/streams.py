@@ -75,35 +75,26 @@ def _seed_words(seeds):
     return [lo, (seeds >> _U32).astype(np.uint32), zero, zero]
 
 
-def seed_array(seeds):
-    """The seeds as a 1-D uint64 array; each must be an integer in
-    [0, 2^64), the seeds whose streams ``philox_keys`` evaluates."""
-    if isinstance(seeds, np.ndarray):
-        if seeds.dtype.kind == "u":
-            return seeds.astype(np.uint64).ravel()
-        seeds = seeds.ravel().tolist()
-    # not np.asarray: it turns a list holding an int >= 2^63 into floats
-    values = [operator.index(s) for s in seeds]
-    if not all(0 <= s < 1 << 64 for s in values):
-        raise ValueError("path seeds must lie in [0, 2^64)")
-    return np.array(values, dtype=np.uint64)
-
-
 def derive_seeds(seed, count):
-    """[derive_seed(seed, p) for p in range(count)] as a uint64 array."""
+    """[derive_seed(seed, p) for p in range(count)] as a uint64 array, for
+    an integer seed in [0, 2^64)."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2^64)")
     if not 0 <= count <= 1 << 32:
         raise ValueError("count must lie in [0, 2^32]")
     paths = np.arange(count, dtype=np.uint32)
     # the spawn key pads the entropy of SeedSequence(seed, (p,)) to the
     # pool size, so it is [lo, hi, 0, 0, p] for every seed below 2^64
-    words = _seed_words(seed_array([seed]).repeat(count)) + [paths]
+    words = _seed_words(np.full(count, seed, dtype=np.uint64)) + [paths]
     return _seed_state(words, 1)[0]
 
 
 def philox_keys(seeds):
     """(2, paths) uint64 array: column i is the key of
-    Philox(SeedSequence(seeds[i])), the bit generator of init_model."""
-    return np.array(_seed_state(_seed_words(seed_array(seeds)), 2))
+    Philox(SeedSequence(seeds[i])), the bit generator of init_model, for
+    ``seeds`` a uint64 array."""
+    return np.array(_seed_state(_seed_words(seeds), 2))
 
 
 def _mulhi(m, x, high, scratch):

@@ -144,7 +144,7 @@ def test_criterion_3_theorem_bounds(bound_reports, _verdict):
 
 def test_criterion_4_rate_slope(bound_reports, _verdict):
     fit = rate_fit([bound_reports[("iid_bounded", n)] for n in N_GRID])
-    ok = fit.passes(-0.15)
+    ok = fit.slope <= -0.15
     assert _verdict(
         4, ok, f"iid log-log slope {fit.slope:.3f} <= -0.15 "
                f"(stderr {fit.stderr:.3f})"

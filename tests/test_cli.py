@@ -220,6 +220,28 @@ class TestMain:
         assert err == (f"stopsum: path overflow: no stop after 10000000 "
                        f"steps (n = {n!r}, kind = {kind})\n")
 
+    @pytest.mark.parametrize("kind", stopsum.KINDS)
+    def test_unreachable_last_threshold_exit_2_before_the_first(
+            self, tmp_path, monkeypatch, capsys, kind):
+        # n = 16 is valid, 1e300 is not: the gate runs on every n before
+        # n = 16 is sampled, so no block is drawn and no file written
+        drawn = []
+
+        def draw(*args):
+            drawn.append(args)
+            raise AssertionError("a step or block was drawn")
+
+        monkeypatch.setattr(stopsum.LAWS[kind], "sample_block", draw)
+        monkeypatch.setattr(stopsum.LAWS[kind], "step", draw)
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["--model", kind, "--n-list", "16,1e300", "--reps", "500",
+                     "--checks", "distance,cf", "--out", str(out / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"stopsum: path overflow: no stop after 10000000 "
+                       f"steps (n = 1e+300, kind = {kind})\n")
+        assert list(out.iterdir()) == [] and drawn == []
+
     def test_rows_read_the_harness_verdicts(self, monkeypatch):
         reports = []
 

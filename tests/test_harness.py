@@ -692,7 +692,6 @@ class TestRateFit:
         above = harness.RateFit(math.nextafter(harness.RATE_BOUND, 0.0),
                                 0.0, 0.0)
         assert at.passes() and not above.passes()
-        assert above.passes(-0.1)   # an explicit threshold still wins
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

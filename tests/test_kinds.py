@@ -69,7 +69,7 @@ def test_block_sampler_rejects_n_at_most_sigma0(spec, scale):
 ENGINES = {
     "batch": lambda spec, n: sample_stopped_batch(spec, n, 64, 0),
     "scalar": lambda spec, n: run_path(init_model(spec, 0), n),
-    "lockstep": lambda spec, n: next(run_lockstep(spec, [0], n)),
+    "lockstep": lambda spec, n: next(run_lockstep(spec, 0, 1, n)),
 }
 
 

@@ -150,7 +150,7 @@ class TestStepSemantics:
             state = init_model(spec, 0)
             state.growth = g
             scalar.append(step_model(state).sigma_sq)
-        lanes = Lanes(spec, np.arange(61))
+        lanes = Lanes(spec, np.arange(61, dtype=np.uint64))
         lanes.growth = growth
         lane = spec.law.variances.take(spec.law.step(lanes)[1])
         block = spec.law.amplitude(growth.astype(np.int32))  # block counts

@@ -280,13 +280,13 @@ def _lemma1_oracle(prefix, y, t, n):
     return lhs, math.exp(t * t / 2.0) * (1.0 + y**2 * t * t / n)
 
 
-def _lockstep(spec, seeds, n):
+def _lockstep(spec, seed, count, n):
     """Concatenated columns of run_lockstep, each path's prefix rebuilt
     from its variance levels, and the Lemma-1 checks of the chunks."""
     cols = {name: [] for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
                                   "v_before", "sigma_nu_sq")}
     prefixes, checks = [], []
-    for paths in stopping.run_lockstep(spec, seeds, n):
+    for paths in stopping.run_lockstep(spec, seed, count, n):
         for name in cols:
             cols[name].append(getattr(paths, name))
         prefixes += [np.cumsum(paths.variances[levels[:nu]])
@@ -316,7 +316,7 @@ class TestLockstep:
         monkeypatch.setattr(stopping, "_lanes_per_chunk", lambda spec, cap: 16)
         spec = ModelSpec(kind, params)
         seeds = [derive_seed(29, path) for path in range(n_paths)]
-        cols, prefixes, lhs, rhs = _lockstep(spec, seeds, n)
+        cols, prefixes, lhs, rhs = _lockstep(spec, 29, n_paths, n)
         if n > 1000:
             assert cols["nu"].max() > 4096   # a second block of draws
         for i, seed in enumerate(seeds):
@@ -358,7 +358,7 @@ class TestLockstep:
             spec, n = ModelSpec(kind, params), 3.0
             seeds = [derive_seed(29, path) for path in range(40)]
             got = []                            # (prefix, LHS row) per path
-            for paths in stopping.run_lockstep(spec, seeds, n):
+            for paths in stopping.run_lockstep(spec, 29, len(seeds), n):
                 lhs = lemma1_check(paths, LEMMA1_T_GRID, n).lhs
                 got += [(prefixes[i], lhs[i]) for i in range(paths.nu.size)]
             for (prefix, lhs), seed in zip(got, seeds, strict=True):
@@ -372,37 +372,42 @@ class TestLockstep:
         assert seen == {"mixed nu", "longer path", "partial last"}
 
     @pytest.mark.parametrize("seeds", [
-        [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],    # Python ints
-        np.array([5, 2**40 + 3], dtype=np.uint64),
-        np.array([7, 11], dtype=np.int64),
+        [0, 1, 2**32 - 1],                              # one entropy word
+        [2**32, 2**63, 2**64 - 1],                      # two
+        [np.uint64(2**40 + 3), np.int64(7)],            # numpy integers
     ])
     def test_any_seed_in_uint64(self, seeds):
+        # path p of a seed runs on derive_seed(seed, p), for every seed
+        # in [0, 2^64) and every integer type the seed comes as
         spec = ModelSpec("product", {"p_growth": 0.5})
-        cols, prefixes, _, _ = _lockstep(spec, seeds, 40.0)
-        for i, seed in enumerate(int(s) for s in seeds):
-            sample = run_path(init_model(spec, seed), 40.0)
-            for name, col in cols.items():
-                assert col[i] == getattr(sample, name), (i, name)
-            assert np.array_equal(prefixes[i], sample.sigma_prefix), i
+        for seed in seeds:
+            cols, prefixes, _, _ = _lockstep(spec, seed, 3, 40.0)
+            for p in range(3):
+                path_seed = derive_seed(int(seed), p)
+                sample = run_path(init_model(spec, path_seed), 40.0)
+                for name, col in cols.items():
+                    assert col[p] == getattr(sample, name), (seed, p, name)
+                assert np.array_equal(prefixes[p], sample.sigma_prefix)
+
+    @pytest.mark.parametrize("seeds,error", [
+        ((-1, 3), ValueError),
+        ((2**64, 3), ValueError),
+        ((4, 2**32 + 1), ValueError),        # more paths than derive_seeds
+        ((1.0, 3), TypeError),
+    ])
+    def test_seeds_outside_uint64_raise(self, seeds, error):
+        # seeds = (seed, count): the paths' seeds are checked before a draw
+        with pytest.raises(error):
+            next(stopping.run_lockstep(IID, *seeds, 10.0))
 
     def test_same_threshold_rule(self, monkeypatch):
         with pytest.raises(DegenerateStartError):   # n < 2 sigma_0^2
-            next(stopping.run_lockstep(IID, [0], 1.5))
+            next(stopping.run_lockstep(IID, 0, 1, 1.5))
         monkeypatch.setattr(models, "MAX_STEPS", 63)
         with pytest.raises(PathOverflowError):      # nu would be 63
-            next(stopping.run_lockstep(IID, [0], 64.0))
+            next(stopping.run_lockstep(IID, 0, 1, 64.0))
         monkeypatch.setattr(models, "MAX_STEPS", 64)
-        assert next(stopping.run_lockstep(IID, [0], 64.0)).nu[0] == 63
-
-    @pytest.mark.parametrize("seeds,error", [
-        ([-1], ValueError),
-        ([3, 2**64], ValueError),
-        (np.array([4, -2]), ValueError),
-        ([1.0], TypeError),
-    ])
-    def test_seeds_outside_uint64_raise(self, seeds, error):
-        with pytest.raises(error):
-            next(stopping.run_lockstep(IID, seeds, 10.0))
+        assert next(stopping.run_lockstep(IID, 0, 1, 64.0)).nu[0] == 63
 
     def test_chunks_stay_within_budget(self):
         regime = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
@@ -412,7 +417,7 @@ class TestLockstep:
             size = stopping._lanes_per_chunk(spec, cap)
             assert size == 1 or size * cap <= stopping._LOCKSTEP_BYTES
         # the CLI's 1000 paths at n = 128 run as one chunk
-        chunks = list(stopping.run_lockstep(regime, range(1000), 128.0))
+        chunks = list(stopping.run_lockstep(regime, 0, 1000, 128.0))
         assert [paths.nu.size for paths in chunks] == [1000]
 
     @pytest.mark.parametrize("kind,params,n", [
@@ -433,7 +438,7 @@ class TestLockstep:
         monkeypatch.setattr(models, "philox_words", counting)
         spec = ModelSpec(kind, params)
         seeds = [derive_seed(31, path) for path in range(200)]
-        cols, prefixes, _, _ = _lockstep(spec, seeds, n)
+        cols, prefixes, _, _ = _lockstep(spec, 31, len(seeds), n)
         # a tile starting at step k is drawn for the paths with nu >= k,
         # once for the signs and, for product, once more for the uniforms
         starts = range(0, int(cols["nu"].max()) + 1, models._TILE)
@@ -450,7 +455,7 @@ class TestLockstep:
     def test_shapes_follow_the_inputs(self):
         # (paths, t) arrays, one row for a StoppedSample; t is a sequence
         spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
-        paths = next(stopping.run_lockstep(spec, range(5), 32.0))
+        paths = next(stopping.run_lockstep(spec, 0, 5, 32.0))
         sample = run_path(init_model(spec, 0), 32.0)
         for checked, rows in ((paths, 5), (sample, 1)):
             for t in (LEMMA1_T_GRID, [2.0]):
@@ -501,7 +506,7 @@ class TestUnreachableThreshold:
         with pytest.raises(PathOverflowError):
             sample_stopped_batch(spec, n, 10, 1)
         with pytest.raises(PathOverflowError):
-            next(stopping.run_lockstep(spec, [0, 1], n))
+            next(stopping.run_lockstep(spec, 0, 2, n))
         with pytest.raises(PathOverflowError):
             run_path(init_model(spec, 0), n)
 
