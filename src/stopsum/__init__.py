@@ -5,7 +5,6 @@ verification of the characteristic-function inequalities behind them."""
 from .errors import (
     ConfigurationError,
     DegenerateStartError,
-    ModelInvalidError,
     PathOverflowError,
 )
 from .harness import (
@@ -29,11 +28,9 @@ from .models import (
     ModelSpec,
     ModelState,
     StepOutput,
-    ValidationReport,
     derive_seed,
     init_model,
     step_model,
-    validate_model,
 )
 from .normal import (
     DistanceResult,

@@ -20,7 +20,3 @@ class DegenerateStartError(ConfigurationError):
     """The threshold n is too small relative to the first conditional
     variance, so the fractional correction would leave (0, 1]."""
 
-
-class ModelInvalidError(AssertionError):
-    """A generator violated an exact pathwise hypothesis (domination,
-    monotonicity, or variance positivity)."""

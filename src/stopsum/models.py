@@ -4,7 +4,8 @@ Each model emits, at step k, the triple (X_{k+1}, sigma^2_k, Y_k): the
 conditional variance and the dominating sequence are computed from the
 history *before* the next increment is drawn.  All conditional laws are
 symmetric two-point laws, so conditional moments are available in closed
-form and the hypothesis checks are exact rather than statistical.
+form: ``ModelSpec`` checks the paper's hypotheses exactly, once, on every
+level of the kind's table (``_check_hypotheses``).
 
 A model kind is one ``Law`` subclass, registered by name in ``LAWS``.
 """
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateStartError,
-    ModelInvalidError,
     PathOverflowError,
 )
 from .streams import coins, doubles, philox_keys, philox_words
@@ -34,30 +34,32 @@ __all__ = [
     "ModelSpec",
     "ModelState",
     "StepOutput",
-    "ValidationReport",
     "compute_gamma",
     "init_model",
     "step_model",
-    "validate_model",
 ]
 
 
 class Law:
-    """One model kind: parameter ``defaults`` checked in ``__init__``, the
-    level table of ``_table``, ``step`` giving the sign of X_{k+1} and the
-    level of (sigma^2_k, sigma_k, Y_k), so X_{k+1} = sign * sigma_k, and
-    ``sample_block`` giving the StoppedBatch columns of paths stopped at
-    nu < cap, or raising PathOverflowError.  ``step`` is written once for a
-    ModelState (floats, drawn by numpy's Generator) and for the rows that
-    ``_run_rows`` steps (arrays); it draws one sign and then, if
-    ``uniforms``, one uniform.  The ``rng`` of ``sample_block`` is the
-    block's own fresh stream, ``Generator(Philox(SeedSequence(seed,
-    spawn_key=(b,))))``, which nothing has drawn from; the product and
-    regime samplers read its raw outputs from the first one on and test
-    them as integers, for the bits that numpy's float and int32 draws of
-    the same outputs compare."""
+    """One model kind: parameter ``defaults``, checked in ``__init__`` only
+    where its arithmetic needs them, the level table of ``_table``,
+    ``rising``, whether a path's level never falls, ``step`` giving the
+    sign of X_{k+1} and the level of (sigma^2_k, sigma_k, Y_k), so
+    X_{k+1} = sign * sigma_k, and ``sample_block`` giving the StoppedBatch
+    columns of paths stopped at nu < cap, or raising PathOverflowError.
+    ``ModelSpec`` checks the paper's hypotheses on the table and ``rising``
+    (``_check_hypotheses``), so a kind states none of them itself.
+    ``step`` is written once for a ModelState (floats, drawn by numpy's
+    Generator) and for the rows that ``_run_rows`` steps (arrays); it
+    draws one sign and then, if ``uniforms``, one uniform.  The ``rng`` of
+    ``sample_block`` is the block's own fresh stream,
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(b,))))``, which
+    nothing has drawn from; the product and regime samplers read its raw
+    outputs from the first one on and test them as integers, for the bits
+    that numpy's float and int32 draws of the same outputs compare."""
 
     uniforms = False
+    rising = False
 
     def _table(self, variances, sds, ys):
         """Level i = (sigma^2, sigma, Y) as ``levels[i]``, floats, and as
@@ -200,17 +202,14 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
 
 
 class IidBounded(Law):
-    """X = +/- sqrt(v), constant variance v <= M^2, Y = max(M, 1)."""
+    """X = +/- sqrt(v), constant variance v, Y = M."""
 
     defaults = {"m": 1.0, "v": 1.0}
 
     def __init__(self, m, v):
-        if m < 1.0:
-            raise ConfigurationError("iid_bounded requires M >= 1")
-        y = _largest_y(max(m, 1.0))
-        if not 0.0 < v <= m ** 2:
-            raise ConfigurationError("iid_bounded requires 0 < v <= M^2")
-        self._table((v,), (math.sqrt(v),), (y,))
+        if not v > 0.0:
+            raise ConfigurationError("iid_bounded requires v > 0")
+        self._table((v,), (math.sqrt(v),), (_largest_y(m),))
 
     def step(self, state):
         return state._sign(), 0
@@ -267,15 +266,15 @@ class Product(Law):
 
     defaults = {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05}
     uniforms = True
+    rising = True                   # N_k never decreases
 
     def __init__(self, a_lo, a_hi, p_growth):
-        if a_lo < 1.0 or a_hi < a_lo:
-            raise ConfigurationError("product requires 1 <= a_lo <= a_hi")
         if not 0.0 <= p_growth <= 1.0:
             raise ConfigurationError("product requires p_growth in [0, 1]")
-        self.a_lo, self.a_hi, self.p_growth = a_lo, _largest_y(a_hi), p_growth
+        _largest_y(max(abs(a_lo), abs(a_hi)))   # |A_k| <= max(|a_lo|, |a_hi|)
+        self.a_lo, self.a_hi, self.p_growth = a_lo, a_hi, p_growth
         a = self.amplitude(np.arange(_PRODUCT_LEVELS))
-        self._table(a * a, a, a)  # Y_k = max(1, A_k) = A_k since a_lo >= 1
+        self._table(a * a, a, a)
 
     def amplitude(self, growth):
         """A_k for the growth count N_k (an int or an integer array)."""
@@ -359,7 +358,7 @@ class Product(Law):
             j = j[rows]
             nu[rows] = c0 + j
             v_before[rows] = csum[rows, j]
-            y = a[rows, j]                      # max(1, A) = A since a_lo >= 1
+            y = a[rows, j]                      # Y = A
             y_nu[rows] = y
             sig_nu[rows] = y * y
             np.multiply(a, zeta[:, c0:c1], out=a)  # column k holds X_{k+1}
@@ -546,6 +545,33 @@ LAWS = {"iid_bounded": IidBounded, "product": Product,
 KINDS = tuple(LAWS)
 
 
+def _check_hypotheses(kind, law):
+    """The hypotheses of the rate bounds on every level of law's table,
+    exactly: sigma^2 > 0, Y >= 1 and sigma <= Y, which, as |X| = sigma,
+    is both sigma^2 <= Y^2 and E(|X|^3 | F_k) = sigma^3 <= Y sigma^2; and
+    Y_k nondecreasing along every step the law allows.  sigma, not
+    sigma^2, is compared with Y: a Y of sqrt(v) rounded may square to
+    less than v (sqrt(3) ** 2 < 3), and for sigma = sqrt(sigma^2)
+    rounded, sigma <= Y holds whenever the float sigma^2 <= Y * Y does.
+    A rising law steps from a level to higher ones only, so its Y must not
+    fall in level order; a level that can fall may follow any other, so
+    every level must have level 0's Y.  A broken hypothesis raises
+    ConfigurationError naming the kind and the level."""
+    ys = law.ys.tolist()
+    for i, (v, sd, y) in enumerate(law.levels):
+        for holds, name in ((v > 0.0, "sigma^2 > 0"), (y >= 1.0, "Y >= 1"),
+                            (sd <= y, "sigma <= Y")):
+            if not holds:
+                raise ConfigurationError(
+                    f"{kind} level {i} (sigma^2, sigma, Y) = {(v, sd, y)} "
+                    f"breaks {name}")
+        j = i - 1 if law.rising else 0          # the level compared with
+        if i and (y < ys[j] if law.rising else y != ys[j]):
+            raise ConfigurationError(
+                f"{kind} level {i} has Y = {y} and level {j} Y = {ys[j]}: "
+                "a step between them breaks Y_k nondecreasing")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Model kind plus its flat parameter set."""
@@ -571,6 +597,7 @@ class ModelSpec:
             raise ConfigurationError(f"{self.kind} parameters must be finite")
         object.__setattr__(self, "params", merged)
         object.__setattr__(self, "law", LAWS[self.kind](**merged))
+        _check_hypotheses(self.kind, self.law)
 
     def step_cap(self, n):
         """Worst-case path length for threshold n, clamped by MAX_STEPS;
@@ -720,79 +747,6 @@ def step_model(state):
     state.running_sum = state.running_sum + x
     state.step += 1
     return StepOutput(x=x, sigma_sq=sigma_sq, y=y)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    kind: str
-    n_paths: int
-    path_len: int
-    steps_checked: int
-    martingale_checks: tuple  # (name, mean, stderr, ok) per test function
-    passed: bool
-
-
-def validate_model(spec, seed, n_paths=1000, path_len=128):
-    """Check the theorem hypotheses on sampled paths.
-
-    Exact, per step: Y >= 1 and nondecreasing, 0 < sigma^2 <= Y^2, and the
-    closed-form third-moment domination E(|X|^3 | F) = sigma^3 <= Y sigma^2
-    (all three kinds have conditionally two-point laws with |X| = sigma).
-    Any violation raises ModelInvalidError.
-
-    Statistical: for history-measurable g in {1, sign(S_k)} the average of
-    g * X_{k+1} must sit within 4 standard errors of zero.
-    """
-    if n_paths < 1000:
-        raise ValueError("validate_model requires n_paths >= 1000")
-    g_names = ("constant", "sign_running_sum")
-    sums = np.zeros(2)
-    sq_sums = np.zeros(2)
-    count = 0
-    for path in range(n_paths):
-        state = init_model(spec, derive_seed(seed, path))
-        prev_y = 1.0
-        s = 0.0
-        for _ in range(path_len):
-            out = step_model(state)
-            if not out.sigma_sq > 0.0:
-                raise ModelInvalidError(f"sigma_sq = {out.sigma_sq} <= 0")
-            if out.y < 1.0:
-                raise ModelInvalidError(f"Y = {out.y} < 1")
-            if out.y < prev_y:
-                raise ModelInvalidError(f"Y decreased: {prev_y} -> {out.y}")
-            if out.sigma_sq > out.y * out.y:
-                raise ModelInvalidError(
-                    f"sigma_sq = {out.sigma_sq} exceeds Y^2 = {out.y * out.y}"
-                )
-            third = out.sigma_sq * math.sqrt(out.sigma_sq)
-            if third > out.y * out.sigma_sq:
-                raise ModelInvalidError(
-                    f"E(|X|^3|F) = {third} exceeds Y*sigma^2 = "
-                    f"{out.y * out.sigma_sq}"
-                )
-            g = (1.0, 1.0 if s >= 0 else -1.0)
-            for k in range(2):
-                gx = g[k] * out.x
-                sums[k] += gx
-                sq_sums[k] += gx * gx
-            prev_y = out.y
-            s += out.x
-            count += 1
-    checks = []
-    for k, name in enumerate(g_names):
-        mean = sums[k] / count
-        var = sq_sums[k] / count - mean * mean
-        stderr = math.sqrt(max(var, 0.0) / count)
-        checks.append((name, mean, stderr, abs(mean) <= 4.0 * stderr))
-    return ValidationReport(
-        kind=spec.kind,
-        n_paths=n_paths,
-        path_len=path_len,
-        steps_checked=count,
-        martingale_checks=tuple(checks),
-        passed=all(check[3] for check in checks),
-    )
 
 
 def derive_seed(seed, *key):

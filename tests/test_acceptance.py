@@ -11,7 +11,8 @@ line (visible with ``pytest -s`` or in captured output).  Criteria:
  5. characteristic-function inequalities at R = 1e6
  6. pathwise exponential-sum inequality: zero violations
  7. smoothing-inequality quadrature on injected Gaussians
- 8. model hypothesis validation, including exact boundary equality
+ 8. the model hypotheses on every level of each kind's table, including
+    the zero-slack boundary
  9. byte-identical reports against the committed golden reports
 """
 
@@ -35,7 +36,6 @@ from stopsum import (
     sample_stopped_batch,
     theorem_bound_F,
     theorem_bound_H,
-    validate_model,
 )
 from stopsum.models import derive_seed
 
@@ -194,30 +194,25 @@ def test_criterion_7_esseen_gaussian_injection(_verdict):
     )
 
 
-def test_criterion_8_model_validation(_verdict):
+def test_criterion_8_model_hypotheses(_verdict):
     ok = True
-    for k, spec in enumerate(SPECS.values()):
-        report = validate_model(spec, derive_seed(MASTER_SEED, 7, k))
-        ok &= report.passed
-    # boundary equality with zero slack: sigma^2 = 4, Y = 2 gives
+    for spec in SPECS.values():
+        law = spec.law
+        for sigma_sq, sd, y in law.levels:
+            # |X| = sigma <= Y: sigma^2 <= Y^2 and E(|X|^3 | F) = sigma^3
+            # <= Y sigma^2
+            ok &= y >= 1.0 and sigma_sq > 0.0 and sd <= y
+        # Y_k nondecreasing on every step: a level that can fall may follow
+        # any other, so one Y; a rising law's Y in level order
+        ys = law.ys
+        ok &= bool(np.all(ys[1:] >= ys[:-1] if law.rising else ys == ys[0]))
+    # regime's high level, sigma^2 = 4 and Y = 2, has zero slack:
     # sigma^3 = Y sigma^2 exactly
-    ok &= 4.0**1.5 == 2.0 * 4.0
-    # walk one path and check the high-regime steps hit the boundary exactly
-    from stopsum import step_model
-
-    seen_hi = 0
-    for path in range(8):
-        state = init_model(SPECS["regime_switch"],
-                           derive_seed(MASTER_SEED, 7, 9, path))
-        for _ in range(256):
-            step = step_model(state)
-            if step.sigma_sq == 4.0:
-                seen_hi += 1
-                ok &= step.y == 2.0
-                ok &= step.sigma_sq**1.5 == step.y * step.sigma_sq
-    ok &= seen_hi > 0
+    sigma_sq, sd, y = SPECS["regime_switch"].law.levels[1]
+    ok &= (sigma_sq, y) == (4.0, 2.0) and sigma_sq * sd == y * sigma_sq
     ok = bool(ok)
-    assert _verdict(8, ok, "validate_model passes; boundary case has zero slack")
+    assert _verdict(8, ok, "every level of every kind's table holds the "
+                    "hypotheses; the boundary level has zero slack")
 
 
 def test_criterion_9_golden_reports(tmp_path, _verdict):

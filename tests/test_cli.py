@@ -125,6 +125,25 @@ class TestMain:
         assert main(["--model", "iid_bounded", "--n-list", "1"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_broken_hypothesis_exit_2(self, tmp_path, monkeypatch, capsys):
+        class Falling(models.RegimeSwitch):
+            """Y = 1 at level 0 and 2 at level 1, which can fall back."""
+
+            def __init__(self, v_lo, v_hi):
+                super().__init__(v_lo, v_hi)
+                self._table(self.variances, self.sds, (1.0, 2.0))
+
+        monkeypatch.setitem(models.LAWS, "regime_switch", Falling)
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["--model", "regime_switch", "--n-list", "16",
+                     "--reps", "500", "--out", str(out / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "stopsum: invalid configuration: regime_switch level 1 has "
+            "Y = 2.0 and level 0 Y = 1.0: a step between them breaks Y_k "
+            "nondecreasing\n")
+        assert list(out.iterdir()) == []
+
     def test_non_finite_n_exit_2(self, capsys):
         assert main(["--model", "iid_bounded", "--n-list", "16,inf"]) == 2
         assert "invalid configuration" in capsys.readouterr().err

@@ -6,16 +6,14 @@ import pytest
 from stopsum import (
     KINDS,
     ConfigurationError,
-    ModelInvalidError,
     ModelSpec,
     PathOverflowError,
     derive_seed,
     init_model,
     models,
     step_model,
-    validate_model,
 )
-from stopsum.models import Lanes
+from stopsum.models import Lanes, Law
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 PRODUCT = ModelSpec("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05})
@@ -29,6 +27,50 @@ TABLE_SPECS = tuple(ModelSpec(kind, {}) for kind in KINDS) + (
 def take(spec, seed, k):
     state = init_model(spec, seed)
     return [step_model(state) for _ in range(k)]
+
+
+def block_rng(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def table_law(rising, variances, sds, ys):
+    """A Law with no parameters whose table is (variances, sds, ys)."""
+
+    class Table(Law):
+        defaults = {}
+
+        def __init__(self):
+            self._table(variances, sds, ys)
+
+    Table.rising = rising
+    return Table
+
+
+def record_steps(law, monkeypatch):
+    """The (sign, level, S_k) arrays of each step law takes from now on."""
+    steps = []
+
+    def step(state):
+        s_k = np.array(state.running_sum, ndmin=1)
+        sign, level = type(law).step(law, state)
+        # copies: a regime block's signs are a view of its refill buffer
+        steps.append([np.array(col, ndmin=1)
+                      for col in np.broadcast_arrays(sign, level, s_k)])
+        return sign, level
+
+    monkeypatch.setattr(law, "step", step)
+    return steps
+
+
+def assert_fair(steps):
+    """The signs of X_{k+1}, +/-1, over (sign, level, S_k) arrays: at each
+    level, and times g = sign(S_k) (+1 at S_k = 0), their mean lies within
+    4 standard errors of 0, 1/sqrt(count) for fair signs."""
+    sign, level, s_k = (np.concatenate(col) for col in zip(*steps))
+    assert np.all(np.abs(sign) == 1.0)
+    groups = [sign[level == lv] for lv in np.unique(level)]
+    for x in groups + [np.where(s_k >= 0.0, sign, -sign)]:
+        assert abs(x.mean()) <= 4.0 / math.sqrt(x.size), (x.size, x.mean())
 
 
 class TestConfiguration:
@@ -215,22 +257,105 @@ class TestStepSemantics:
             step_model(state)
 
 
-class TestPathwiseInvariants:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-    def test_hypotheses_hold_exactly(self, spec):
-        prev_y = 1.0
-        total = 0.0
-        outs = take(spec, 21, 1000)
-        for out in outs:
-            assert out.y >= 1.0
-            assert out.y >= prev_y
-            assert 0.0 < out.sigma_sq <= out.y * out.y
-            # two-point conditional law: E(|X|^3 | F) = sigma^3 <= Y sigma^2
-            assert out.sigma_sq * math.sqrt(out.sigma_sq) <= out.y * out.sigma_sq
-            prev_y = out.y
-            total += out.sigma_sq
-        assert total >= len(outs) * spec.law.variance_floor
+class TestHypotheses:
+    """ModelSpec checks the paper's hypotheses on every level of a kind's
+    table, and Y_k nondecreasing along the steps the law allows."""
 
+    @pytest.mark.parametrize("rising,variances,sds,ys,match", [
+        (True, (1.0, 0.0), (1.0, 0.0), (1.0, 1.0),
+         r"level 1 .* breaks sigma\^2 > 0"),
+        (False, (0.25,), (0.5,), (0.5,), r"level 0 .* breaks Y >= 1"),
+        (False, (4.0,), (2.0,), (1.5,), r"level 0 .* breaks sigma <= Y"),
+        # sigma^2 <= Y^2, but sigma^2 sigma = 2 > Y sigma^2 = 1, as sigma > Y
+        (True, (1.0, 1.0), (1.0, 2.0), (1.0, 1.0),
+         r"level 1 .* breaks sigma <= Y"),
+        # a level that can fall: level 1 may step back to level 0
+        (False, (1.0, 1.0), (1.0, 1.0), (1.0, 2.0),
+         r"level 1 has Y = 2.0 and level 0 Y = 1.0"),
+        (True, (1.0,) * 3, (1.0,) * 3, (1.0, 2.0, 1.5),
+         r"level 2 has Y = 1.5 and level 1 Y = 2.0"),
+    ], ids=["sigma2", "y", "sigma2-y2", "third-moment", "falls", "rising"])
+    def test_broken_table_raises(self, monkeypatch, rising, variances, sds,
+                                 ys, match):
+        law = table_law(rising, variances, sds, ys)
+        monkeypatch.setitem(models.LAWS, "regime_switch", law)
+        with pytest.raises(ConfigurationError,
+                           match="^regime_switch " + match):
+            ModelSpec("regime_switch", {})
+
+    @pytest.mark.parametrize("rising,ys", [(True, (1.0, 1.5, 2.0)),
+                                           (False, (2.0, 2.0, 2.0))])
+    def test_boundary_tables_pass(self, monkeypatch, rising, ys):
+        # sigma^2 = 4 at Y = 2 has zero slack: sigma^3 = 8 = Y sigma^2
+        law = table_law(rising, (1.0, 2.25, 4.0), (1.0, 1.5, 2.0), ys)
+        monkeypatch.setitem(models.LAWS, "regime_switch", law)
+        assert ModelSpec("regime_switch", {}).law.levels[2][0] == 4.0
+
+    @pytest.mark.parametrize("v_lo", [0.25, 3.0])
+    def test_rounded_sqrt_y_passes(self, v_lo):
+        # Y = sqrt(3) rounded squares to 2.9999999999999996 < sigma^2 = 3,
+        # but sigma = Y: the hypotheses hold with zero slack
+        law = ModelSpec("regime_switch", {"v_lo": v_lo, "v_hi": 3.0}).law
+        sigma_sq, sd, y = law.levels[1]
+        assert y * y < sigma_sq == 3.0 and sd == y
+
+
+class TestSignBalance:
+    """Every draw layer that makes a sign of X_{k+1} makes fair ones, at
+    fixed seeds: at each level, and against g = sign(S_k) (assert_fair)."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_model_state(self, spec, monkeypatch):
+        steps = record_steps(spec.law, monkeypatch)
+        for path in range(64):
+            state = init_model(spec, derive_seed(17, path))
+            for _ in range(128):
+                step_model(state)
+        assert_fair(steps)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_lanes(self, spec, monkeypatch):
+        steps = record_steps(spec.law, monkeypatch)
+        lanes = Lanes(spec, np.arange(1000, dtype=np.uint64))
+        models._run_rows(spec.law, lanes, 256.0, spec.step_cap(256.0),
+                         spec.kind)
+        assert_fair(steps)
+
+    def test_regime_block_rows(self, monkeypatch):
+        steps = record_steps(REGIME.law, monkeypatch)
+        REGIME.law.sample_block(256.0, 4096, block_rng(17),
+                                REGIME.step_cap(256.0))
+        assert_fair(steps)
+
+    def test_product_tiles(self, monkeypatch):
+        draws, real = [], models._TileBuffers.draw
+
+        def draw(buf, bits, signs, m, grows, spare):
+            spare = real(buf, bits, signs, m, grows, spare)
+            draws.append((buf.zeta[:m].copy(), buf.grow[:m].copy()))
+            return spare
+
+        monkeypatch.setattr(models._TileBuffers, "draw", draw)
+        law = PRODUCT.law
+        law.sample_block(256.0, 1000, block_rng(17), PRODUCT.step_cap(256.0))
+        steps = []
+        for zeta, grow in draws:            # column k holds step k's draws
+            level = np.minimum(np.cumsum(grow, axis=1) - grow, 54)  # N_k
+            x = zeta * law.sds.take(level)
+            s_k = np.cumsum(x, axis=1) - x
+            steps.append([col.ravel() for col in (zeta, level, s_k)])
+        assert len(draws) > 1
+        assert_fair(steps)
+
+    def test_iid_block_next_signs(self):
+        cols = IID.law.sample_block(64.0, 20_000, block_rng(17),
+                                    IID.step_cap(64.0))
+        assert np.all(cols["gamma"] == 1.0)   # S'_nu - S_nu = X_{nu+1}
+        x = cols["s_prime_nu"] - cols["s_nu"]
+        assert_fair([(x, np.zeros(x.size, int), cols["s_nu"])])
+
+
+class TestPathwiseInvariants:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_branch_table_moments(self, spec):
         # each emitted sigma_sq comes from the symmetric law +/- sigma,
@@ -243,37 +368,3 @@ class TestPathwiseInvariants:
                 out.sigma_sq, abs=0.0, rel=1e-15
             )
             assert abs(out.x) == pytest.approx(sigma, rel=1e-15)
-
-
-class TestValidateModel:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-    def test_passes_for_valid_models(self, spec):
-        report = validate_model(spec, seed=17, n_paths=1000, path_len=64)
-        assert report.passed
-        assert report.steps_checked == 64_000
-        for name, mean, stderr, ok in report.martingale_checks:
-            assert ok, (name, mean, stderr)
-
-    def test_requires_enough_paths(self):
-        with pytest.raises(ValueError):
-            validate_model(IID, seed=0, n_paths=10)
-
-    def test_boundary_equality_case(self):
-        # regime_switch at sigma^2 = 4, Y = 2: E(|X|^3|F) = 8 = Y sigma^2,
-        # equality must pass with zero slack
-        assert 4.0 * math.sqrt(4.0) == 2.0 * 4.0
-        report = validate_model(REGIME, seed=23, n_paths=1000, path_len=32)
-        assert report.passed
-
-    def test_detects_broken_generator(self, monkeypatch):
-        import stopsum.models as models_mod
-
-        real = models_mod.step_model
-
-        def broken(state):
-            out = real(state)
-            return type(out)(x=out.x, sigma_sq=out.sigma_sq, y=0.5)
-
-        monkeypatch.setattr(models_mod, "step_model", broken)
-        with pytest.raises(ModelInvalidError):
-            models_mod.validate_model(IID, seed=0, n_paths=1000, path_len=4)
