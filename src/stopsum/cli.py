@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, OutputPathError, PathOverflowError
 from .harness import (
-    RATE_BOUND,
+    Row,
     esseen_numeric,
     make_t_grid,
     probe_from_batch,
@@ -47,7 +47,6 @@ CSV_COLUMNS = (
 )
 LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
-ESSEEN_SLACK = 0.02  # quadrature-and-MC allowance on top of the DKW band
 
 _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
     key for law in LAWS.values() for key in law.defaults))
@@ -96,21 +95,13 @@ class ExperimentConfig:
             raise ConfigurationError("format must be csv or json")
 
 
-def _record(check, config, n, seed, estimate, stderr, bound, margin,
-            verdict, resolution_limited=False):
-    return {
-        "check": check,
-        "model": config.model.kind,
-        "n": float(n),
-        "R": int(config.reps),
-        "seed": int(seed),
-        "estimate": float(estimate),
-        "stderr_or_halfwidth": float(stderr),
-        "bound": float(bound),
-        "margin": float(margin),
-        "verdict": "PASS" if verdict else "FAIL",
-        "resolution_limited": bool(resolution_limited),
-    }
+def _record(config, n, seed, row):
+    """The report record of a harness Row at threshold n, by CSV_COLUMNS."""
+    return dict(zip(CSV_COLUMNS, (
+        row.check, config.model.kind, float(n), int(config.reps), int(seed),
+        float(row.estimate), float(row.stderr), float(row.bound),
+        float(row.margin), "PASS" if row.passed else "FAIL",
+        bool(row.resolution_limited))))
 
 
 def run_experiment(config):
@@ -118,32 +109,17 @@ def run_experiment(config):
     records = []
     files = []
     reports = []
+    needs_batch = bool({"distance", "cf", "esseen", "rate"} & set(config.checks))
     for i, n in enumerate(config.n_list):
         seed_n = derive_seed(config.master_seed, 0, i)
-        needs_batch = bool({"distance", "cf", "esseen", "rate"} & set(config.checks))
-        batch = (
-            sample_stopped_batch(config.model, n, config.reps, seed_n)
-            if needs_batch else None
-        )
-        report = (
-            report_from_batch(batch, n, delta=config.delta)
-            if needs_batch else None
-        )
-        if report is not None:
+        if needs_batch:
+            batch = sample_stopped_batch(config.model, n, config.reps, seed_n)
+            report = report_from_batch(batch, n, delta=config.delta)
             reports.append(report)
 
         if "distance" in config.checks:
-            for tag, dist, bound, margin, verdict in (
-                ("distance_F", report.d_f, report.bound_f, report.margin_f,
-                 report.passed_f),
-                ("distance_H", report.d_h, report.bound_h, report.margin_h,
-                 report.passed_h),
-            ):
-                records.append(_record(
-                    tag, config, n, seed_n,
-                    estimate=dist.d_sup, stderr=dist.dkw_halfwidth,
-                    bound=bound, margin=margin, verdict=verdict,
-                ))
+            records += [_record(config, n, seed_n, row)
+                        for row in report.rows()]
             if config.out:
                 files.append(_emit_ecdf(config, n, batch))
 
@@ -151,45 +127,21 @@ def run_experiment(config):
             probe = probe_from_batch(batch, n, make_t_grid(report.y_smoothing))
 
         if "cf" in config.checks:
-            by_name = {}
-            for chk in probe.checks:
-                by_name.setdefault(chk.name, []).append(chk)
-            for name in ("cf7", "cf8", "cf9", "cf_combined"):
-                group = by_name[name]
-                worst = min(group, key=lambda c: c.rhs + 4.0 * c.stderr - c.lhs)
-                failing = [c for c in group if not c.ok]
-                # a FAIL row is flagged only if all its failing points are
-                limited = [c.resolution_limited for c in failing or group]
-                records.append(_record(
-                    name, config, n, seed_n,
-                    estimate=worst.lhs, stderr=worst.stderr, bound=worst.rhs,
-                    margin=worst.rhs - worst.lhs, verdict=not failing,
-                    resolution_limited=all(limited) if failing else any(limited),
-                ))
+            records += [_record(config, n, seed_n, row)
+                        for row in probe.rows()]
             if config.out:
                 files.append(_emit_cf_detail(config, n, probe))
 
         if "esseen" in config.checks:
             ess = esseen_numeric(probe, report.y_smoothing)
-            slack = report.d_f.dkw_halfwidth + ESSEEN_SLACK
-            records.append(_record(
-                "esseen", config, n, seed_n,
-                estimate=report.d_f.d_sup, stderr=report.d_f.dkw_halfwidth,
-                bound=ess.total,
-                margin=ess.total + slack - report.d_f.d_sup,
-                verdict=report.d_f.d_sup <= ess.total + slack,
-            ))
+            records.append(_record(config, n, seed_n, ess.row(report.d_f)))
 
         if "lemma1" in config.checks:
             records.append(_lemma1_record(config, n, i))
 
     if "rate" in config.checks:
-        fit = rate_fit(reports)
-        records.append(_record(
-            "rate", config, config.n_list[-1], config.master_seed,
-            estimate=fit.slope, stderr=fit.stderr, bound=RATE_BOUND,
-            margin=RATE_BOUND - fit.slope, verdict=fit.passes(),
-        ))
+        records.append(_record(config, config.n_list[-1], config.master_seed,
+                               rate_fit(reports).row()))
 
     if config.out:
         files.append(emit_report(records, config.format,
@@ -218,11 +170,10 @@ def _lemma1_record(config, n, n_index):
             min_margin = res.margin[worst]
             worst_lhs, worst_rhs = res.lhs[worst], res.rhs[worst]
         violations += np.count_nonzero(~res.ok)
-    return _record(
-        "lemma1", config, n, seed,
-        estimate=worst_lhs, stderr=0.0, bound=worst_rhs, margin=min_margin,
-        verdict=violations == 0,
-    )
+    return _record(config, n, seed, Row(
+        "lemma1", estimate=worst_lhs, stderr=0.0, bound=worst_rhs,
+        margin=min_margin, passed=violations == 0,
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -240,21 +191,24 @@ def _fmt(value):
 def emit_report(records, format, path):
     """Write the record table as CSV or JSON with identical numeric text."""
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_fmt(rec[col]) for col in CSV_COLUMNS)
-                  for rec in records]
-        text = "\n".join(lines) + "\n"
-    elif format == "json":
-        text = _records_to_json(records)
-    else:
-        raise ConfigurationError("format must be csv or json")
-    return _write(path, text)
+        return _write_csv(path, CSV_COLUMNS,
+                          (map(rec.get, CSV_COLUMNS) for rec in records))
+    if format == "json":
+        return _write(path, _records_to_json(records))
+    raise ConfigurationError("format must be csv or json")
 
 
 def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
+
+
+def _write_csv(path, header, rows):
+    """A CSV file of the header's names and each row's values by _fmt."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _json_value(value):
@@ -280,24 +234,19 @@ def _emit_ecdf(config, n, batch):
     f = np.sort(batch.s_nu) / sqrt_n
     h = np.sort(batch.s_prime_nu) / sqrt_n
     take = np.linspace(0, batch.size - 1, min(512, batch.size)).astype(int)
-    lines = ["rank_fraction,quantile_F,quantile_H"]
-    lines += [
-        f"{_fmt((i + 1) / batch.size)},{_fmt(float(f[i]))},{_fmt(float(h[i]))}"
-        for i in take
-    ]
-    return _write(path, "\n".join(lines) + "\n")
+    return _write_csv(path, ("rank_fraction", "quantile_F", "quantile_H"),
+                      (((i + 1) / batch.size, float(f[i]), float(h[i]))
+                       for i in take))
 
 
 def _emit_cf_detail(config, n, probe):
     """Per-t residuals for the characteristic-function inequalities."""
     path = f"{config.out}_cf_n{_ntag(n)}.csv"
-    lines = ["inequality,t,lhs,rhs,stderr,ok,resolution_limited"]
-    lines += [
-        f"{c.name},{_fmt(c.t)},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.stderr)},"
-        f"{_fmt(c.ok)},{_fmt(c.resolution_limited)}"
-        for c in probe.checks
-    ]
-    return _write(path, "\n".join(lines) + "\n")
+    return _write_csv(
+        path, ("inequality", "t", "lhs", "rhs", "stderr", "ok",
+               "resolution_limited"),
+        ((c.name, c.t, c.lhs, c.rhs, c.stderr, c.ok, c.resolution_limited)
+         for c in probe.checks))
 
 
 def _ntag(n):

@@ -22,11 +22,26 @@ from .normal import (DEFAULT_DELTA, DistanceResult, EmpiricalCdf,
                      kolmogorov_distance, std_normal_cdf)
 
 __all__ = [
-    "BoundReport", "CfProbe", "InequalityCheck", "EsseenResult", "RateFit",
+    "Row", "BoundReport", "CfProbe", "InequalityCheck", "EsseenResult",
+    "RateFit", "ESSEEN_SLACK",
     "theorem_bound_F", "theorem_bound_H", "estimate_a_n",
     "report_from_batch", "make_t_grid", "probe_from_batch", "esseen_numeric",
     "rate_fit", "RATE_BOUND",
 ]
+
+
+@dataclass(frozen=True)
+class Row:
+    """One report row, decided by the object of its check: ``BoundReport``,
+    ``CfProbe``, ``EsseenResult`` or ``RateFit``."""
+
+    check: str
+    estimate: float
+    stderr: float           # a standard error or a DKW halfwidth
+    bound: float
+    margin: float
+    passed: bool
+    resolution_limited: bool = False   # a FAIL that MC resolution explains
 
 
 # closed-form rate bounds
@@ -89,20 +104,21 @@ class BoundReport:
     bound_f: float
     bound_h: float
     y_smoothing: float       # (n / a_n_eval^2)^{1/4}, the CF grid's range
-    margin_f: float          # bound - (distance + dkw halfwidth)
-    margin_h: float
 
-    @property
-    def passed_f(self):
-        return self.d_f.d_sup - self.d_f.dkw_halfwidth <= self.bound_f
-
-    @property
-    def passed_h(self):
-        return self.d_h.d_sup - self.d_h.dkw_halfwidth <= self.bound_h
+    def rows(self):
+        """The distance_F and distance_H rows: each passes if the distance
+        less its DKW halfwidth is within the bound, and its margin is
+        bound - (distance + halfwidth)."""
+        return tuple(
+            Row(check, d.d_sup, d.dkw_halfwidth, bound,
+                bound - (d.d_sup + d.dkw_halfwidth),
+                d.d_sup - d.dkw_halfwidth <= bound)
+            for check, d, bound in (("distance_F", self.d_f, self.bound_f),
+                                    ("distance_H", self.d_h, self.bound_h)))
 
     @property
     def passed(self):
-        return self.passed_f and self.passed_h
+        return all(row.passed for row in self.rows())
 
 
 def report_from_batch(batch, n, delta=DEFAULT_DELTA):
@@ -119,8 +135,6 @@ def report_from_batch(batch, n, delta=DEFAULT_DELTA):
         n=float(n), r=batch.size, a_n_hat=a_hat, a_n_stderr=a_se,
         a_n_eval=a_eval, d_f=d_f, d_h=d_h, bound_f=bound_f, bound_h=bound_h,
         y_smoothing=y,
-        margin_f=bound_f - (d_f.d_sup + d_f.dkw_halfwidth),
-        margin_h=bound_h - (d_h.d_sup + d_h.dkw_halfwidth),
     )
 
 
@@ -148,8 +162,12 @@ class InequalityCheck:
     resolution_limited: bool
 
     @property
+    def upper(self):    # the largest lhs that passes: rhs + the 4-stderr band
+        return self.rhs + 4.0 * self.stderr
+
+    @property
     def ok(self):
-        return self.lhs <= self.rhs + 4.0 * self.stderr
+        return self.lhs <= self.upper
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,24 @@ class CfProbe:
     @property
     def passed(self):
         return all(c.ok for c in self.checks)
+
+    def rows(self):
+        """One row per inequality, in the order of ``checks``, read at its
+        worst point: the smallest upper - lhs, the first in grid order on
+        a tie.  A FAIL row is flagged resolution-limited only if every
+        failing point is, a PASS row if any of its points is."""
+        groups = {}
+        for c in self.checks:
+            groups.setdefault(c.name, []).append(c)
+        rows = []
+        for name, group in groups.items():
+            worst = min(group, key=lambda c: c.upper - c.lhs)
+            failing = [c for c in group if not c.ok]
+            limited = (all(c.resolution_limited for c in failing) if failing
+                       else any(c.resolution_limited for c in group))
+            rows.append(Row(name, worst.lhs, worst.stderr, worst.rhs,
+                            worst.rhs - worst.lhs, not failing, limited))
+        return tuple(rows)
 
     @classmethod
     def from_samples(cls, samples, t_grid):
@@ -416,11 +452,22 @@ def probe_from_batch(batch, n, t_grid):
 
 # smoothing-inequality quadrature
 
+# quadrature-and-MC allowance on top of the DKW band
+ESSEEN_SLACK = 0.02
+
+
 @dataclass(frozen=True)
 class EsseenResult:
     total: float
     integral: float
     smoothing_term: float
+
+    def row(self, d_f):
+        """The esseen row: d_F (a DistanceResult) against the total, within
+        its DKW halfwidth plus ESSEEN_SLACK."""
+        upper = self.total + (d_f.dkw_halfwidth + ESSEEN_SLACK)
+        return Row("esseen", d_f.d_sup, d_f.dkw_halfwidth, self.total,
+                   upper - d_f.d_sup, d_f.d_sup <= upper)
 
 
 def esseen_numeric(probe, y):
@@ -461,8 +508,10 @@ class RateFit:
     stderr: float
     intercept: float
 
-    def passes(self):
-        return self.slope <= RATE_BOUND
+    def row(self):
+        """The rate row: it passes if the fitted slope is <= RATE_BOUND."""
+        return Row("rate", self.slope, self.stderr, RATE_BOUND,
+                   RATE_BOUND - self.slope, self.slope <= RATE_BOUND)
 
 
 def rate_fit(reports):

@@ -488,10 +488,9 @@ class RegimeSwitch(Law):
     def __init__(self, v_lo, v_hi):
         if not 0.0 < v_lo <= v_hi:
             raise ConfigurationError("regime_switch requires 0 < v_lo <= v_hi")
-        self.v_lo, self.v_hi = v_lo, v_hi
         sds = (math.sqrt(v_lo), math.sqrt(v_hi))
-        self._y = _largest_y(max(1.0, sds[1]))
-        self._table((v_lo, v_hi), sds, (self._y, self._y))
+        y = _largest_y(max(1.0, sds[1]))
+        self._table((v_lo, v_hi), sds, (y, y))
 
     def step(self, state):
         return state._sign(), state.running_sum > 0

@@ -134,7 +134,7 @@ def test_criterion_3_theorem_bounds(bound_reports, _verdict):
     worst = math.inf
     for (kind, n), rep in bound_reports.items():
         ok &= rep.passed
-        worst = min(worst, rep.margin_f, rep.margin_h)
+        worst = min(worst, *(row.margin for row in rep.rows()))
     assert _verdict(
         3, ok,
         f"d_hat - dkw <= bound for 3 kinds x {len(N_GRID)} n at R={THEOREM_R}; "

@@ -262,31 +262,36 @@ class TestMain:
         assert list(out.iterdir()) == [] and drawn == []
 
     def test_rows_read_the_harness_verdicts(self, monkeypatch):
-        reports = []
+        kept = {"report_from_batch": [], "probe_from_batch": [],
+                "esseen_numeric": []}
 
-        def keep(*args, **kwargs):
-            reports.append(harness.report_from_batch(*args, **kwargs))
-            return reports[-1]
+        def keeping(name):
+            def keep(*args, **kwargs):
+                kept[name].append(getattr(harness, name)(*args, **kwargs))
+                return kept[name][-1]
+            return keep
 
-        monkeypatch.setattr(cli, "report_from_batch", keep)
+        for name in kept:
+            monkeypatch.setattr(cli, name, keeping(name))
         config = build_config(["--model", "product", "--n-list",
                                "16,32,64,128", "--reps", "400", "--seed", "5",
-                               "--checks", "distance,rate"])
+                               "--checks", "distance,cf,esseen,rate"])
         _, records, _ = cli.run_experiment(config)
         rows = {(r["check"], r["n"]): r for r in records}
-        for rep in reports:
-            for tag, bound, margin, passed in (
-                ("distance_F", rep.bound_f, rep.margin_f, rep.passed_f),
-                ("distance_H", rep.bound_h, rep.margin_h, rep.passed_h),
-            ):
-                row = rows[(tag, rep.n)]
-                assert (row["bound"], row["margin"]) == (bound, margin)
-                assert row["verdict"] == ("PASS" if passed else "FAIL")
-        fit = harness.rate_fit(reports)
-        row = rows[("rate", 128.0)]
-        assert row["bound"] == harness.RATE_BOUND
-        assert row["margin"] == harness.RATE_BOUND - fit.slope
-        assert row["verdict"] == ("PASS" if fit.passes() else "FAIL")
+        reports = kept["report_from_batch"]
+        want = [(128.0, harness.rate_fit(reports).row())]
+        for rep, probe, ess in zip(reports, kept["probe_from_batch"],
+                                   kept["esseen_numeric"], strict=True):
+            want += [(rep.n, row) for row in
+                     rep.rows() + probe.rows() + (ess.row(rep.d_f),)]
+        assert len(want) == len(records) == 4 * 7 + 1
+        for n, row in want:
+            rec = rows[(row.check, n)]
+            assert (rec["estimate"], rec["stderr_or_halfwidth"], rec["bound"],
+                    rec["margin"]) == (row.estimate, row.stderr, row.bound,
+                                       row.margin)
+            assert rec["verdict"] == ("PASS" if row.passed else "FAIL")
+            assert rec["resolution_limited"] is row.resolution_limited
 
     def test_all_checks_small_run(self, tmp_path, capsys):
         out = tmp_path / "rep"

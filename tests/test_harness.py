@@ -12,6 +12,7 @@ from scipy import stats
 
 from stopsum import (
     CfProbe,
+    DistanceResult,
     InequalityCheck,
     ModelSpec,
     esseen_numeric,
@@ -149,9 +150,12 @@ class TestReportFromBatch:
 
     def test_margins_match_fields(self):
         rep = sampled_report(IID, 64.0, 5000, seed=4)
-        assert rep.margin_f == pytest.approx(
+        row_f, row_h = rep.rows()
+        assert (row_f.check, row_h.check) == ("distance_F", "distance_H")
+        assert row_f.margin == pytest.approx(
             rep.bound_f - (rep.d_f.d_sup + rep.d_f.dkw_halfwidth), abs=1e-15
         )
+        assert (row_f.bound, row_h.bound) == (rep.bound_f, rep.bound_h)
         assert rep.bound_f < rep.bound_h
 
 
@@ -212,6 +216,64 @@ class TestCfProbe:
         finally:
             tracemalloc.stop()
         assert peak <= bound * r
+
+
+def cf_rows(*checks):
+    """The rows of a probe that holds only the given checks."""
+    return CfProbe(t_grid=np.zeros(0), c3=np.zeros(0), se3=np.zeros(0),
+                   checks=tuple(InequalityCheck(*c) for c in checks)).rows()
+
+
+class TestCfRows:
+    """A CF row reads its worst point, the smallest rhs + 4 stderr - lhs,
+    and is flagged only where Monte-Carlo resolution explains it."""
+
+    def test_first_tied_worst_point_binds(self):
+        # upper - lhs: 1, then 0.25 three times (the 2nd by its stderr)
+        row, = cf_rows(("cf9", 0.0, 0.0, 1.0, 0.0, False),
+                       ("cf9", 0.5, 0.25, 0.5, 0.0, False),
+                       ("cf9", 1.0, 0.0, 0.125, 0.03125, False),
+                       ("cf9", 2.0, 0.5, 0.75, 0.0, False))
+        assert (row.check, row.estimate, row.stderr, row.bound) == (
+            "cf9", 0.25, 0.0, 0.5)
+        assert (row.margin, row.passed, row.resolution_limited) == (
+            0.25, True, False)
+
+    def test_rows_in_the_order_of_the_checks(self):
+        rows = cf_rows(("cf8", 0.5, 0.0, 1.0, 0.0, False),
+                       ("cf7", 0.5, 0.0, 1.0, 0.0, False),
+                       ("cf8", 1.0, 0.5, 1.0, 0.0, False))
+        assert [r.check for r in rows] == ["cf8", "cf7"]
+        assert rows[0].estimate == 0.5
+
+    @pytest.mark.parametrize("limited,flagged", [
+        ((True, True, False), True),    # every failing point is limited
+        ((True, False, True), False),   # one failing point is resolved
+        ((False, False, True), False),
+    ])
+    def test_fail_row_flagged_only_if_every_failure_is(self, limited,
+                                                       flagged):
+        # two failing points (lhs above rhs + 4 stderr), then one passing
+        row, = cf_rows(("cf7", 0.5, 2.0, 1.0, 0.0, limited[0]),
+                       ("cf7", 1.0, 3.0, 1.0, 0.0, limited[1]),
+                       ("cf7", 2.0, 0.0, 1.0, 0.0, limited[2]))
+        assert not row.passed
+        assert row.resolution_limited is flagged
+        assert (row.estimate, row.margin) == (3.0, -2.0)
+
+    @pytest.mark.parametrize("limited,flagged", [
+        ((False, True), True), ((True, False), True), ((False, False), False),
+    ])
+    def test_pass_row_flagged_if_any_point_is(self, limited, flagged):
+        # the second point passes only through its 4-stderr band
+        row, = cf_rows(("cf_combined", 0.5, 0.0, 1.0, 0.0, limited[0]),
+                       ("cf_combined", 1.0, 1.5, 1.0, 0.25, limited[1]))
+        assert row.passed
+        assert row.resolution_limited is flagged
+        assert (row.estimate, row.margin) == (1.5, -0.5)
+
+    def test_probe_without_checks_has_no_rows(self):
+        assert CfProbe.from_samples(np.zeros(10), [0.5]).rows() == ()
 
 
 def reference_moments(w):
@@ -615,6 +677,17 @@ class TestEsseen:
         res = esseen_numeric(probe, y)
         assert res.total >= rep.d_f.d_sup - rep.d_f.dkw_halfwidth - 0.02
 
+    def test_row_allows_the_dkw_band_and_the_slack(self):
+        res = harness.EsseenResult(total=0.25, integral=0.0,
+                                   smoothing_term=0.25)
+        at = DistanceResult(0.25 + (0.125 + harness.ESSEEN_SLACK), 0.0, 0.125)
+        row = res.row(at)
+        assert (row.check, row.estimate, row.stderr, row.bound) == (
+            "esseen", at.d_sup, 0.125, 0.25)
+        assert row.passed and row.margin == 0.0
+        above = DistanceResult(math.nextafter(at.d_sup, 1.0), 0.0, 0.125)
+        assert not res.row(above).passed
+
     def test_grid_coverage_required(self):
         probe = CfProbe.from_samples(np.zeros(10), make_t_grid(5.0))
         with pytest.raises(ValueError):
@@ -691,7 +764,7 @@ class TestRateFit:
         at = harness.RateFit(harness.RATE_BOUND, 0.0, 0.0)
         above = harness.RateFit(math.nextafter(harness.RATE_BOUND, 0.0),
                                 0.0, 0.0)
-        assert at.passes() and not above.passes()
+        assert at.row().passed and not above.row().passed
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

@@ -180,7 +180,7 @@ def reference_regime(law, n, size, rng, cap):
     out = {
         "nu": np.zeros(size, dtype=np.int64),
         "s_nu": np.zeros(size),
-        "y_nu": np.full(size, law._y),
+        "y_nu": np.full(size, law.ys[0]),
         "v_before": np.zeros(size),
         "sigma_nu_sq": np.zeros(size),
     }
@@ -189,7 +189,7 @@ def reference_regime(law, n, size, rng, cap):
     v = np.zeros(size)
     active = np.arange(size)
     for k in range(cap):
-        sigma_sq = np.where(s[active] > 0, law.v_hi, law.v_lo)
+        sigma_sq = np.where(s[active] > 0, law.variances[1], law.variances[0])
         x = np.sqrt(sigma_sq) * (2.0 * rng.integers(0, 2, size=active.size) - 1.0)
         v_new = v[active] + sigma_sq
         stop = v_new >= n if k >= 1 else np.zeros(active.size, dtype=bool)
