@@ -18,11 +18,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, OutputPathError, PathOverflowError
 from .harness import (
-    Row,
     esseen_numeric,
     make_t_grid,
     probe_from_batch,
@@ -35,7 +32,9 @@ from .normal import DEFAULT_DELTA
 from .sampling import sample_stopped_batch
 # init_model and run_path stay importable here although the CLI no longer
 # calls them: the benchmark tracer (perfbench/spans.py) wraps cli.run_path,
-# cli.lemma1_check, cli.init_model and cli.derive_seed
+# cli.lemma1_check, cli.init_model and cli.derive_seed.  run_lockstep's
+# chunks are stepped as lemma1_check reads them, so that span times the
+# Lemma-1 lanes too
 from .stopping import lemma1_check, run_lockstep, run_path
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
@@ -121,7 +120,7 @@ def run_experiment(config):
             records += [_record(config, n, seed_n, row)
                         for row in report.rows()]
             if config.out:
-                files.append(_emit_ecdf(config, n, batch))
+                files.append(_emit_ecdf(config, n, report))
 
         if {"cf", "esseen"} & set(config.checks):
             probe = probe_from_batch(batch, n, make_t_grid(report.y_smoothing))
@@ -137,7 +136,11 @@ def run_experiment(config):
             records.append(_record(config, n, seed_n, ess.row(report.d_f)))
 
         if "lemma1" in config.checks:
-            records.append(_lemma1_record(config, n, i))
+            seed = derive_seed(config.master_seed, 1, i)
+            paths = run_lockstep(config.model, seed,
+                                 min(config.reps, LEMMA1_MAX_PATHS), n)
+            records.append(_record(config, n, seed, lemma1_check(
+                paths, LEMMA1_T_GRID, n).row()))
 
     if "rate" in config.checks:
         records.append(_record(config, config.n_list[-1], config.master_seed,
@@ -152,28 +155,6 @@ def run_experiment(config):
 def _failed(rec):
     """A FAIL that Monte-Carlo resolution does not explain: it sets exit 1."""
     return rec["verdict"] == "FAIL" and not rec["resolution_limited"]
-
-
-def _lemma1_record(config, n, n_index):
-    """Worst Lemma-1 point over paths, then t: the first strict minimum of
-    the margin, as a path-by-path scan finds it."""
-    n_paths = min(config.reps, LEMMA1_MAX_PATHS)
-    seed = derive_seed(config.master_seed, 1, n_index)
-    worst_lhs = 0.0
-    worst_rhs = math.inf
-    min_margin = math.inf
-    violations = 0
-    for paths in run_lockstep(config.model, seed, n_paths, n):
-        res = lemma1_check(paths, LEMMA1_T_GRID, n)
-        worst = np.unravel_index(np.argmin(res.margin), res.margin.shape)
-        if res.margin[worst] < min_margin:
-            min_margin = res.margin[worst]
-            worst_lhs, worst_rhs = res.lhs[worst], res.rhs[worst]
-        violations += np.count_nonzero(~res.ok)
-    return _record(config, n, seed, Row(
-        "lemma1", estimate=worst_lhs, stderr=0.0, bound=worst_rhs,
-        margin=min_margin, passed=violations == 0,
-    ))
 
 
 # --------------------------------------------------------------------------
@@ -227,16 +208,11 @@ def _records_to_json(records):
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
-def _emit_ecdf(config, n, batch):
+def _emit_ecdf(config, n, report):
     """Quantile plot data for the normalized stopped sums."""
     path = f"{config.out}_ecdf_n{_ntag(n)}.csv"
-    sqrt_n = math.sqrt(n)
-    f = np.sort(batch.s_nu) / sqrt_n
-    h = np.sort(batch.s_prime_nu) / sqrt_n
-    take = np.linspace(0, batch.size - 1, min(512, batch.size)).astype(int)
     return _write_csv(path, ("rank_fraction", "quantile_F", "quantile_H"),
-                      (((i + 1) / batch.size, float(f[i]), float(h[i]))
-                       for i in take))
+                      report.plot_rows)
 
 
 def _emit_cf_detail(config, n, probe):

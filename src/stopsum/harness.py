@@ -33,7 +33,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Row:
     """One report row, decided by the object of its check: ``BoundReport``,
-    ``CfProbe``, ``EsseenResult`` or ``RateFit``."""
+    ``CfProbe``, ``EsseenResult``, ``RateFit`` or ``stopping.Lemma1Result``."""
 
     check: str
     estimate: float
@@ -104,6 +104,7 @@ class BoundReport:
     bound_f: float
     bound_h: float
     y_smoothing: float       # (n / a_n_eval^2)^{1/4}, the CF grid's range
+    plot_rows: np.ndarray    # ((i+1)/R, F and H quantiles) at <= 512 ranks i
 
     def rows(self):
         """The distance_F and distance_H rows: each passes if the distance
@@ -126,15 +127,18 @@ def report_from_batch(batch, n, delta=DEFAULT_DELTA):
     sqrt_n = math.sqrt(n)
     ecdf_f = EmpiricalCdf.from_samples(batch.s_nu / sqrt_n)
     ecdf_h = EmpiricalCdf.from_samples(batch.s_prime_nu / sqrt_n)
+    r = batch.size
+    take = np.linspace(0, r - 1, min(512, r)).astype(int)
     d_f = kolmogorov_distance(ecdf_f, std_normal_cdf, delta=delta)
     d_h = kolmogorov_distance(ecdf_h, std_normal_cdf, delta=delta)
     a_hat, a_se, a_eval, y = _smoothing(batch.y_nu, n)
     bound_f = theorem_bound_F(n, a_eval)
     bound_h = theorem_bound_H(n, a_eval)
     return BoundReport(
-        n=float(n), r=batch.size, a_n_hat=a_hat, a_n_stderr=a_se,
+        n=float(n), r=r, a_n_hat=a_hat, a_n_stderr=a_se,
         a_n_eval=a_eval, d_f=d_f, d_h=d_h, bound_f=bound_f, bound_h=bound_h,
-        y_smoothing=y,
+        y_smoothing=y, plot_rows=np.column_stack((
+            (take + 1) / r, ecdf_f.samples[take], ecdf_h.samples[take])),
     )
 
 

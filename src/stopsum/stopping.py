@@ -13,10 +13,12 @@ of one spec and one seed together in ``models._run_rows``, path p on the
 stream of ``derive_seed(seed, p)`` (``Lanes``) evaluated counter-based,
 and gives, path by path, the same floats.
 
-``lemma1_check`` rebuilds the prefixes of such paths a slab at a time
-(``StoppedPaths.slabs``), laid out flat with a 0.0 before each path, and
-sums every path's terms of a slab with one np.add.reduceat, which gives
-the bits of np.sum over that path alone; a StoppedSample is one slab.
+``lemma1_check`` takes the path sets of one threshold in path order
+(``run_lockstep``'s chunks, or ``run_path``'s samples), rebuilds their
+prefixes a slab at a time (``StoppedPaths.slabs``), laid out flat with a
+0.0 before each path, and sums every path's terms of a slab with one
+np.add.reduceat, which gives the bits of np.sum over that path alone; a
+StoppedSample is one slab.  ``Lemma1Result.row()`` is the lemma1 row.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import Row
 from .models import (
     _TILE,
     Lanes,
@@ -197,6 +200,8 @@ def _lemma1_lhs(prefix, starts, c, scratch):
 
 @dataclass(frozen=True)
 class Lemma1Result:
+    """The (paths, t) arrays of ``lemma1_check``, paths in order."""
+
     lhs: np.ndarray
     rhs: np.ndarray
     margin: np.ndarray
@@ -204,6 +209,14 @@ class Lemma1Result:
     @property
     def ok(self):
         return self.lhs <= self.rhs
+
+    def row(self):
+        """The lemma1 row at the first smallest rhs - lhs in (path, t)
+        order, stderr 0.0; it passes if no path has lhs > rhs."""
+        k = int(np.argmin(self.margin))
+        return Row("lemma1", float(self.lhs.flat[k]), 0.0,
+                   float(self.rhs.flat[k]), float(self.margin.flat[k]),
+                   bool(self.ok.all()))
 
 
 def lemma1_check(paths, t, n):
@@ -213,23 +226,30 @@ def lemma1_check(paths, t, n):
     with P_j = sum_{p=0}^{j-1} sigma^2_p, against
     RHS = exp(t^2/2) * (1 + Y_nu^2 t^2 / n).
 
-    ``paths`` is a StoppedSample (one row) or a StoppedPaths, and ``t`` a
-    sequence; the result's arrays have the shape (paths, t).  Each LHS is
-    np.sum over exactly its path's nu terms (pairwise summation, whose
-    rounding depends on the count) and each RHS is evaluated in floats, so
-    a path's result does not depend on the other paths checked with it.
+    ``paths`` is the path sets of one threshold in path order, each a
+    StoppedPaths or a StoppedSample, and ``t`` a sequence; the arrays have
+    the shape (paths, t).  Each LHS is np.sum over exactly its path's nu
+    terms (pairwise summation, whose rounding depends on the count) and
+    each RHS is evaluated in floats, so a path's result does not depend on
+    the other paths checked with it, nor on how they are split into sets.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError("t must be a sequence of finite values")
     c = t * t / (2.0 * n)
-    y_nu = np.atleast_1d(paths.y_nu)
-    lhs = np.empty((y_nu.size, t.size))
-    scratch = np.empty((t.size + 1) * _slab_width(paths.nu))
-    for rows, prefix, starts in paths.slabs():
-        lhs[rows] = _lemma1_lhs(prefix, starts, c, scratch)
+    parts = [(np.atleast_1d(part.y_nu), _part_lhs(part, c)) for part in paths]
+    y_nu, lhs = map(np.concatenate, zip(*parts))
     # Y_nu takes few values (one per variance level at most)
     ys, which = np.unique(y_nu, return_inverse=True)
     rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
                      for tj in t.tolist()] for y in ys.tolist()])[which]
     return Lemma1Result(lhs=lhs, rhs=rhs, margin=rhs - lhs)
+
+
+def _part_lhs(paths, c):
+    """LHS of each path of one path set and each c, a (paths, c) array."""
+    lhs = np.empty((np.size(paths.nu), c.size))
+    scratch = np.empty((c.size + 1) * _slab_width(paths.nu))
+    for rows, prefix, starts in paths.slabs():
+        lhs[rows] = _lemma1_lhs(prefix, starts, c, scratch)
+    return lhs

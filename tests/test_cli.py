@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stopsum
-from stopsum import ConfigurationError, InequalityCheck, cli, harness, models
+from stopsum import (ConfigurationError, InequalityCheck, cli, derive_seed,
+                     harness, models, sample_stopped_batch)
 from stopsum.cli import ExperimentConfig, build_config, emit_report, main
 from stopsum.models import ModelSpec
 
@@ -396,6 +398,35 @@ class TestDeterminism:
                 assert float(crow[col]) == jrow[col]
             assert crow["check"] == jrow["check"]
             assert crow["verdict"] == jrow["verdict"]
+
+
+class TestEcdfPlotRows:
+    """The rows of *_ecdf_n*.csv: at the min(512, R) ranks i of
+    np.linspace(0, R - 1, min(512, R)) cast to int, (i + 1) / R and the
+    i-th of the sorted S_nu and S'_nu of the threshold's batch, each over
+    sqrt(n); ``BoundReport`` keeps those rows and no more."""
+
+    @pytest.mark.parametrize("reps", [2, 100, 512, 513])
+    def test_rows_follow_the_definition(self, tmp_path, reps):
+        config = build_config(["--model", "product", "--n-list", "16,24",
+                               "--reps", str(reps), "--seed", "5",
+                               "--out", str(tmp_path / "rep")])
+        cli.run_experiment(config)
+        for index, n in enumerate(config.n_list):
+            batch = sample_stopped_batch(config.model, n, reps,
+                                         derive_seed(5, 0, index))
+            f = np.sort(batch.s_nu) / math.sqrt(n)
+            h = np.sort(batch.s_prime_nu) / math.sqrt(n)
+            take = np.linspace(0, reps - 1, min(512, reps)).astype(int)
+            want = [[(i + 1) / reps, f[i], h[i]] for i in take.tolist()]
+            lines = (tmp_path / f"rep_ecdf_n{n:g}.csv").read_text().split()
+            assert lines[0] == "rank_fraction,quantile_F,quantile_H"
+            assert [list(map(float, line.split(","))) for line in lines[1:]] \
+                == want
+            report = harness.report_from_batch(batch, n)
+            for field in dataclasses.fields(report):
+                value = getattr(report, field.name)
+                assert not hasattr(value, "__len__") or len(value) <= 512
 
 
 class TestEmitReport:

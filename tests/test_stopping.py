@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -23,8 +24,7 @@ from stopsum import (
     step_model,
     stopping,
 )
-from stopsum.cli import (LEMMA1_T_GRID, _lemma1_record, build_config,
-                         run_experiment)
+from stopsum.cli import LEMMA1_T_GRID, build_config, run_experiment
 
 mpmath.mp.dps = 40
 
@@ -208,7 +208,7 @@ class TestTies:
 class TestLemma1:
     def test_zero_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check(sample, [0.0], 10.0)
+        res = lemma1_check([sample], [0.0], 10.0)
         assert res.lhs.tolist() == [[0.0]]
         assert res.rhs.tolist() == [[1.0]]
         assert res.ok.all()
@@ -217,7 +217,7 @@ class TestLemma1:
         # sigma^2 = 1, n = 10, nu = 9: LHS is the geometric sum
         # sum_{j=1}^{9} e^{j/20} / 20
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check(sample, [1.0], 10.0)
+        res = lemma1_check([sample], [1.0], 10.0)
         q = mpmath.e ** (mpmath.mpf(1) / 20)
         lhs_oracle = float(q * (q**9 - 1) / (q - 1) / 20)
         rhs_oracle = float(mpmath.e ** mpmath.mpf("0.5") * mpmath.mpf("1.1"))
@@ -234,14 +234,14 @@ class TestLemma1:
         spec = ModelSpec(kind, params)
         for seed in range(25):
             sample = run_path(init_model(spec, seed), 64.0)
-            res = lemma1_check(sample, (0.5, 1.0, 2.0, 5.0, 10.0), 64.0)
+            res = lemma1_check([sample], (0.5, 1.0, 2.0, 5.0, 10.0), 64.0)
             assert res.lhs.shape == (1, 5)
             assert res.ok.all(), (kind, seed, res)
 
     def test_rejects_non_finite_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError):
-            lemma1_check(sample, [1.0, math.inf], 10.0)
+            lemma1_check([sample], [1.0, math.inf], 10.0)
 
 
 class TestZeroLedSum:
@@ -282,20 +282,16 @@ def _lemma1_oracle(prefix, y, t, n):
 
 def _lockstep(spec, seed, count, n):
     """Concatenated columns of run_lockstep, each path's prefix rebuilt
-    from its variance levels, and the Lemma-1 checks of the chunks."""
-    cols = {name: [] for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
-                                  "v_before", "sigma_nu_sq")}
-    prefixes, checks = [], []
-    for paths in stopping.run_lockstep(spec, seed, count, n):
-        for name in cols:
-            cols[name].append(getattr(paths, name))
-        prefixes += [np.cumsum(paths.variances[levels[:nu]])
-                     for levels, nu in zip(paths.levels, paths.nu)]
-        checks.append(lemma1_check(paths, LEMMA1_T_GRID, n))
-    cols = {name: np.concatenate(vals) for name, vals in cols.items()}
-    lhs = np.concatenate([res.lhs for res in checks])
-    rhs = np.concatenate([res.rhs for res in checks])
-    return cols, prefixes, lhs, rhs
+    from its variance levels, and the Lemma-1 check of all the chunks."""
+    chunks = list(stopping.run_lockstep(spec, seed, count, n))
+    cols = {name: np.concatenate([getattr(paths, name) for paths in chunks])
+            for name in ("nu", "gamma", "s_nu", "s_prime_nu", "y_nu",
+                         "v_before", "sigma_nu_sq")}
+    prefixes = [np.cumsum(paths.variances[levels[:nu]])
+                for paths in chunks
+                for levels, nu in zip(paths.levels, paths.nu)]
+    res = lemma1_check(chunks, LEMMA1_T_GRID, n)
+    return cols, prefixes, res.lhs, res.rhs
 
 
 class TestLockstep:
@@ -335,9 +331,10 @@ class TestLockstep:
         monkeypatch.setattr(stopping, "_lanes_per_chunk", lambda spec, cap: 16)
         monkeypatch.setattr(stopping, "_SLAB_VALUES", 8)
         slabs, seen = stopping.StoppedPaths.slabs, set()
-        prefixes = {}                           # of the chunk's paths
+        prefixes = []                           # of each chunk's paths
 
         def spied(paths):
+            prefixes.append({})
             for rows, prefix, starts in slabs(paths):
                 nu = paths.nu[rows]
                 if np.unique(nu).size > 1:
@@ -346,7 +343,7 @@ class TestLockstep:
                     seen.add("longer path")
                 for path, start, size in zip(rows.tolist(), starts.tolist(),
                                              (nu + 1).tolist()):
-                    prefixes[path] = prefix[start:start + size].copy()
+                    prefixes[-1][path] = prefix[start:start + size].copy()
                 yield rows, prefix, starts
             if (rows.size + 1) * (nu.max() + 1) <= 8:
                 seen.add("partial last")
@@ -357,11 +354,11 @@ class TestLockstep:
                 ("product", {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.5})):
             spec, n = ModelSpec(kind, params), 3.0
             seeds = [derive_seed(29, path) for path in range(40)]
-            got = []                            # (prefix, LHS row) per path
-            for paths in stopping.run_lockstep(spec, 29, len(seeds), n):
-                lhs = lemma1_check(paths, LEMMA1_T_GRID, n).lhs
-                got += [(prefixes[i], lhs[i]) for i in range(paths.nu.size)]
-            for (prefix, lhs), seed in zip(got, seeds, strict=True):
+            prefixes.clear()
+            res = lemma1_check(stopping.run_lockstep(spec, 29, len(seeds), n),
+                               LEMMA1_T_GRID, n)
+            got = [chunk[i] for chunk in prefixes for i in range(len(chunk))]
+            for prefix, lhs, seed in zip(got, res.lhs, seeds, strict=True):
                 sample = run_path(init_model(spec, seed), n)
                 assert prefix[0] == 0.0
                 assert np.array_equal(prefix[1:], sample.sigma_prefix), seed
@@ -453,11 +450,13 @@ class TestLockstep:
             assert np.array_equal(prefixes[i], sample.sigma_prefix), i
 
     def test_shapes_follow_the_inputs(self):
-        # (paths, t) arrays, one row for a StoppedSample; t is a sequence
+        # (paths, t) arrays over the path sets, one row for a StoppedSample;
+        # t is a sequence
         spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
         paths = next(stopping.run_lockstep(spec, 0, 5, 32.0))
         sample = run_path(init_model(spec, 0), 32.0)
-        for checked, rows in ((paths, 5), (sample, 1)):
+        for checked, rows in (([paths], 5), ([sample], 1),
+                              ([paths, sample], 6)):
             for t in (LEMMA1_T_GRID, [2.0]):
                 res = lemma1_check(checked, t, 32.0)
                 shape = (rows, len(t))
@@ -519,6 +518,76 @@ class TestUnreachableThreshold:
         models._check_threshold(spec, 4.0 * self.CAP)
 
 
+class TestLemma1Row:
+    """Lemma1Result.row() over all the path sets of a threshold: the first
+    smallest rhs - lhs in (path, t) order binds, and the row passes iff no
+    path has lhs > rhs.  The LHS of each path is replaced here, so that
+    margins tie exactly: with rhs in [1, 2), lhs = rhs - 1.0 and
+    rhs - lhs are exact, and every such margin is 1.0."""
+
+    SPEC = ModelSpec("product", {})     # Y_nu takes several values
+    T, N = [0.5], 16.0
+
+    def samples(self):
+        """Two paths whose Y_nu, and so whose rhs, differ, and the rhs."""
+        paths = {}
+        for seed in range(100):
+            sample = run_path(init_model(self.SPEC, seed), self.N)
+            paths.setdefault(sample.y_nu, sample)
+            if len(paths) == 2:
+                break
+        a, b = paths.values()
+        rhs = [float(lemma1_check([p], self.T, self.N).rhs[0, 0])
+               for p in (a, b)]
+        assert 1.0 <= min(rhs) and max(rhs) < 2.0 and rhs[0] != rhs[1]
+        return (a, rhs[0]), (b, rhs[1])
+
+    def row(self, monkeypatch, sets, lhs):
+        """The row of lemma1_check over the path sets, the LHS of their
+        paths, in order, replaced by ``lhs``."""
+        values = iter(lhs)
+        monkeypatch.setattr(
+            stopping, "_lemma1_lhs", lambda prefix, starts, c, scratch:
+            np.array([[next(values)] for _ in starts.tolist()]))
+        return lemma1_check(sets, self.T, self.N).row()
+
+    def test_tie_across_path_sets_binds_the_earlier(self, monkeypatch):
+        for (first, r1), (second, r2) in itertools.permutations(
+                self.samples()):
+            # the first set's margin is r1 > 1.0; the next two tie at 1.0
+            row = self.row(monkeypatch, [first, first, second],
+                           [0.0, r1 - 1.0, r2 - 1.0])
+            assert (row.estimate, row.bound, row.margin) == (r1 - 1.0, r1, 1.0)
+            assert row.stderr == 0.0 and row.passed
+
+    def test_lhs_above_rhs_fails_and_equal_passes(self, monkeypatch):
+        (a, ra), (b, rb) = self.samples()
+        at = self.row(monkeypatch, [a, b], [0.0, rb])
+        assert (at.estimate, at.bound, at.margin) == (rb, rb, 0.0)
+        assert at.passed
+        above = self.row(monkeypatch, [a, b], [0.0, math.nextafter(rb, 3.0)])
+        assert above.margin < 0.0 and not above.passed
+
+    def test_cli_record_does_not_depend_on_chunks(self, monkeypatch,
+                                                  tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "regime_switch",
+                                    "v_lo": 0.25, "v_hi": 4.0}))
+        config = build_config(["--config", str(path), "--n-list", "128",
+                               "--reps", "200", "--seed", "3",
+                               "--checks", "lemma1"])
+        seed = derive_seed(3, 1, 0)
+        records = []
+        for size in (None, 16):
+            if size:
+                monkeypatch.setattr(stopping, "_lanes_per_chunk",
+                                    lambda spec, cap: size)
+            chunks = stopping.run_lockstep(config.model, seed, 200, 128.0)
+            assert len(list(chunks)) == (13 if size else 1)
+            records.append(run_experiment(config)[1])
+        assert records[0] == records[1]
+
+
 class TestLemma1Records:
     @pytest.mark.parametrize("params,rows", [
         ({"model": "iid_bounded"}, _DEFAULT_ROWS),
@@ -557,10 +626,10 @@ class TestLemma1Records:
         bound = (1000 * config.model.step_cap(n)
                  + (len(LEMMA1_T_GRID) + 3) * 8 * stopping._SLAB_VALUES
                  + (512 << 10))
-        _lemma1_record(config, n, 0)        # imports what numpy loads lazily
+        run_experiment(config)              # imports what numpy loads lazily
         tracemalloc.start()
         try:
-            _lemma1_record(config, n, 0)
+            run_experiment(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
