@@ -4,16 +4,16 @@ Experiments are described by a flat JSON config file, optionally overridden
 by flags; the same config and master seed always produce byte-identical
 report files.
 
-Config keys: model, n_list, reps, seed, delta, checks, out, format, plus the
-parameters of the model kind (the ``defaults`` of its class in
-``stopsum.models.LAWS``).
+Config keys: model, n_list, reps, seed, delta, checks, out, format (the
+CLI's own, ``_DEFAULTS``); every other top-level key is a parameter of the
+model kind (the ``defaults`` of its class in ``stopsum.models.LAWS``), and
+``ModelSpec`` rejects one that the kind does not have.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,9 +26,9 @@ from .harness import (
     rate_fit,
     report_from_batch,
 )
-from .models import (KINDS, LAWS, MAX_REPS, ModelSpec, _check_threshold,
+from .models import (KINDS, MAX_REPS, ModelSpec, _check_threshold,
                      derive_seed, init_model)
-from .normal import DEFAULT_DELTA
+from .normal import DEFAULT_DELTA, dkw_halfwidth
 from .sampling import sample_stopped_batch
 # init_model and run_path stay importable here although the CLI no longer
 # calls them: the benchmark tracer (perfbench/spans.py) wraps cli.run_path,
@@ -44,17 +44,25 @@ CSV_COLUMNS = (
     "check", "model", "n", "R", "seed", "estimate",
     "stderr_or_halfwidth", "bound", "margin", "verdict", "resolution_limited",
 )
+FORMATS = ("csv", "json")
 LEMMA1_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 LEMMA1_MAX_PATHS = 10_000
 
-_MODEL_PARAM_KEYS = tuple(dict.fromkeys(
-    key for law in LAWS.values() for key in law.defaults))
+# the CLI's keys and their defaults; the lists as the strings that
+# _listed parses, so that no list is shared between calls
+_DEFAULTS = {
+    "model": None, "n_list": "", "reps": 10_000, "seed": 0,
+    "delta": DEFAULT_DELTA, "checks": "distance", "out": None,
+    "format": "csv",
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every n is finite and passes the engines' start gate
-    (``models._check_threshold``) here, before any n is sampled."""
+    """Every n passes the engines' start gate (``models._check_threshold``:
+    finite, at least 2 max sigma^2_0 and within reach of the step cap)
+    here, before any n is sampled, and delta passes ``dkw_halfwidth``'s
+    check; the other rules are the CLI's own."""
 
     model: ModelSpec
     n_list: tuple
@@ -71,18 +79,12 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigurationError("n_list must be strictly increasing")
         for n in self.n_list:
-            if not math.isfinite(n):
-                raise ConfigurationError(f"n = {n} must be finite")
             _check_threshold(self.model, n)
         if not 2 <= self.reps <= MAX_REPS:
             raise ConfigurationError(f"reps must lie in [2, {MAX_REPS}]")
         if self.master_seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
-        if not math.isfinite(2.0 / self.delta):
-            raise ConfigurationError(
-                f"delta = {self.delta} is too small: 2/delta overflows")
+        dkw_halfwidth(self.reps, self.delta)
         bad = set(self.checks) - set(CHECKS)
         if bad:
             raise ConfigurationError(f"unknown checks: {sorted(bad)}")
@@ -90,7 +92,7 @@ class ExperimentConfig:
             raise ConfigurationError("at least one check is required")
         if "rate" in self.checks and len(self.n_list) < 4:
             raise ConfigurationError("rate check needs >= 4 values of n")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigurationError("format must be csv or json")
 
 
@@ -247,41 +249,37 @@ def build_config(argv):
     parser.add_argument("--checks", help="comma-separated subset of "
                                          + ",".join(CHECKS))
     parser.add_argument("--out", help="output base path (no extension)")
-    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--format", choices=FORMATS)
     args = parser.parse_args(argv)
 
-    raw = {}
+    # the defaults, then the config file, then the flags that were set
+    raw = dict(_DEFAULTS)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
-    for key, val in (
-        ("model", args.model), ("n_list", args.n_list), ("reps", args.reps),
-        ("seed", args.seed), ("delta", args.delta), ("checks", args.checks),
-        ("out", args.out), ("format", args.format),
-    ):
-        if val is not None:
-            raw[key] = val
+        raw.update(loaded)
+    raw.update((key, val) for key, val in vars(args).items()
+               if key != "config" and val is not None)
 
-    kind = raw.get("model")
-    if kind is None:
+    if raw["model"] is None:
         raise ConfigurationError("a model kind is required (--model or config)")
     # checked here, before any sampling, rather than at the first write
-    out_dir = os.path.dirname(raw.get("out") or "")
+    out_dir = os.path.dirname(raw["out"] or "")
     if out_dir and not os.path.isdir(out_dir):
         raise OutputPathError(f"no such directory: {out_dir!r}")
-    params = {k: raw[k] for k in _MODEL_PARAM_KEYS if k in raw}
+    params = {k: v for k, v in raw.items() if k not in _DEFAULTS}
     return ExperimentConfig(
-        model=ModelSpec(kind=kind, params=params),
+        model=ModelSpec(kind=raw["model"], params=params),
         n_list=tuple(_number("n_list", n, float)
-                     for n in _listed(raw, "n_list", [])),
-        reps=_number("reps", raw.get("reps", 10_000), int),
-        master_seed=_number("seed", raw.get("seed", 0), int),
-        delta=_number("delta", raw.get("delta", DEFAULT_DELTA), float),
-        checks=tuple(_listed(raw, "checks", ["distance"])),
-        out=raw.get("out"),
-        format=raw.get("format", "csv"),
+                     for n in _listed("n_list", raw["n_list"])),
+        reps=_number("reps", raw["reps"], int),
+        master_seed=_number("seed", raw["seed"], int),
+        delta=_number("delta", raw["delta"], float),
+        checks=tuple(_listed("checks", raw["checks"])),
+        out=raw["out"],
+        format=raw["format"],
     )
 
 
@@ -293,9 +291,8 @@ def _number(key, value, kind):
     return kind(value)
 
 
-def _listed(raw, key, default):
+def _listed(key, value):
     """A config value given as a comma-separated string or a list."""
-    value = raw.get(key, default)
     if isinstance(value, str):
         return [tok.strip() for tok in value.split(",") if tok.strip()]
     if not isinstance(value, list):

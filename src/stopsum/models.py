@@ -110,10 +110,12 @@ def _concat(parts):
 
 
 def _check_threshold(spec, n):
-    """The start gate of every engine: n >= 2 sigma^2_0, so that a stop at
-    nu = 1, where v_before = sigma^2_0, still has gamma > 0; and n within
-    reach of the step cap, so that an n no path reaches raises the
-    engines' overflow before a step is drawn."""
+    """The start gate of every engine: n finite; n >= 2 sigma^2_0, so that
+    a stop at nu = 1, where v_before = sigma^2_0, still has gamma > 0; and
+    n within reach of the step cap, so that an n no path reaches raises
+    the engines' overflow before a step is drawn."""
+    if not math.isfinite(n):
+        raise ConfigurationError(f"n = {n} must be finite")
     sigma0_sq = spec.law.sigma0_sq_max
     if n < 2.0 * sigma0_sq:
         raise DegenerateStartError(

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "EmpiricalCdf",
     "DistanceResult",
@@ -26,22 +28,23 @@ DEFAULT_DELTA = 0.01
 
 # The doubles of Cephes ndtr.c as SciPy compiles them: erf(x) =
 # x T(x^2) / U(x^2) on |x| < 1; erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8)
-# and exp(-x^2) R(x) / S(x) from 8 up.  U, Q and S have a leading
-# coefficient 1, left out here.  The code below keeps the C code's order of
-# operations, on which the bits depend.
+# and exp(-x^2) R(x) / S(x) from 8 up.  U, Q and S lead with the 1.0 that
+# Cephes' p1evl leaves implicit; 1.0 * x is exactly x, so _polevl gives
+# p1evl's bits.  The code below keeps the C code's order of operations, on
+# which the bits depend.
 _T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
       7003.325141128051, 55592.30130103949)
-_U = (33.56171416475031, 521.3579497801527, 4594.323829709801,
+_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801,
       22629.000061389095, 49267.39426086359)
 _P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
       48.63719709856814, 196.5208329560771, 526.4451949954773,
       934.5285271719576, 1027.5518868951572, 557.5353353693994)
-_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199,
+_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199,
       975.7085017432055, 1823.9091668790973, 2246.3376081871097,
       1656.6630919416134, 557.5353408177277)
 _R = (0.5641895835477551, 1.275366707599781, 5.019050422511805,
       6.160210979930536, 7.4097426995044895, 2.9788666537210022)
-_S = (2.2605286322011726, 9.396035249380015, 12.048953980809666,
+_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666,
       17.08144507475659, 9.608968090632859, 3.369076451000815)
 _MAXLOG = 709.782712893384  # log(DBL_MAX)
 _SQRT1_2 = 0.7071067811865476
@@ -51,14 +54,6 @@ def _polevl(x, coef):
     """Horner's rule, highest degree first, in Cephes' order."""
     ans = coef[0] * x + coef[1]
     for c in coef[2:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    """``_polevl`` with a leading coefficient 1, left out of ``coef``."""
-    ans = x + coef[0]
-    for c in coef[1:]:
         ans = ans * x + c
     return ans
 
@@ -79,7 +74,7 @@ def _erfc(z):
     far = np.flatnonzero((z >= 8.0) & (e >= -_MAXLOG))
     for i, p, q in ((mid, _P, _Q), (far, _R, _S)):
         zi = z[i]
-        y[i] = _libm_exp(e[i]) * _polevl(zi, p) / _p1evl(zi, q)
+        y[i] = _libm_exp(e[i]) * _polevl(zi, p) / _polevl(zi, q)
     return y
 
 
@@ -99,7 +94,7 @@ def std_normal_cdf(x):
     inner = np.flatnonzero(zs < 1.0)
     xi = xs[inner]
     zz = xi * xi
-    out[inner] = 0.5 + 0.5 * (xi * _polevl(zz, _T) / _p1evl(zz, _U))
+    out[inner] = 0.5 + 0.5 * (xi * _polevl(zz, _T) / _polevl(zz, _U))
     outer = np.flatnonzero(zs >= 1.0)
     y = 0.5 * _erfc(zs[outer])
     out[outer] = np.where(xs[outer] > 0, 1.0 - y, y)
@@ -113,9 +108,10 @@ def dkw_halfwidth(r, delta=DEFAULT_DELTA):
     if r < 1:
         raise ValueError(f"sample count must be >= 1, got {r}")
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     if not math.isfinite(2.0 / delta):
-        raise ValueError(f"delta = {delta} is too small: 2/delta overflows")
+        raise ConfigurationError(
+            f"delta = {delta} is too small: 2/delta overflows")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * r))
 
 

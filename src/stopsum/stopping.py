@@ -226,18 +226,21 @@ def lemma1_check(paths, t, n):
     with P_j = sum_{p=0}^{j-1} sigma^2_p, against
     RHS = exp(t^2/2) * (1 + Y_nu^2 t^2 / n).
 
-    ``paths`` is the path sets of one threshold in path order, each a
-    StoppedPaths or a StoppedSample, and ``t`` a sequence; the arrays have
-    the shape (paths, t).  Each LHS is np.sum over exactly its path's nu
-    terms (pairwise summation, whose rounding depends on the count) and
-    each RHS is evaluated in floats, so a path's result does not depend on
-    the other paths checked with it, nor on how they are split into sets.
+    ``paths`` is the path sets of one threshold in path order, at least
+    one, each a StoppedPaths or a StoppedSample, and ``t`` a nonempty
+    sequence; the arrays have the shape (paths, t).  Each LHS is np.sum
+    over exactly its path's nu terms (pairwise summation, whose rounding
+    depends on the count) and each RHS is evaluated in floats, so a path's
+    result does not depend on the other paths checked with it, nor on how
+    they are split into sets.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
-        raise ValueError("t must be a sequence of finite values")
+    if t.ndim != 1 or not t.size or not np.all(np.isfinite(t)):
+        raise ValueError("t must be a nonempty sequence of finite values")
     c = t * t / (2.0 * n)
     parts = [(np.atleast_1d(part.y_nu), _part_lhs(part, c)) for part in paths]
+    if not parts:
+        raise ValueError("no path set to check")
     y_nu, lhs = map(np.concatenate, zip(*parts))
     # Y_nu takes few values (one per variance level at most)
     ys, which = np.unique(y_nu, return_inverse=True)

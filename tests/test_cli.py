@@ -32,6 +32,10 @@ NON_FINITE_MODELS = [
     )
 ]
 
+# v_hi misspelled: a key that regime_switch does not have
+MISSPELLED_PARAM = {"model": "regime_switch", "v_high": 4.0,
+                    "n_list": [16, 32], "reps": 500}
+
 
 class TestBuildConfig:
     def test_flags_only(self):
@@ -95,6 +99,11 @@ class TestBuildConfig:
         {"model": "iid_bounded", "n_list": [16, 32], "seed": True},
         {"model": "regime_switch", "v_lo": 0.25, "n_list": [True, 16]},
         {"model": "regime_switch", "n_list": [16, 32], "v_lo": True},
+        # every key but the CLI's own is a parameter of the kind
+        MISSPELLED_PARAM,
+        {"model": "iid_bounded", "n_list": [16, 32], "sed": 5},
+        {"model": "product", "n_list": [16, 32], "a_lo": 1.0, "a_hi": 2.0,
+         "p_growth": 0.1, "label": "x"},
         *NON_FINITE_MODELS,
     ])
     def test_invalid_values_rejected(self, tmp_path, extra):
@@ -144,6 +153,17 @@ class TestMain:
             "stopsum: invalid configuration: regime_switch level 1 has "
             "Y = 2.0 and level 0 Y = 1.0: a step between them breaks Y_k "
             "nondecreasing\n")
+        assert list(out.iterdir()) == []
+
+    def test_misspelled_parameter_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MISSPELLED_PARAM))
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["--config", str(path), "--out", str(out / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "stopsum: invalid configuration: unknown parameters for "
+            "regime_switch: ['v_high']\n")
         assert list(out.iterdir()) == []
 
     def test_non_finite_n_exit_2(self, capsys):

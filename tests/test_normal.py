@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from stopsum import (
+    ConfigurationError,
     EmpiricalCdf,
     dkw_halfwidth,
     kolmogorov_distance,
@@ -128,14 +129,14 @@ class TestDkwHalfwidth:
         assert abs(dkw_halfwidth(10**6, 0.05) - 0.0013581015157406195) <= 1e-15
 
     def test_rejects_bad_delta(self):
-        for delta in (2.0, 0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
+        for delta in (2.0, 0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ConfigurationError, match="delta must lie"):
                 dkw_halfwidth(100, delta)
 
     def test_rejects_delta_whose_two_over_delta_overflows(self):
         assert math.isfinite(dkw_halfwidth(100, 1.2e-308))
         for delta in (1e-320, 5e-324):
-            with pytest.raises(ValueError, match="2/delta overflows"):
+            with pytest.raises(ConfigurationError, match="2/delta overflows"):
                 dkw_halfwidth(100, delta)
 
     def test_rejects_bad_r(self):

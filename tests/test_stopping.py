@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stopsum import (
+    ConfigurationError,
     DegenerateStartError,
     ModelSpec,
     PathOverflowError,
@@ -242,6 +243,17 @@ class TestLemma1:
         sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError):
             lemma1_check([sample], [1.0, math.inf], 10.0)
+
+    def test_rejects_empty_t(self):
+        sample = run_path(init_model(IID, 5), 10.0)
+        with pytest.raises(ValueError, match="t must be a nonempty"):
+            lemma1_check([sample], [], 10.0)
+
+    def test_rejects_no_path_set(self):
+        with pytest.raises(ValueError, match="no path set"):
+            lemma1_check([], [1.0], 10.0)
+        with pytest.raises(ValueError, match="no path set"):
+            lemma1_check(stopping.run_lockstep(IID, 0, 0, 10.0), [1.0], 10.0)
 
 
 class TestZeroLedSum:
@@ -508,6 +520,16 @@ class TestUnreachableThreshold:
             next(stopping.run_lockstep(spec, 0, 2, n))
         with pytest.raises(PathOverflowError):
             run_path(init_model(spec, 0), n)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_is_a_configuration_error(self, n):
+        engines = (lambda: sample_stopped_batch(IID, n, 10, 1),
+                   lambda: next(stopping.run_lockstep(IID, 0, 2, n)),
+                   lambda: run_path(init_model(IID, 0), n))
+        for engine in engines:
+            with pytest.raises(ConfigurationError,
+                               match=f"n = {n} must be finite"):
+                engine()
 
     def test_cap_times_largest_variance_passes(self):
         n = float(self.CAP)         # IID: M = 1, every path reaches n
