@@ -12,15 +12,18 @@ Run:  python3 demos/demo_cf_inequalities.py     (a few seconds)
 
 import numpy as np
 
-from stopsum import ModelSpec, probe_from_batch, sample_stopped_batch
+from stopsum import (ModelSpec, probe_from_batch, report_from_batch,
+                     sample_stopped_batch)
 
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 N = 1024.0
 R = 200_000
 T_GRID = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 
-probe = probe_from_batch(sample_stopped_batch(IID, N, R, seed=7), N, T_GRID)
-print(f"iid model, n = {N:g}, R = {R}, a_n = {probe.a_n_eval:.4f}\n")
+batch = sample_stopped_batch(IID, N, R, seed=7)
+report = report_from_batch(batch)
+probe = probe_from_batch(batch, report, T_GRID)
+print(f"iid model, n = {N:g}, R = {R}, a_n = {report.a_n_eval:.4f}\n")
 print(f"{'check':12s} {'t':>5s} {'lhs':>11s} {'rhs':>11s} "
       f"{'stderr':>9s}  status")
 for c in probe.checks:

@@ -37,9 +37,9 @@ print(f"(pure smoothing term 24/(pi sqrt(2pi) * 10) = "
 IID = ModelSpec("iid_bounded", {"m": 1.0, "v": 1.0})
 for n in (256.0, 1024.0):
     batch = sample_stopped_batch(IID, n, 50_000, seed=int(n))
-    rep = report_from_batch(batch, n)
+    rep = report_from_batch(batch)
     y = rep.y_smoothing
-    res = esseen_numeric(probe_from_batch(batch, n, make_t_grid(y)), y)
+    res = esseen_numeric(probe_from_batch(batch, rep, make_t_grid(y)), y)
     print(f"n = {n:6g}: measured d_F = {rep.d_f.d_sup:.4f}   "
           f"smoothing-bound total = {res.total:.4f}   "
           f"theorem bound = {rep.bound_f:.4f}")

@@ -30,7 +30,7 @@ for kind, spec in SPECS.items():
     reports = []
     for i, n in enumerate(N_GRID):
         batch = sample_stopped_batch(spec, n, R, seed=100 + i)
-        rep = report_from_batch(batch, n)
+        rep = report_from_batch(batch)
         reports.append(rep)
         print(f"{kind:14s} {n:6.0f} {rep.d_f.d_sup:8.4f} {rep.bound_f:8.4f} "
               f"{rep.d_h.d_sup:8.4f} {rep.bound_h:8.4f} {rep.a_n_hat:6.3f}")

@@ -115,7 +115,7 @@ def run_experiment(config):
         seed_n = derive_seed(config.master_seed, 0, i)
         if needs_batch:
             batch = sample_stopped_batch(config.model, n, config.reps, seed_n)
-            report = report_from_batch(batch, n, delta=config.delta)
+            report = report_from_batch(batch, delta=config.delta)
             reports.append(report)
 
         if "distance" in config.checks:
@@ -125,7 +125,8 @@ def run_experiment(config):
                 files.append(_emit_ecdf(config, n, report))
 
         if {"cf", "esseen"} & set(config.checks):
-            probe = probe_from_batch(batch, n, make_t_grid(report.y_smoothing))
+            probe = probe_from_batch(batch, report,
+                                     make_t_grid(report.y_smoothing))
 
         if "cf" in config.checks:
             records += [_record(config, n, seed_n, row)
@@ -142,7 +143,7 @@ def run_experiment(config):
             paths = run_lockstep(config.model, seed,
                                  min(config.reps, LEMMA1_MAX_PATHS), n)
             records.append(_record(config, n, seed, lemma1_check(
-                paths, LEMMA1_T_GRID, n).row()))
+                paths, LEMMA1_T_GRID).row()))
 
     if "rate" in config.checks:
         records.append(_record(config, config.n_list[-1], config.master_seed,

@@ -82,14 +82,6 @@ def estimate_a_n(y_nu):
     return a_hat, stderr
 
 
-def _smoothing(y_nu, n):
-    """(a_n_hat, its stderr, the a_n the bounds and the CF checks use, and
-    the smoothing cutoff y = (n / a_n^2)^{1/4} at that a_n)."""
-    a_hat, a_se = estimate_a_n(y_nu)
-    a = a_hat + 3.0 * a_se  # conservative: a larger a_n weakens the claim
-    return a_hat, a_se, a, (n / a**2) ** 0.25
-
-
 # distance estimation against the theorem bounds
 
 @dataclass(frozen=True)
@@ -122,22 +114,23 @@ class BoundReport:
         return all(row.passed for row in self.rows())
 
 
-def report_from_batch(batch, n, delta=DEFAULT_DELTA):
-    """Build a BoundReport from an already-sampled batch."""
+def report_from_batch(batch, delta=DEFAULT_DELTA):
+    """The BoundReport of a batch at the n it was stopped at (``batch.n``),
+    with the one estimate of a_n and y that the batch's CF probe reads."""
+    n, r = batch.n, batch.size
     sqrt_n = math.sqrt(n)
     ecdf_f = EmpiricalCdf.from_samples(batch.s_nu / sqrt_n)
     ecdf_h = EmpiricalCdf.from_samples(batch.s_prime_nu / sqrt_n)
-    r = batch.size
     take = np.linspace(0, r - 1, min(512, r)).astype(int)
     d_f = kolmogorov_distance(ecdf_f, std_normal_cdf, delta=delta)
     d_h = kolmogorov_distance(ecdf_h, std_normal_cdf, delta=delta)
-    a_hat, a_se, a_eval, y = _smoothing(batch.y_nu, n)
-    bound_f = theorem_bound_F(n, a_eval)
-    bound_h = theorem_bound_H(n, a_eval)
+    a_hat, a_se = estimate_a_n(batch.y_nu)
+    a_eval = a_hat + 3.0 * a_se  # conservative: a larger a_n weakens the claim
     return BoundReport(
-        n=float(n), r=r, a_n_hat=a_hat, a_n_stderr=a_se,
-        a_n_eval=a_eval, d_f=d_f, d_h=d_h, bound_f=bound_f, bound_h=bound_h,
-        y_smoothing=y, plot_rows=np.column_stack((
+        n=n, r=r, a_n_hat=a_hat, a_n_stderr=a_se, a_n_eval=a_eval, d_f=d_f,
+        d_h=d_h, bound_f=theorem_bound_F(n, a_eval),
+        bound_h=theorem_bound_H(n, a_eval),
+        y_smoothing=(n / a_eval**2) ** 0.25, plot_rows=np.column_stack((
             (take + 1) / r, ecdf_f.samples[take], ecdf_h.samples[take])),
     )
 
@@ -180,8 +173,6 @@ class CfProbe:
     c3: np.ndarray
     se3: np.ndarray
     checks: tuple = ()
-    a_n_eval: float = 1.0
-    r: int = 0
 
     @property
     def passed(self):
@@ -220,7 +211,7 @@ class CfProbe:
                 c3.append(_mirror(c, t, key, out))
                 se3.append(se)
         return cls(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
-                   se3=grid.expand(se3), r=x.size)
+                   se3=grid.expand(se3))
 
 
 # complex values per estimator table in a block of |t|: a block holds
@@ -242,6 +233,8 @@ class _AbsTGrid:
 
     def __init__(self, t_grid):
         self.t_grid = np.asarray(t_grid, dtype=float)
+        if not self.t_grid.size:
+            raise ValueError("the t grid is empty")
         self.values, self.which = np.unique(np.abs(self.t_grid),
                                             return_inverse=True)
 
@@ -371,8 +364,10 @@ def _moments(paths, table, out):
                                     np.add.reduce(sq.imag, axis=1).tolist())]
 
 
-def probe_from_batch(batch, n, t_grid):
-    """Evaluate the three proof inequalities on an existing batch.
+def probe_from_batch(batch, report, t_grid):
+    """Evaluate the three proof inequalities on an existing batch, at the
+    n, a_n (``a_n_eval``) and smoothing cutoff y of its BoundReport, which
+    must be the report of that batch (same n and r).
 
     With S = S_nu / sqrt(n), S' = S'_nu / sqrt(n) and V = sum_{p<nu}
     sigma^2_p, each path gives at t
@@ -394,14 +389,15 @@ def probe_from_batch(batch, n, t_grid):
     right-hand sides and records are computed per |t|.  The floats are
     those of evaluating every t on every path.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    _, _, a, y = _smoothing(batch.y_nu, n)
-    if np.max(np.abs(t_grid)) > y * (1.0 + 1e-9):
+    n, r, a, y = report.n, report.r, report.a_n_eval, report.y_smoothing
+    if (n, r) != (batch.n, batch.size):
+        raise ValueError(f"the report is of n = {n}, r = {r}, the batch of "
+                         f"n = {batch.n}, r = {batch.size}")
+    grid = _AbsTGrid(t_grid)
+    if grid.values[-1] > y * (1.0 + 1e-9):
         raise ValueError(f"t grid exceeds the smoothing range [-y, y] with "
                          f"y = {y:.6g}")
-    sqrt_n, r = math.sqrt(n), batch.size
-    grid = _AbsTGrid(t_grid)
-    blocks = grid.blocks(r)
+    sqrt_n, blocks = math.sqrt(n), grid.blocks(r)
 
     def columns():      # S, S' and V, each freed once keyed
         yield batch.s_nu / sqrt_n
@@ -447,11 +443,10 @@ def probe_from_batch(batch, n, t_grid):
     points, se3, c3 = zip(*per_abs_t)
     checks = tuple(InequalityCheck(name, float(t), float(lhs), float(rhs),
                                    float(se), bool(rhs < se))
-                   for t, j in zip(t_grid, grid.which)
+                   for t, j in zip(grid.t_grid, grid.which)
                    for name, lhs, rhs, se in points[j])
-    return CfProbe(t_grid=t_grid, c3=grid.expand(c3, mirrored=True),
-                   se3=grid.expand(se3), checks=checks, a_n_eval=a,
-                   r=batch.size)
+    return CfProbe(t_grid=grid.t_grid, c3=grid.expand(c3, mirrored=True),
+                   se3=grid.expand(se3), checks=checks)
 
 
 # smoothing-inequality quadrature

@@ -110,10 +110,10 @@ def _concat(parts):
 
 
 def _check_threshold(spec, n):
-    """The start gate of every engine: n finite; n >= 2 sigma^2_0, so that
-    a stop at nu = 1, where v_before = sigma^2_0, still has gamma > 0; and
-    n within reach of the step cap, so that an n no path reaches raises
-    the engines' overflow before a step is drawn."""
+    """The start gate of every engine; it returns n's step cap.  n finite;
+    n >= 2 sigma^2_0, so that a stop at nu = 1, where v_before = sigma^2_0,
+    still has gamma > 0; and n within reach of the step cap, so that an n
+    no path reaches raises the overflow before a step is drawn."""
     if not math.isfinite(n):
         raise ConfigurationError(f"n = {n} must be finite")
     sigma0_sq = spec.law.sigma0_sq_max
@@ -122,17 +122,19 @@ def _check_threshold(spec, n):
             f"n = {n} < 2 * max sigma^2_0 = {2.0 * sigma0_sq}; "
             "the nu = 1 edge could make gamma nonpositive"
         )
-    # A path reaches at most the float sum of cap variances, each at most M,
-    # the largest sigma^2, added in order from 0: cap - 1 roundings, so
-    # cap M (1 + u)^(cap - 1) <= cap M (1 + 2 (cap - 1) u), u = 2^-53.  The
-    # bound below, cap M (1 + 4 cap u), loses at most a factor (1 - u)^3 to
+    # Every kind takes step 0 at level 0, so a path reaches at most the
+    # float sum, from 0, of sigma^2_0 and cap - 1 variances of at most M,
+    # the largest sigma^2: cap - 1 roundings, B (1 + u)^(cap - 1) <=
+    # B (1 + 2 (cap - 1) u), B = sigma^2_0 + (cap - 1) M, u = 2^-53.  The
+    # bound below, B (1 + 4 cap u), loses at most a factor (1 - u)^4 to
     # rounding, less than its extra 2 (cap + 1) u, so no path reaches an n
-    # above it; n = cap M passes.  Only a cap that MAX_STEPS clamps can
-    # fail, as an unclamped one exceeds n / (least sigma^2).
+    # above it; n = B passes.  Only a cap that MAX_STEPS clamps can fail,
+    # as an unclamped one exceeds n / (least sigma^2).
     cap = spec.step_cap(n)
-    largest = float(spec.law.variances.max())
-    if n > cap * largest * (1.0 + 4.0 * cap * 2.0**-53):
+    reach = sigma0_sq + (cap - 1) * float(spec.law.variances.max())
+    if n > reach * (1.0 + 4.0 * cap * 2.0**-53):
         raise _overflow(cap, n, spec.kind)
+    return cap
 
 
 # a threshold holds its whole batch and the CF probe's temporaries at once,

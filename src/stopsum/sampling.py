@@ -23,9 +23,10 @@ BLOCK_SIZE = 4096
 
 @dataclass(frozen=True)
 class StoppedBatch:
-    """Column-oriented collection of stopped samples: the columns that
-    every engine gives, one entry per path."""
+    """Column-oriented stopped samples: the threshold n they were stopped
+    at, a float, and the columns that every engine gives, one per path."""
 
+    n: float
     nu: np.ndarray
     gamma: np.ndarray
     s_nu: np.ndarray
@@ -48,9 +49,8 @@ def sample_stopped_batch(spec, n, r, seed):
         raise ConfigurationError("spec must be a ModelSpec")
     if r < 1:
         raise ValueError("r must be >= 1")
-    _check_threshold(spec, n)
+    cap = _check_threshold(spec, n)
     n = float(n)
-    cap = spec.step_cap(n)
     results = []
     for b, start in enumerate(range(0, r, BLOCK_SIZE)):
         rng = np.random.Generator(
@@ -58,5 +58,5 @@ def sample_stopped_batch(spec, n, r, seed):
         )
         results.append(spec.law.sample_block(
             n, min(BLOCK_SIZE, r - start), rng, cap))
-    return StoppedBatch(**_concat(results))
+    return StoppedBatch(n=n, **_concat(results))
 

@@ -1,11 +1,12 @@
 """Stopped-sum construction on the per-path streams of ``init_model``.
 
 A path is stepped until the accumulated conditional variance reaches the
-threshold n.  Indexing contract (the one off-by-one hazard, stated once):
-model step i emits (X_{i+1}, sigma^2_i, Y_i); nu is the smallest k >= 1
-with v_before + sigma^2_k >= n, v_before = sum_{i<k} sigma^2_i summed in
-order in floats by every engine, so the step at which the threshold is
-crossed already carries the extra increment X_{nu+1} used by S'_nu.
+threshold n, which every engine's result carries as a float (``n``).
+Indexing contract (the one off-by-one hazard, stated once): model step i
+emits (X_{i+1}, sigma^2_i, Y_i); nu is the smallest k >= 1 with
+v_before + sigma^2_k >= n, v_before = sum_{i<k} sigma^2_i summed in order
+in floats by every engine, so the step at which the threshold is crossed
+already carries the extra increment X_{nu+1} used by S'_nu.
 
 ``run_path`` steps one path of a ModelState, whose draws come from numpy's
 Generator; it is the oracle.  ``run_lockstep`` steps the paths p < count
@@ -13,12 +14,12 @@ of one spec and one seed together in ``models._run_rows``, path p on the
 stream of ``derive_seed(seed, p)`` (``Lanes``) evaluated counter-based,
 and gives, path by path, the same floats.
 
-``lemma1_check`` takes the path sets of one threshold in path order
-(``run_lockstep``'s chunks, or ``run_path``'s samples), rebuilds their
-prefixes a slab at a time (``StoppedPaths.slabs``), laid out flat with a
-0.0 before each path, and sums every path's terms of a slab with one
-np.add.reduceat, which gives the bits of np.sum over that path alone; a
-StoppedSample is one slab.  ``Lemma1Result.row()`` is the lemma1 row.
+``lemma1_check`` takes path sets in path order (``run_lockstep``'s
+chunks, or ``run_path``'s samples), checks each at its own n, rebuilds
+their prefixes a slab at a time (``StoppedPaths.slabs``), laid out flat
+with a 0.0 before each path, and sums every path's terms of a slab with
+one np.add.reduceat, which gives the bits of np.sum over that path alone;
+a StoppedSample is one slab.  ``Lemma1Result.row()`` is the lemma1 row.
 """
 
 from __future__ import annotations
@@ -128,18 +129,16 @@ def _slab_width(nu):
 def run_path(state, n):
     """Run one model path to its stopping time, keeping its prefix."""
     spec = state.spec
-    _check_threshold(spec, n)
-    cap = spec.step_cap(n)
+    cap = _check_threshold(spec, n)
+    n = float(n)
     v_before = s = 0.0
     prefix = []
     for k in range(cap):
         out = step_model(state)  # (X_{k+1}, sigma^2_k, Y_k)
         total = v_before + out.sigma_sq
         if k >= 1 and total >= n:
-            return StoppedSample(
-                **_stopped(n, k, s, out.x, out.y, v_before, out.sigma_sq),
-                sigma_prefix=np.asarray(prefix),
-            )
+            cols = _stopped(n, k, s, out.x, out.y, v_before, out.sigma_sq)
+            return StoppedSample(n=n, **cols, sigma_prefix=np.asarray(prefix))
         prefix.append(total)
         s += out.x
         v_before = total
@@ -168,15 +167,16 @@ def run_lockstep(spec, seed, count, n):
     p)), n)``: the lanes draw each path's stream, and every float is
     computed by the same operations in the same order.
     """
-    _check_threshold(spec, n)
+    cap = _check_threshold(spec, n)
+    n = float(n)
     seeds = derive_seeds(seed, count)
-    cap = spec.step_cap(n)
     size = _lanes_per_chunk(spec, cap)
     for start in range(0, count, size):
         lanes = Lanes(spec, seeds[start:start + size])
         levels = np.empty((lanes.running_sum.size, cap), dtype=np.int8)
         cols = _run_rows(spec.law, lanes, n, cap, spec.kind, levels)
-        yield StoppedPaths(**cols, levels=levels, variances=spec.law.variances)
+        yield StoppedPaths(n=n, **cols, levels=levels,
+                           variances=spec.law.variances)
 
 
 def _lemma1_lhs(prefix, starts, c, scratch):
@@ -219,40 +219,41 @@ class Lemma1Result:
                    bool(self.ok.all()))
 
 
-def lemma1_check(paths, t, n):
+def lemma1_check(paths, t):
     """Deterministic pathwise inequality on the stopped prefix.
 
     LHS = sum_{j=1}^{nu} exp((t^2/2n) * P_j) * (t^2/2n) * sigma^2_{j-1}
     with P_j = sum_{p=0}^{j-1} sigma^2_p, against
     RHS = exp(t^2/2) * (1 + Y_nu^2 t^2 / n).
 
-    ``paths`` is the path sets of one threshold in path order, at least
-    one, each a StoppedPaths or a StoppedSample, and ``t`` a nonempty
-    sequence; the arrays have the shape (paths, t).  Each LHS is np.sum
-    over exactly its path's nu terms (pairwise summation, whose rounding
-    depends on the count) and each RHS is evaluated in floats, so a path's
-    result does not depend on the other paths checked with it, nor on how
-    they are split into sets.
+    ``paths`` is path sets in path order, at least one, each a
+    StoppedPaths or a StoppedSample checked at the n it was stopped at
+    (its ``n``), and ``t`` a nonempty sequence; the arrays have the shape
+    (paths, t).  Each LHS is np.sum over exactly its path's nu terms
+    (pairwise summation, whose rounding depends on the count) and each RHS
+    is evaluated in floats, so a path's result does not depend on the
+    other paths checked with it, nor on how they are split into sets.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not t.size or not np.all(np.isfinite(t)):
         raise ValueError("t must be a nonempty sequence of finite values")
-    c = t * t / (2.0 * n)
-    parts = [(np.atleast_1d(part.y_nu), _part_lhs(part, c)) for part in paths]
+    parts = [_check_part(part, t) for part in paths]
     if not parts:
         raise ValueError("no path set to check")
-    y_nu, lhs = map(np.concatenate, zip(*parts))
-    # Y_nu takes few values (one per variance level at most)
-    ys, which = np.unique(y_nu, return_inverse=True)
-    rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
-                     for tj in t.tolist()] for y in ys.tolist()])[which]
+    lhs, rhs = map(np.concatenate, zip(*parts))
     return Lemma1Result(lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
-def _part_lhs(paths, c):
-    """LHS of each path of one path set and each c, a (paths, c) array."""
+def _check_part(paths, t):
+    """(LHS, RHS) of one path set at its own n, each a (paths, t) array."""
+    n = paths.n
+    c = t * t / (2.0 * n)
     lhs = np.empty((np.size(paths.nu), c.size))
     scratch = np.empty((c.size + 1) * _slab_width(paths.nu))
     for rows, prefix, starts in paths.slabs():
         lhs[rows] = _lemma1_lhs(prefix, starts, c, scratch)
-    return lhs
+    # Y_nu takes few values (one per variance level at most)
+    ys, which = np.unique(np.atleast_1d(paths.y_nu), return_inverse=True)
+    rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
+                     for tj in t.tolist()] for y in ys.tolist()])[which]
+    return lhs, rhs

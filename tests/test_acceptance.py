@@ -75,7 +75,7 @@ def bound_reports():
         for i, n in enumerate(N_GRID):
             seed = derive_seed(MASTER_SEED, k, i)
             batch = sample_stopped_batch(spec, n, THEOREM_R, seed)
-            out[(kind, n)] = report_from_batch(batch, n)
+            out[(kind, n)] = report_from_batch(batch)
     return out
 
 
@@ -155,7 +155,7 @@ def test_criterion_5_cf_inequalities(_verdict):
     t_grid = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
     batch = sample_stopped_batch(SPECS["iid_bounded"], 1024.0, 1_000_000,
                                  derive_seed(MASTER_SEED, 4))
-    probe = probe_from_batch(batch, 1024.0, t_grid)
+    probe = probe_from_batch(batch, report_from_batch(batch), t_grid)
     ok = probe.passed
     n_limited = sum(c.resolution_limited for c in probe.checks)
     assert _verdict(
@@ -172,7 +172,7 @@ def test_criterion_6_pathwise_exponential_inequality(_verdict):
     for k, spec in enumerate(SPECS.values()):
         seeds = (derive_seed(MASTER_SEED, 5, k, path) for path in range(10_000))
         res = lemma1_check((run_path(init_model(spec, seed), 64.0)
-                            for seed in seeds), t_values, 64.0)
+                            for seed in seeds), t_values)
         violations += np.count_nonzero(~res.ok)
         n_checks += res.ok.size
     ok = violations == 0

@@ -245,6 +245,9 @@ class TestMain:
         pytest.param("iid_bounded", {"v": 1e-10}, 1e300, id="iid-inf-steps"),
         pytest.param("regime_switch", {"v_lo": 1e-300, "v_hi": 1e-300}, 1e10,
                      id="regime-inf-steps"),
+        # step 0 is at v_lo, so no path's 10^7 variances sum to 10^7 v_hi
+        pytest.param("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}, 4e7,
+                     id="regime-cap-times-v_hi"),
     ])
     def test_unreachable_threshold_exit_2(self, tmp_path, monkeypatch,
                                           capsys, kind, params, n, checks):
@@ -315,6 +318,21 @@ class TestMain:
             assert rec["verdict"] == ("PASS" if row.passed else "FAIL")
             assert rec["resolution_limited"] is row.resolution_limited
 
+    def test_a_n_estimated_once_per_threshold(self, monkeypatch):
+        # the CF probe reads a_n and y from the threshold's report
+        calls = []
+
+        def counting(y_nu):
+            calls.append(len(y_nu))
+            return estimate(y_nu)
+
+        estimate = harness.estimate_a_n
+        monkeypatch.setattr(harness, "estimate_a_n", counting)
+        config = build_config(IID_ARGS + ["--n-list", "16,24,32,48",
+                                          "--checks", "distance,cf,esseen"])
+        cli.run_experiment(config)
+        assert calls == [500] * 4
+
     def test_all_checks_small_run(self, tmp_path, capsys):
         out = tmp_path / "rep"
         argv = ["--model", "iid_bounded", "--n-list", "16,24,32,48",
@@ -337,8 +355,8 @@ class TestCfGate:
     def _inject(self, monkeypatch, resolved_failure):
         real = cli.probe_from_batch
 
-        def injected(batch, n, t_grid):
-            probe = real(batch, n, t_grid)
+        def injected(batch, report, t_grid):
+            probe = real(batch, report, t_grid)
             checks = list(probe.checks)
             cf9 = [i for i, c in enumerate(checks) if c.name == "cf9"]
             # one passing point below resolution, one failing at |t| = 2.83
@@ -443,7 +461,7 @@ class TestEcdfPlotRows:
             assert lines[0] == "rank_fraction,quantile_F,quantile_H"
             assert [list(map(float, line.split(","))) for line in lines[1:]] \
                 == want
-            report = harness.report_from_batch(batch, n)
+            report = harness.report_from_batch(batch)
             for field in dataclasses.fields(report):
                 value = getattr(report, field.name)
                 assert not hasattr(value, "__len__") or len(value) <= 512

@@ -116,12 +116,12 @@ class TestEstimateAn:
 
 
 def sampled_report(spec, n, r, seed):
-    return report_from_batch(sample_stopped_batch(spec, n, r, seed), n)
+    return report_from_batch(sample_stopped_batch(spec, n, r, seed))
 
 
 def sampled_probe(spec, n, r, t, seed):
-    return probe_from_batch(sample_stopped_batch(spec, n, r, seed), n,
-                            np.array(t))
+    batch = sample_stopped_batch(spec, n, r, seed)
+    return probe_from_batch(batch, report_from_batch(batch), np.array(t))
 
 
 class TestReportFromBatch:
@@ -140,13 +140,20 @@ class TestReportFromBatch:
         # Y_nu varies for the product kind, so a_n_eval > a_n_hat
         n = 256.0
         batch = sample_stopped_batch(ModelSpec("product", {}), n, 5000, 4)
-        rep = report_from_batch(batch, n)
+        rep = report_from_batch(batch)
         assert rep.a_n_stderr > 0.0
         assert rep.y_smoothing == (n / rep.a_n_eval**2) ** 0.25
         # the probe takes a grid up to that cutoff and rejects one beyond
-        probe_from_batch(batch, n, make_t_grid(rep.y_smoothing))
+        probe_from_batch(batch, rep, make_t_grid(rep.y_smoothing))
         with pytest.raises(ValueError):
-            probe_from_batch(batch, n, make_t_grid(rep.y_smoothing * 1.01))
+            probe_from_batch(batch, rep, make_t_grid(rep.y_smoothing * 1.01))
+
+    def test_reads_the_batch_threshold(self):
+        batch = sample_stopped_batch(REGIME, 64, 5000, 4)
+        rep = report_from_batch(batch)
+        assert type(rep.n) is float and rep.n == batch.n == 64.0
+        assert rep.bound_f == theorem_bound_F(64.0, rep.a_n_eval)
+        assert rep.bound_h == theorem_bound_H(64.0, rep.a_n_eval)
 
     def test_margins_match_fields(self):
         rep = sampled_report(IID, 64.0, 5000, seed=4)
@@ -186,6 +193,23 @@ class TestCfProbe:
         with pytest.raises(ValueError):
             sampled_probe(IID, 64.0, 2000, [10.0], seed=8)  # y ~ 2.83
 
+    def test_report_of_another_batch_rejected(self):
+        batch = sample_stopped_batch(IID, 64.0, 2000, 8)
+        t_grid = np.array([0.5])
+        for other in (sample_stopped_batch(IID, 256.0, 2000, 8),   # n
+                      sample_stopped_batch(IID, 64.0, 1000, 8)):   # r
+            with pytest.raises(ValueError, match="the report is of"):
+                probe_from_batch(batch, report_from_batch(other), t_grid)
+        probe_from_batch(batch, report_from_batch(batch), t_grid)
+
+    def test_empty_t_grid_named(self):
+        batch = sample_stopped_batch(IID, 64.0, 200, 8)
+        for grid in ([], np.array([])):
+            with pytest.raises(ValueError, match="the t grid is empty"):
+                probe_from_batch(batch, report_from_batch(batch), grid)
+            with pytest.raises(ValueError, match="the t grid is empty"):
+                CfProbe.from_samples(np.zeros(10), grid)
+
     def test_resolution_limited_flagged_not_failed(self):
         # r = 200 cannot resolve the O(t^2/n) right-hand side of (9)
         probe = sampled_probe(IID, 1024.0, 200, [0.25], seed=8)
@@ -208,10 +232,11 @@ class TestCfProbe:
         values are mostly distinct), the temporaries of one key's sort or
         count, and then one (k, r) buffer and the block's tables."""
         batch = sample_stopped_batch(ModelSpec(kind, {}), n, r, 1)
-        t_grid = make_t_grid(report_from_batch(batch, n).y_smoothing)
+        report = report_from_batch(batch)
+        t_grid = make_t_grid(report.y_smoothing)
         tracemalloc.start()
         try:
-            probe_from_batch(batch, n, t_grid)
+            probe_from_batch(batch, report, t_grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,9 +383,9 @@ def assert_same_complex(got, want):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
-def assert_probe_is_reference(batch, n, t_grid):
-    probe = probe_from_batch(batch, n, t_grid)
-    c3, se3, checks = reference_probe(batch, n, t_grid)
+def assert_probe_is_reference(batch, t_grid):
+    probe = probe_from_batch(batch, report_from_batch(batch), t_grid)
+    c3, se3, checks = reference_probe(batch, batch.n, t_grid)
     assert_same_complex(probe.c3, c3)
     assert np.array_equal(probe.se3, se3)
     assert len(probe.checks) == len(checks) == 4 * t_grid.size
@@ -370,12 +395,13 @@ def assert_probe_is_reference(batch, n, t_grid):
 
 
 def make_batch(s_nu, s_prime_nu, v_before, y_nu=1.0):
-    """A batch holding the columns the CF probe reads."""
+    """A batch at n = PROBE_N holding the columns the CF probe reads."""
     s_nu = np.asarray(s_nu, dtype=float)
     ones = np.ones_like(s_nu)
     return StoppedBatch(
-        nu=np.ones(s_nu.size, dtype=np.int64), gamma=ones, s_nu=s_nu,
-        s_prime_nu=np.asarray(s_prime_nu, dtype=float), y_nu=y_nu * ones,
+        n=PROBE_N, nu=np.ones(s_nu.size, dtype=np.int64), gamma=ones,
+        s_nu=s_nu, s_prime_nu=np.asarray(s_prime_nu, dtype=float),
+        y_nu=y_nu * ones,
         v_before=np.asarray(v_before, dtype=float) * ones, sigma_nu_sq=ones)
 
 
@@ -412,34 +438,33 @@ class TestProbeMatchesPerTLoop:
 
     @pytest.mark.parametrize("grid", ["symmetric", "positive", "negative"])
     def test_bit_for_bit(self, probe_batch, grid, t_block):
-        n = PROBE_N
-        y = report_from_batch(probe_batch, n).y_smoothing
+        y = report_from_batch(probe_batch).y_smoothing
         t_grid = {
             "symmetric": make_t_grid(y),
             "positive": np.array([0.5, 1.0, 2.0]),
             "negative": np.array([-1.5]),
         }[grid]
         t_block(probe_batch.size, t_grid)
-        assert_probe_is_reference(probe_batch, n, t_grid)
+        assert_probe_is_reference(probe_batch, t_grid)
 
     def test_all_distinct_batch(self, t_block):
         rng = np.random.default_rng(11)
         batch = make_batch(rng.normal(size=3000), rng.normal(size=3000),
                            rng.uniform(280.0, 299.0, size=3000))
-        assert probe_paths(batch, PROBE_N)._joint is None
+        assert probe_paths(batch)._joint is None
         t_block(batch.size, EDGE_GRID)
-        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+        assert_probe_is_reference(batch, EDGE_GRID)
 
     def test_regime_few_s_many_s_prime(self):
         # S lies on a lattice, S' = S + sqrt(gamma) X does not
         n = 30.0
         spec = ModelSpec("regime_switch", {"v_lo": 1 / 3, "v_hi": 0.7})
         batch = sample_stopped_batch(spec, n, 3000, 5)
-        paths = probe_paths(batch, n)
+        paths = probe_paths(batch)
         s, s_h, _ = paths.columns
         assert 2 * s.codes.size <= batch.size < 2 * s_h.codes.size
         assert paths._joint is None
-        assert_probe_is_reference(batch, n, make_t_grid(2.0))
+        assert_probe_is_reference(batch, make_t_grid(2.0))
 
     @pytest.mark.parametrize("kind", ["iid_bounded", "distinct"])
     def test_rows_longer_than_a_reduction_buffer(self, kind, t_block):
@@ -452,29 +477,29 @@ class TestProbeMatchesPerTLoop:
         else:
             batch = sample_stopped_batch(IID, PROBE_N, r, 3)
         t_block(r, EDGE_GRID)
-        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+        assert_probe_is_reference(batch, EDGE_GRID)
 
     def test_signed_zeros(self, t_block):
         s = np.array([0.0, -0.0, -0.0, 0.5, 0.0, -0.5] * 50)
         batch = make_batch(s, -s[::-1], np.where(s == 0.0, 0.0, 2.0))
         t_block(batch.size, EDGE_GRID)
-        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+        assert_probe_is_reference(batch, EDGE_GRID)
         all_negative_zero = make_batch(np.full(9, -0.0), np.full(9, -0.0), 0.0)
-        assert_probe_is_reference(all_negative_zero, PROBE_N, EDGE_GRID)
+        assert_probe_is_reference(all_negative_zero, EDGE_GRID)
 
     def test_two_paths(self):
         assert_probe_is_reference(make_batch([0.5, -1.5], [0.25, -0.0], 3.0),
-                                  PROBE_N, EDGE_GRID)
+                                  EDGE_GRID)
 
     @settings(max_examples=150, deadline=None)
     @given(lattice_batches())
     def test_lattice_batches(self, batch):
-        assert_probe_is_reference(batch, PROBE_N, EDGE_GRID)
+        assert_probe_is_reference(batch, EDGE_GRID)
 
     def test_negative_t_rows_mirror_positive(self, probe_batch):
-        n = PROBE_N
-        t_grid = make_t_grid(report_from_batch(probe_batch, n).y_smoothing)
-        probe = probe_from_batch(probe_batch, n, t_grid)
+        report = report_from_batch(probe_batch)
+        t_grid = make_t_grid(report.y_smoothing)
+        probe = probe_from_batch(probe_batch, report, t_grid)
         rows = {(c.name, c.t): c for c in probe.checks}
         mirrored = 0
         for (name, t), row in rows.items():
@@ -510,13 +535,13 @@ def assert_from_samples_is_reference(samples):
         c, se = reference_moments(np.exp(1j * t * samples))
         assert_same_complex(probe.c3[i], c)
         assert probe.se3[i] == se
-    assert probe.r == samples.size
     return probe
 
 
-def probe_paths(batch, n):
+def probe_paths(batch):
     """The _Paths of a batch's (S, S', V), as probe_from_batch keys them."""
-    return _Paths([batch.s_nu / math.sqrt(n), batch.s_prime_nu / math.sqrt(n),
+    sqrt_n = math.sqrt(batch.n)
+    return _Paths([batch.s_nu / sqrt_n, batch.s_prime_nu / sqrt_n,
                    batch.v_before])
 
 
@@ -671,9 +696,9 @@ class TestEsseen:
     def test_upper_bounds_the_distance(self):
         n = 256.0
         batch = sample_stopped_batch(IID, n, 20_000, 6)
-        rep = report_from_batch(batch, n)
+        rep = report_from_batch(batch)
         y = rep.y_smoothing
-        probe = probe_from_batch(batch, n, make_t_grid(y))
+        probe = probe_from_batch(batch, rep, make_t_grid(y))
         res = esseen_numeric(probe, y)
         assert res.total >= rep.d_f.d_sup - rep.d_f.dkw_halfwidth - 0.02
 

@@ -103,6 +103,16 @@ class TestStoppedInvariants:
         assert np.all((b.y_nu >= 1.0) & (b.y_nu <= 2.0))
         assert np.all(b.sigma_nu_sq == b.y_nu**2)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_batch_carries_its_threshold(self, spec):
+        # n as a float, whatever number type it is given as, and the same
+        # paths for each
+        want = sample_stopped_batch(spec, 64.0, 100, 3)
+        for n in (64, np.int64(64), 64.0):
+            b = sample_stopped_batch(spec, n, 100, 3)
+            assert type(b.n) is float and b.n == 64.0
+            assert_batch_equal(b, want)
+
     def test_rejects_degenerate_threshold(self):
         spec = ModelSpec("iid_bounded", {"m": 2.0, "v": 4.0})
         with pytest.raises(DegenerateStartError):

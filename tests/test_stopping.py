@@ -209,7 +209,7 @@ class TestTies:
 class TestLemma1:
     def test_zero_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check([sample], [0.0], 10.0)
+        res = lemma1_check([sample], [0.0])
         assert res.lhs.tolist() == [[0.0]]
         assert res.rhs.tolist() == [[1.0]]
         assert res.ok.all()
@@ -218,7 +218,7 @@ class TestLemma1:
         # sigma^2 = 1, n = 10, nu = 9: LHS is the geometric sum
         # sum_{j=1}^{9} e^{j/20} / 20
         sample = run_path(init_model(IID, 5), 10.0)
-        res = lemma1_check([sample], [1.0], 10.0)
+        res = lemma1_check([sample], [1.0])
         q = mpmath.e ** (mpmath.mpf(1) / 20)
         lhs_oracle = float(q * (q**9 - 1) / (q - 1) / 20)
         rhs_oracle = float(mpmath.e ** mpmath.mpf("0.5") * mpmath.mpf("1.1"))
@@ -235,25 +235,70 @@ class TestLemma1:
         spec = ModelSpec(kind, params)
         for seed in range(25):
             sample = run_path(init_model(spec, seed), 64.0)
-            res = lemma1_check([sample], (0.5, 1.0, 2.0, 5.0, 10.0), 64.0)
+            res = lemma1_check([sample], (0.5, 1.0, 2.0, 5.0, 10.0))
             assert res.lhs.shape == (1, 5)
             assert res.ok.all(), (kind, seed, res)
 
     def test_rejects_non_finite_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError):
-            lemma1_check([sample], [1.0, math.inf], 10.0)
+            lemma1_check([sample], [1.0, math.inf])
 
     def test_rejects_empty_t(self):
         sample = run_path(init_model(IID, 5), 10.0)
         with pytest.raises(ValueError, match="t must be a nonempty"):
-            lemma1_check([sample], [], 10.0)
+            lemma1_check([sample], [])
 
     def test_rejects_no_path_set(self):
         with pytest.raises(ValueError, match="no path set"):
-            lemma1_check([], [1.0], 10.0)
+            lemma1_check([], [1.0])
         with pytest.raises(ValueError, match="no path set"):
-            lemma1_check(stopping.run_lockstep(IID, 0, 0, 10.0), [1.0], 10.0)
+            lemma1_check(stopping.run_lockstep(IID, 0, 0, 10.0), [1.0])
+
+
+class TestThreshold:
+    """Every engine's result carries the n its paths were stopped at, as a
+    float, and lemma1_check checks each path set at its own n."""
+
+    SPEC = ModelSpec("product", {})     # Y_nu takes several values
+
+    @pytest.mark.parametrize("n", [16, np.int64(16), 16.0, 40.5])
+    def test_engines_carry_n_as_a_float(self, monkeypatch, n):
+        monkeypatch.setattr(stopping, "_lanes_per_chunk", lambda spec, cap: 16)
+        chunks = list(stopping.run_lockstep(self.SPEC, 0, 40, n))
+        assert len(chunks) == 3
+        for result in chunks + [run_path(init_model(self.SPEC, 0), n)]:
+            assert type(result.n) is float and result.n == n
+
+    @pytest.mark.parametrize("n", [16, 16.0])
+    def test_run_path_sample_keeps_its_lemma1_arrays(self, n):
+        # the arrays that lemma1_check(paths, t, n) gave with n = 16 passed
+        # apart from the paths
+        sample = run_path(init_model(self.SPEC, 3), n)
+        assert (sample.nu, sample.y_nu) == (10, 1.5)
+        res = lemma1_check([sample], LEMMA1_T_GRID)
+        assert res.lhs.tolist() == [[
+            0.1251908466294752, 0.6151689647079268, 6.240363613498056,
+            260871.12973432324, 1.6031360844679582e+21]]
+        assert res.rhs.tolist() == [[
+            1.172985703369957, 1.8805726993923337, 11.545400154579141,
+            1211710.5594458238, 7.809462702434277e+22]]
+
+    def test_each_path_set_at_its_own_n(self):
+        # a path of n = 16, a chunk of n = 64 and a path of n = 40.5, in
+        # one check: each row is the single-path formula at its path's n
+        seeds = [derive_seed(5, p) for p in range(4)]
+        sets = [run_path(init_model(self.SPEC, 3), 16.0),
+                next(stopping.run_lockstep(self.SPEC, 5, 4, 64.0)),
+                run_path(init_model(self.SPEC, 7), 40.5)]
+        paths = [(3, 16.0), *((seed, 64.0) for seed in seeds), (7, 40.5)]
+        res = lemma1_check(sets, LEMMA1_T_GRID)
+        assert res.lhs.shape == (6, len(LEMMA1_T_GRID))
+        for i, (seed, n) in enumerate(paths):
+            sample = run_path(init_model(self.SPEC, seed), n)
+            for j, t in enumerate(LEMMA1_T_GRID):
+                oracle = _lemma1_oracle(sample.sigma_prefix, sample.y_nu, t, n)
+                assert (res.lhs[i, j], res.rhs[i, j]) == oracle, (i, t)
 
 
 class TestZeroLedSum:
@@ -302,7 +347,7 @@ def _lockstep(spec, seed, count, n):
     prefixes = [np.cumsum(paths.variances[levels[:nu]])
                 for paths in chunks
                 for levels, nu in zip(paths.levels, paths.nu)]
-    res = lemma1_check(chunks, LEMMA1_T_GRID, n)
+    res = lemma1_check(chunks, LEMMA1_T_GRID)
     return cols, prefixes, res.lhs, res.rhs
 
 
@@ -368,7 +413,7 @@ class TestLockstep:
             seeds = [derive_seed(29, path) for path in range(40)]
             prefixes.clear()
             res = lemma1_check(stopping.run_lockstep(spec, 29, len(seeds), n),
-                               LEMMA1_T_GRID, n)
+                               LEMMA1_T_GRID)
             got = [chunk[i] for chunk in prefixes for i in range(len(chunk))]
             for prefix, lhs, seed in zip(got, res.lhs, seeds, strict=True):
                 sample = run_path(init_model(spec, seed), n)
@@ -470,12 +515,12 @@ class TestLockstep:
         for checked, rows in (([paths], 5), ([sample], 1),
                               ([paths, sample], 6)):
             for t in (LEMMA1_T_GRID, [2.0]):
-                res = lemma1_check(checked, t, 32.0)
+                res = lemma1_check(checked, t)
                 shape = (rows, len(t))
                 assert res.lhs.shape == res.rhs.shape == shape
                 assert res.margin.shape == res.ok.shape == shape
             with pytest.raises(ValueError):
-                lemma1_check(checked, 2.0, 32.0)
+                lemma1_check(checked, 2.0)
 
 
 # lemma1 rows at R = 500, seed 3, n = 16 and 64, as the path-by-path engine
@@ -487,24 +532,23 @@ _DEFAULT_ROWS = (
 
 
 class TestUnreachableThreshold:
-    """An n above the gate's bound on the float sum of cap variances raises
-    the overflow before any engine draws a step; n = cap M passes."""
+    """An n above the gate's bound on the float sum of sigma^2_0 and
+    cap - 1 variances raises the overflow before any engine draws a step;
+    n = sigma^2_0 + (cap - 1) M passes, M the largest sigma^2."""
 
     CAP = 1000
+    REGIME = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
         monkeypatch.setattr(models, "MAX_STEPS", self.CAP)
 
     def bound(self, spec):
-        m = float(spec.law.variances.max())
-        return self.CAP * m * (1.0 + 4.0 * self.CAP * 2.0**-53)
+        law = spec.law
+        reach = law.sigma0_sq_max + (self.CAP - 1) * float(law.variances.max())
+        return reach * (1.0 + 4.0 * self.CAP * 2.0**-53)
 
-    @pytest.mark.parametrize("spec", [
-        IID, ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0}),
-        ModelSpec("product", {}),
-    ], ids=lambda spec: spec.kind)
-    def test_above_the_bound_raises_before_a_step(self, monkeypatch, spec):
+    def assert_raises_before_a_step(self, monkeypatch, spec, n):
         def stepped(*args, **kwargs):
             raise AssertionError("a step was drawn")
         for module in (models, stopping):
@@ -512,7 +556,6 @@ class TestUnreachableThreshold:
             monkeypatch.setattr(module, "step_model", stepped)
         monkeypatch.setattr(models, "_constant_crossing", stepped)
         monkeypatch.setattr(models.Product, "_step_rows", stepped)
-        n = math.nextafter(self.bound(spec), math.inf)
         assert spec.step_cap(n) == self.CAP
         with pytest.raises(PathOverflowError):
             sample_stopped_batch(spec, n, 10, 1)
@@ -520,6 +563,12 @@ class TestUnreachableThreshold:
             next(stopping.run_lockstep(spec, 0, 2, n))
         with pytest.raises(PathOverflowError):
             run_path(init_model(spec, 0), n)
+
+    @pytest.mark.parametrize("spec", [IID, REGIME, ModelSpec("product", {})],
+                             ids=lambda spec: spec.kind)
+    def test_above_the_bound_raises_before_a_step(self, monkeypatch, spec):
+        n = math.nextafter(self.bound(spec), math.inf)
+        self.assert_raises_before_a_step(monkeypatch, spec, n)
 
     @pytest.mark.parametrize("n", [math.nan, math.inf])
     def test_non_finite_n_is_a_configuration_error(self, n):
@@ -531,13 +580,16 @@ class TestUnreachableThreshold:
                                match=f"n = {n} must be finite"):
                 engine()
 
-    def test_cap_times_largest_variance_passes(self):
-        n = float(self.CAP)         # IID: M = 1, every path reaches n
-        models._check_threshold(IID, n)
+    def test_largest_reachable_sum_passes(self, monkeypatch):
+        n = float(self.CAP)         # IID: sigma^2_0 = M = 1, paths reach n
+        assert models._check_threshold(IID, n) == self.CAP
         assert sample_stopped_batch(IID, n, 10, 1).nu[0] == self.CAP - 1
         assert run_path(init_model(IID, 0), n).nu == self.CAP - 1
-        spec = ModelSpec("regime_switch", {"v_lo": 0.25, "v_hi": 4.0})
-        models._check_threshold(spec, 4.0 * self.CAP)
+        # regime takes step 0 at v_lo, so cap M is beyond its paths
+        reach = 0.25 + (self.CAP - 1) * 4.0
+        assert models._check_threshold(self.REGIME, reach) == self.CAP
+        self.assert_raises_before_a_step(monkeypatch, self.REGIME,
+                                         4.0 * self.CAP)
 
 
 class TestLemma1Row:
@@ -559,7 +611,7 @@ class TestLemma1Row:
             if len(paths) == 2:
                 break
         a, b = paths.values()
-        rhs = [float(lemma1_check([p], self.T, self.N).rhs[0, 0])
+        rhs = [float(lemma1_check([p], self.T).rhs[0, 0])
                for p in (a, b)]
         assert 1.0 <= min(rhs) and max(rhs) < 2.0 and rhs[0] != rhs[1]
         return (a, rhs[0]), (b, rhs[1])
@@ -571,7 +623,7 @@ class TestLemma1Row:
         monkeypatch.setattr(
             stopping, "_lemma1_lhs", lambda prefix, starts, c, scratch:
             np.array([[next(values)] for _ in starts.tolist()]))
-        return lemma1_check(sets, self.T, self.N).row()
+        return lemma1_check(sets, self.T).row()
 
     def test_tie_across_path_sets_binds_the_earlier(self, monkeypatch):
         for (first, r1), (second, r2) in itertools.permutations(
