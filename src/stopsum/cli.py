@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigurationError, OutputPathError, PathOverflowError
 from .harness import (
@@ -39,7 +40,6 @@ from .stopping import lemma1_check, run_lockstep, run_path
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
 
-CHECKS = ("distance", "cf", "lemma1", "esseen", "rate")
 CSV_COLUMNS = (
     "check", "model", "n", "R", "seed", "estimate",
     "stderr_or_halfwidth", "bound", "margin", "verdict", "resolution_limited",
@@ -105,46 +105,72 @@ def _record(config, n, seed, row):
         bool(row.resolution_limited))))
 
 
+class _Threshold:
+    """A threshold's batch, report and CF probe, each built on first read."""
+
+    def __init__(self, config, i, n):
+        self.config, self.i, self.n = config, i, n
+        self.seed = derive_seed(config.master_seed, 0, i)
+
+    @cached_property
+    def batch(self):
+        return sample_stopped_batch(self.config.model, self.n,
+                                    self.config.reps, self.seed)
+
+    @cached_property
+    def report(self):
+        return report_from_batch(self.batch, delta=self.config.delta)
+
+    @cached_property
+    def probe(self):
+        return probe_from_batch(self.batch, self.report,
+                                make_t_grid(self.report.y_smoothing))
+
+    # stages: each gives (seed, rows, plot), plot None or (tag, header, rows)
+    def distance(self):
+        return self.seed, self.report.rows(), (
+            "ecdf", ("rank_fraction", "quantile_F", "quantile_H"),
+            self.report.plot_rows)
+
+    def cf(self):
+        return self.seed, self.probe.rows(), (
+            "cf", ("inequality", "t", "lhs", "rhs", "stderr", "ok",
+                   "resolution_limited"),
+            ((c.name, c.t, c.lhs, c.rhs, c.stderr, c.ok, c.resolution_limited)
+             for c in self.probe.checks))
+
+    def esseen(self):
+        ess = esseen_numeric(self.probe, self.report.y_smoothing)
+        return self.seed, (ess.row(self.report.d_f),), None
+
+    def lemma1(self):
+        seed = derive_seed(self.config.master_seed, 1, self.i)
+        paths = run_lockstep(self.config.model, seed,
+                             min(self.config.reps, LEMMA1_MAX_PATHS), self.n)
+        return seed, (lemma1_check(paths, LEMMA1_T_GRID).row(),), None
+
+
+# the stages in report order; rate, a fit over every n's report, runs last
+STAGES = {"distance": _Threshold.distance, "cf": _Threshold.cf,
+          "esseen": _Threshold.esseen, "lemma1": _Threshold.lemma1}
+CHECKS = (*STAGES, "rate")
+
+
 def run_experiment(config):
     """Execute the configured checks; returns (exit_status, records, files)."""
     records = []
     files = []
     reports = []
-    needs_batch = bool({"distance", "cf", "esseen", "rate"} & set(config.checks))
+    stages = [stage for name, stage in STAGES.items() if name in config.checks]
     for i, n in enumerate(config.n_list):
-        seed_n = derive_seed(config.master_seed, 0, i)
-        if needs_batch:
-            batch = sample_stopped_batch(config.model, n, config.reps, seed_n)
-            report = report_from_batch(batch, delta=config.delta)
-            reports.append(report)
-
-        if "distance" in config.checks:
-            records += [_record(config, n, seed_n, row)
-                        for row in report.rows()]
-            if config.out:
-                files.append(_emit_ecdf(config, n, report))
-
-        if {"cf", "esseen"} & set(config.checks):
-            probe = probe_from_batch(batch, report,
-                                     make_t_grid(report.y_smoothing))
-
-        if "cf" in config.checks:
-            records += [_record(config, n, seed_n, row)
-                        for row in probe.rows()]
-            if config.out:
-                files.append(_emit_cf_detail(config, n, probe))
-
-        if "esseen" in config.checks:
-            ess = esseen_numeric(probe, report.y_smoothing)
-            records.append(_record(config, n, seed_n, ess.row(report.d_f)))
-
-        if "lemma1" in config.checks:
-            seed = derive_seed(config.master_seed, 1, i)
-            paths = run_lockstep(config.model, seed,
-                                 min(config.reps, LEMMA1_MAX_PATHS), n)
-            records.append(_record(config, n, seed, lemma1_check(
-                paths, LEMMA1_T_GRID).row()))
-
+        at = _Threshold(config, i, n)
+        for stage in stages:
+            seed, rows, plot = stage(at)
+            records += [_record(config, n, seed, row) for row in rows]
+            if config.out and plot:
+                files.append(_write_plot(config.out, n, *plot))
+        if "rate" in config.checks:
+            reports.append(at.report)
     if "rate" in config.checks:
         records.append(_record(config, config.n_list[-1], config.master_seed,
                                rate_fit(reports).row()))
@@ -211,25 +237,9 @@ def _records_to_json(records):
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
-def _emit_ecdf(config, n, report):
-    """Quantile plot data for the normalized stopped sums."""
-    path = f"{config.out}_ecdf_n{_ntag(n)}.csv"
-    return _write_csv(path, ("rank_fraction", "quantile_F", "quantile_H"),
-                      report.plot_rows)
-
-
-def _emit_cf_detail(config, n, probe):
-    """Per-t residuals for the characteristic-function inequalities."""
-    path = f"{config.out}_cf_n{_ntag(n)}.csv"
-    return _write_csv(
-        path, ("inequality", "t", "lhs", "rhs", "stderr", "ok",
-               "resolution_limited"),
-        ((c.name, c.t, c.lhs, c.rhs, c.stderr, c.ok, c.resolution_limited)
-         for c in probe.checks))
-
-
-def _ntag(n):
-    return str(int(n)) if float(n).is_integer() else _fmt(float(n)).replace(".", "p")
+def _write_plot(out, n, tag, header, rows):
+    ntag = str(int(n)) if float(n).is_integer() else _fmt(float(n)).replace(".", "p")
+    return _write_csv(f"{out}_{tag}_n{ntag}.csv", header, rows)
 
 
 # --------------------------------------------------------------------------

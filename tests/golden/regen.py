@@ -28,6 +28,13 @@ Regenerate every set after a change that is meant to move report bytes,
 so that the moved cells show in ``git diff``:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+or only the sets named, e.g. the one a new check brings, leaving every
+other set as it is:
+
+    PYTHONPATH=src python tests/golden/regen.py iid-small regime-small
+
+A name that is no set here exits 2 before any set is written.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ CONFIG = "config.json"
 STATUS = "status"
 
 
-def set_dirs():
-    """The directory of every golden set, in name order."""
-    return sorted(p.parent for p in HERE.glob(f"*/{CONFIG}"))
+def set_dirs(root=HERE):
+    """The directory of every golden set under root, in name order."""
+    return sorted(p.parent for p in Path(root).glob(f"*/{CONFIG}"))
 
 
 def run_set(set_dir, out_dir):
@@ -130,8 +137,20 @@ def regenerate(set_dir):
     return status, files
 
 
-if __name__ == "__main__":
-    for set_dir in set_dirs():
-        status, files = regenerate(set_dir)
-        print(f"{set_dir.name}: exit {status}, {len(files)} files",
+def regenerate_sets(names, root=HERE):
+    """Regenerate the named sets under root, or every set when none is
+    named; returns 2, having written nothing, if a name is no set."""
+    sets = {p.name: p for p in set_dirs(root)}
+    unknown = [name for name in names if name not in sets]
+    if unknown:
+        print(f"regen.py: no golden set named {', '.join(unknown)} in {root}",
               file=sys.stderr)
+        return 2
+    for name in names or sets:
+        status, files = regenerate(sets[name])
+        print(f"{name}: exit {status}, {len(files)} files", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate_sets(sys.argv[1:]))

@@ -1,10 +1,12 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +402,78 @@ class TestCfGate:
         else:
             assert status == 0
             assert captured.err == ""
+
+
+STAGE_ARGS = ["--model", "iid_bounded", "--n-list", "16,24,32,48",
+              "--reps", "500", "--seed", "7"]
+# the threshold layers that each check reads
+LAYERS = ("sample_stopped_batch", "report_from_batch", "probe_from_batch")
+READS = {"distance": LAYERS[:2], "cf": LAYERS, "esseen": LAYERS,
+         "lemma1": (), "rate": LAYERS[:2]}
+CHECK_SUBSETS = [subset for k in range(1, len(cli.CHECKS) + 1)
+                 for subset in itertools.combinations(cli.CHECKS, k)]
+
+
+class TestStages:
+    """run_experiment runs the STAGES that the config selects, in report
+    order, and builds a threshold's batch, report and CF probe only for
+    the checks that read them, each at most once."""
+
+    @pytest.fixture(scope="class")
+    def all_records(self):
+        config = build_config(STAGE_ARGS + ["--checks", ",".join(cli.CHECKS)])
+        return cli.run_experiment(config)[1]
+
+    @staticmethod
+    def _check_of(record):
+        """The check that gave a record: distance_F is distance's."""
+        return next(c for c in cli.CHECKS if record["check"].startswith(c))
+
+    def test_every_check_declares_its_reads(self):
+        assert set(READS) == set(cli.CHECKS)
+        assert cli.CHECKS == (*cli.STAGES, "rate")
+
+    @pytest.mark.parametrize("subset", CHECK_SUBSETS, ids="+".join)
+    def test_subset_rows_and_layer_calls(self, monkeypatch, all_records,
+                                         subset):
+        calls = {layer: [] for layer in LAYERS}
+
+        def counting(layer, real):
+            def count(*args, **kwargs):
+                # sample_stopped_batch(spec, n, ...), the others (batch, ...)
+                sampling = layer == "sample_stopped_batch"
+                calls[layer].append(args[1] if sampling else args[0].n)
+                return real(*args, **kwargs)
+            return count
+
+        for layer in LAYERS:
+            monkeypatch.setattr(cli, layer, counting(layer,
+                                                     getattr(cli, layer)))
+        # the checks listed in reverse; the rows come in report order
+        config = build_config(STAGE_ARGS + ["--checks", ",".join(subset[::-1])])
+        records = cli.run_experiment(config)[1]
+        assert records == [r for r in all_records
+                           if self._check_of(r) in subset]
+        for layer in LAYERS:
+            read = any(layer in READS[check] for check in subset)
+            assert calls[layer] == (list(config.n_list) if read else [])
+
+    def test_previous_batch_unreachable_when_next_n_is_sampled(
+            self, monkeypatch):
+        # the number of earlier batches still alive at each sampling call
+        real = cli.sample_stopped_batch
+        batches, live = [], []
+
+        def sample(*args):
+            live.append(sum(ref() is not None for ref in batches))
+            batch = real(*args)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(cli, "sample_stopped_batch", sample)
+        config = build_config(STAGE_ARGS + ["--checks", ",".join(cli.CHECKS)])
+        cli.run_experiment(config)
+        assert live == [0, 0, 0, 0]
 
 
 class TestDeterminism:

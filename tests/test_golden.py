@@ -1,13 +1,19 @@
 """Committed golden reports: every set under tests/golden reruns to the same
 bytes and exit status.  A change meant to move report bytes regenerates
-them (``PYTHONPATH=src python tests/golden/regen.py``), so that its diff
-shows the moved cells."""
+them (``PYTHONPATH=src python tests/golden/regen.py [SET ...]``), so that
+its diff shows the moved cells."""
+
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from golden.regen import HERE, moved_cells, recorded, run_set, set_dirs
+from golden.regen import (HERE, moved_cells, recorded, regenerate_sets,
+                          run_set, set_dirs)
 
 
 def simd_targets():
@@ -71,3 +77,49 @@ class TestMovedCells:
         got["iid-small.csv"] = files["iid-small.csv"].replace(b"\n", b"\r\n")
         assert moved_cells(files, got) == [
             "iid-small.csv: bytes outside the cells"]
+
+
+class TestRegen:
+    """regen.py rewrites the sets it is named and no other."""
+
+    NAMES = ("iid-small", "regime-small")
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        """Copies of two sets, each with a report file that moved."""
+        for name in self.NAMES:
+            shutil.copytree(HERE / name, tmp_path / name)
+            with open(tmp_path / name / f"{name}.csv", "ab") as fh:
+                fh.write(b"moved\n")
+        return tmp_path
+
+    def files(self, root):
+        return {name: recorded(root / name) for name in self.NAMES}
+
+    def test_regenerates_only_the_named_set(self, root):
+        before = self.files(root)
+        assert regenerate_sets(["iid-small"], root) == 0
+        after = self.files(root)
+        assert after["iid-small"] == recorded(HERE / "iid-small")
+        assert after["regime-small"] == before["regime-small"]
+
+    def test_every_set_when_none_is_named(self, root):
+        assert regenerate_sets([], root) == 0
+        assert self.files(root) == {name: recorded(HERE / name)
+                                    for name in self.NAMES}
+
+    def test_unknown_name_writes_nothing(self, root, capsys):
+        before = self.files(root)
+        assert regenerate_sets(["iid-small", "no-such-set"], root) != 0
+        assert "no-such-set" in capsys.readouterr().err
+        assert self.files(root) == before
+
+    def test_script_exits_nonzero_on_an_unknown_name(self):
+        before = {p.name: recorded(p) for p in set_dirs()}
+        proc = subprocess.run(
+            [sys.executable, str(HERE / "regen.py"), "no-such-set"],
+            env=dict(os.environ, PYTHONPATH=str(HERE.parents[1] / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "no-such-set" in proc.stderr
+        assert {p.name: recorded(p) for p in set_dirs()} == before
