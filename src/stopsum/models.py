@@ -52,11 +52,8 @@ class Law:
     ``step`` is written once for a ModelState (floats, drawn by numpy's
     Generator) and for the rows that ``_run_rows`` steps (arrays); it
     draws one sign and then, if ``uniforms``, one uniform.  The ``rng`` of
-    ``sample_block`` is the block's own fresh stream,
-    ``Generator(Philox(SeedSequence(seed, spawn_key=(b,))))``, which
-    nothing has drawn from; the product and regime samplers read its raw
-    outputs from the first one on and test them as integers, for the bits
-    that numpy's float and int32 draws of the same outputs compare."""
+    ``sample_block`` is the block's fresh stream, which the product and
+    regime samplers read by ``_BlockStream``.  ``kind`` names it in LAWS."""
 
     uniforms = False
     rising = False
@@ -163,7 +160,7 @@ def _overflow(cap, n, kind):
         f"no stop after {cap} steps (n = {n}, kind = {kind})")
 
 
-def _run_rows(law, rows, n, cap, kind, levels=None):
+def _run_rows(law, rows, n, cap, levels=None):
     """Stopped columns of the paths of a row state (per live row the
     ``running_sum`` and what else ``law.step`` reads and draws, ``step``,
     and ``keep(live)`` to keep only the rows at the indices ``live``), each
@@ -202,12 +199,13 @@ def _run_rows(law, rows, n, cap, kind, levels=None):
         rows.running_sum += x
         rows.keep(live)
         paths, v = paths.take(live), total.take(live)
-    raise _overflow(cap, n, kind)
+    raise _overflow(cap, n, law.kind)
 
 
 class IidBounded(Law):
     """X = +/- sqrt(v), constant variance v, Y = M."""
 
+    kind = "iid_bounded"
     defaults = {"m": 1.0, "v": 1.0}
 
     def __init__(self, m, v):
@@ -235,7 +233,7 @@ def _constant_crossing(v, n, cap):
     while v_before + v < n and nu < cap:
         nu, v_before = nu + 1, v_before + v
     if nu >= cap:
-        raise _overflow(cap, n, "iid_bounded")
+        raise _overflow(cap, n, IidBounded.kind)
     return nu, v_before
 
 
@@ -268,6 +266,7 @@ class Product(Law):
     Bernoulli(p_growth) counting process N_k; Y_k = A_k.  Every engine keeps
     N_k and reads A_k = ``amplitude(N_k)`` at level min(N_k, 54)."""
 
+    kind = "product"
     defaults = {"a_lo": 1.0, "a_hi": 2.0, "p_growth": 0.05}
     uniforms = True
     rising = True                   # N_k never decreases
@@ -294,31 +293,32 @@ class Product(Law):
     def sample_block(self, n, size, rng, cap):
         """Draw order, which the report bytes rest on: per chunk of at most
         512 rows, sz*cap uniforms and then sz*cap signs, each a row-major
-        (sz, cap) matrix whose column k drives step k.  Both are tested
-        on the raw Philox outputs as integers (``_growth_test``,
-        ``_TileBuffers.draw``).  A second cursor on the block's stream,
-        sz*cap outputs ahead, draws the signs, so a chunk is drawn and
-        stepped a sub-chunk of rows at a time; a sub-chunk keeps its draws
-        as bits, 2 bytes a cell, and the arithmetic runs in column tiles,
-        the leaves of np.sum's pairwise tree over a row (``_pairwise``),
-        up to the sub-chunk's last crossing.  The buffers are allocated
-        once a block."""
+        (sz, cap) matrix whose column k drives step k, both read by
+        ``_BlockStream``.  Its cursor sz*cap outputs ahead draws the signs,
+        so a chunk is drawn and stepped a sub-chunk of rows at a time; a
+        sub-chunk keeps its draws as bits, 2 bytes a cell, and the
+        arithmetic runs in column tiles, the leaves of np.sum's pairwise
+        tree over a row (``_pairwise``), up to the sub-chunk's last
+        crossing.  The buffers are allocated once a block."""
         rows, width = _sub_chunk(size, cap)
         buf = _TileBuffers(rows, cap, min(cap, max(width, _PAIRWISE_LEAF)))
-        grows = _growth_test(self.p_growth)
         nu = np.full(size, cap, dtype=np.int64)     # cap: not crossed yet
         # S_nu, X_{nu+1}, Y_nu, v_before and sigma^2_nu
         out = [np.empty(size) for _ in range(5)]
-        bits = rng.bit_generator
+        stream = _BlockStream(rng.bit_generator)
         for start in range(0, size, _PRODUCT_CHUNK):
             end = min(start + _PRODUCT_CHUNK, size)
-            signs, spare = _cursor(bits, (end - start) * cap), None
+            cursor = stream.ahead((end - start) * cap)
             for r0 in range(start, end, rows):
                 r1 = min(r0 + rows, end)
-                spare = buf.draw(bits, signs, r1 - r0, grows, spare)
+                stream.grows(self.p_growth, buf.grow[:r1 - r0].reshape(-1))
+                zeta = buf.zeta[:r1 - r0].reshape(-1)
+                cursor.signs(zeta.view(bool))
+                zeta += zeta
+                zeta -= 1                           # -1 or +1
                 self._step_rows(n, cap, width, buf, nu[r0:r1],
                                 *(col[r0:r1] for col in out))
-            bits = signs                            # past the chunk's signs
+            stream = cursor                         # past the chunk's signs
         return _stopped(n, nu, *out)
 
     def _step_rows(self, n, cap, width, buf, nu, s_nu, x_nu, y_nu,
@@ -373,7 +373,7 @@ class Product(Law):
 
         total = _pairwise(0, cap, width, tile)
         if not np.all(nu < cap):
-            raise _overflow(cap, n, "product")
+            raise _overflow(cap, n, self.kind)
         s_nu[:] = total
 
 
@@ -398,46 +398,6 @@ class _TileBuffers:
         """A contiguous (m, w) view of a flat tile buffer: ``take`` copies
         into an ``out`` that is not contiguous."""
         return flat[:m * w].reshape(m, w)
-
-    def draw(self, bits, signs, m, grows, spare):
-        """The growth bits of m rows, ``grows`` of the raw outputs of bits,
-        and their signs, bit 31 of each 32-bit half of the raw outputs of
-        the sign cursor, low half first: the int32 ``integers(0, 2)`` of
-        that half.  Both are drawn _RAW_PIECE outputs at a time.  ``spare``
-        is the sign bit of a half left over by the last call, or None, and
-        the one this call leaves over is returned: an odd count of signs
-        draws one half more than it reads."""
-        grow = self.grow[:m].reshape(-1)
-        for i in range(0, grow.size, _RAW_PIECE):
-            raw = bits.random_raw(min(_RAW_PIECE, grow.size - i))
-            grows(raw, grow[i:i + raw.size])
-        zeta = self.zeta[:m].reshape(-1)
-        sign = zeta.view(bool)
-        i = 0
-        if spare is not None:
-            sign[0], i, spare = spare, 1, None
-        while i < sign.size:
-            raw = signs.random_raw(min(_RAW_PIECE, (sign.size - i + 1) // 2))
-            halves = np.asarray(raw, dtype="<u8").view("<u4")
-            k = min(halves.size, sign.size - i)
-            np.greater_equal(halves[:k], 1 << 31, out=sign[i:i + k])
-            if k < halves.size:
-                spare = bool(halves[k] >> 31)
-            i += k
-        zeta += zeta
-        zeta -= 1                                   # -1 or +1
-        return spare
-
-
-def _growth_test(p):
-    """The growth test of raw Philox outputs x, ``grows(x, out)``, which
-    sets out to 1{Generator.random() < p}: random() = (x >> 11) 2^-53 lies
-    below p iff x >> 11 < T = ceil(p 2^53), iff x < T 2^11, and every x
-    does at p = 1, where T 2^11 = 2^64."""
-    bound = math.ceil(p * 2.0 ** 53) << 11
-    if bound >> 64:
-        return lambda x, out: np.less_equal(x, np.uint64(bound - 1), out=out)
-    return lambda x, out: np.less(x, np.uint64(bound), out=out)
 
 
 def _sub_chunk(size, cap):
@@ -469,24 +429,70 @@ def _pairwise(c0, c1, width, tile):
     return left + _pairwise(c0 + half, c1, width, tile)
 
 
-def _cursor(bits, skip):
-    """A Philox bit generator on the stream of bits, ``skip`` raw outputs
-    ahead of it.  bits' buffer of 4 outputs must be empty, as at every
-    chunk start: a fresh stream's is, and each full chunk draws 512*cap
-    growth outputs and 256*cap sign outputs.  ``advance(d)`` moves the
-    counter d blocks of 4 outputs."""
-    state = bits.state
-    ahead = np.random.Philox(key=state["state"]["key"])
-    ahead.state = state
-    ahead.advance(skip // 4)
-    ahead.random_raw(skip % 4)
-    return ahead
+def _growth_test(p, x, out):
+    """out = 1{Generator.random() < p} of the raw Philox outputs x:
+    random() = (x >> 11) 2^-53 lies below p iff x >> 11 < T = ceil(p 2^53),
+    iff x < T 2^11, and every x does at p = 1, where T 2^11 = 2^64."""
+    bound = math.ceil(p * 2.0 ** 53) << 11
+    if bound >> 64:
+        return np.less_equal(x, np.uint64(bound - 1), out=out)
+    return np.less(x, np.uint64(bound), out=out)
+
+
+class _BlockStream:
+    """A block's Philox bit generator ``bits`` read by raw outputs, at most
+    _RAW_PIECE a call: the one map from them to numpy Generator's draws."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self._half = None       # the sign of a 32-bit half drawn, not read
+
+    def signs(self, out):
+        """Fill out with the next out.size int32 ``integers(0, 2)``: bit 31
+        of each 32-bit half, low half first (Lemire's method gives (2x) >>
+        32 of a 32-bit draw x, and (2^32 - 2) mod 2 = 0 rejects none).  An
+        odd count holds the half after its last for the next call."""
+        i = 0
+        if out.size and self._half is not None:
+            out[0], i, self._half = self._half, 1, None
+        while i < out.size:
+            words = min(_RAW_PIECE, (out.size - i + 1) // 2)
+            halves = np.asarray(self.bits.random_raw(words),
+                                dtype="<u8").view("<u4")
+            k = min(halves.size, out.size - i)
+            np.greater_equal(halves[:k], 1 << 31, out=out[i:i + k])
+            if k < halves.size:
+                self._half = bool(halves[k] >> 31)
+            i += k
+
+    def grows(self, p, out):
+        """Fill out with the next out.size ``random() < p``, one output each."""
+        for i in range(0, out.size, _RAW_PIECE):
+            raw = self.bits.random_raw(min(_RAW_PIECE, out.size - i))
+            _growth_test(p, raw, out[i:i + raw.size])
+
+    def ahead(self, skip):
+        """A _BlockStream on a copy of the stream, ``skip`` raw outputs
+        ahead.  ``advance`` skips whole blocks of 4 outputs, so the stream
+        must hold no output of its 4-output buffer and no 32-bit half: a
+        fresh stream holds none, nor does a product chunk start, as a full
+        chunk draws 512*cap growth and 256*cap sign outputs."""
+        state = self.bits.state
+        held = self._half is not None or state["has_uint32"]
+        if held or state["buffer_pos"] < 4:
+            raise ValueError("a cursor needs the stream at a block's start")
+        bits = np.random.Philox(key=state["state"]["key"])
+        bits.state = state
+        bits.advance(skip // 4)
+        bits.random_raw(skip % 4)
+        return _BlockStream(bits)
 
 
 class RegimeSwitch(Law):
     """sigma^2_k = v_lo (level 0, as at S_0 = 0) or v_hi (level 1, if the
     running sum is positive); X_{k+1} = +/- sigma_k; Y = max(1, sqrt(v_hi))."""
 
+    kind = "regime_switch"
     defaults = {"v_lo": 1.0, "v_hi": 1.0}
 
     def __init__(self, v_lo, v_hi):
@@ -503,23 +509,18 @@ class RegimeSwitch(Law):
         """Draw order, which the report bytes rest on: one sign per live row
         at each step, in row order, the signs of ``rng.integers(0, 2,
         dtype=np.int32)`` drawn however the calls are split."""
-        return _run_rows(self, _BlockRows(rng, size), n, cap, "regime_switch")
+        return _run_rows(self, _BlockRows(rng, size), n, cap)
 
 
 class _BlockRows:
     """A regime block's rows for ``_run_rows``, with its signs in order,
-    refilled into one buffer that holds the signs left over and a refill.
-
-    A refill is bit 31 of each 32-bit half of max(_RAW_PIECE, (rows + 1)
-    // 2) raw outputs, low half first, as float +/-1 signs: the int32
-    ``integers(0, 2)`` of the block's fresh stream, since Lemire's method
-    with two outcomes gives (2x) >> 32 of each 32-bit draw x and never
-    rejects, as (2^32 - 2) mod 2 = 0.  A refill takes whole outputs, so no
-    half is held over."""
+    refilled into one buffer that holds the signs left over and a refill:
+    max(_RAW_PIECE, (rows + 1) // 2) whole raw outputs of the block's fresh
+    stream read by ``_BlockStream.signs``, as float +/-1 signs."""
 
     def __init__(self, rng, size):
         self.running_sum, self.step = np.zeros(size), 0
-        self._philox = rng.bit_generator
+        self._stream = _BlockStream(rng.bit_generator)
         self._signs = np.empty(size + 2 * max(_RAW_PIECE, (size + 1) // 2))
         self._pos = self._end = 0
 
@@ -528,11 +529,9 @@ class _BlockRows:
         if pos + m > self._end:
             left = self._end - pos
             signs[:left] = signs[pos:self._end]
-            words = self._philox.random_raw(max(_RAW_PIECE, (m + 1) // 2))
-            halves = np.asarray(words, dtype="<u8").view("<u4")
-            self._end = left + halves.size
+            self._end = left + 2 * max(_RAW_PIECE, (m + 1) // 2)
             fresh = signs[left:self._end]
-            np.greater_equal(halves, 1 << 31, out=fresh)
+            self._stream.signs(fresh)
             fresh += fresh
             fresh -= 1.0
             pos = 0
@@ -543,8 +542,7 @@ class _BlockRows:
         self.running_sum = self.running_sum.take(live)
 
 
-LAWS = {"iid_bounded": IidBounded, "product": Product,
-        "regime_switch": RegimeSwitch}
+LAWS = {law.kind: law for law in (IidBounded, Product, RegimeSwitch)}
 KINDS = tuple(LAWS)
 
 

@@ -174,7 +174,7 @@ def run_lockstep(spec, seed, count, n):
     for start in range(0, count, size):
         lanes = Lanes(spec, seeds[start:start + size])
         levels = np.empty((lanes.running_sum.size, cap), dtype=np.int8)
-        cols = _run_rows(spec.law, lanes, n, cap, spec.kind, levels)
+        cols = _run_rows(spec.law, lanes, n, cap, levels)
         yield StoppedPaths(n=n, **cols, levels=levels,
                            variances=spec.law.variances)
 
@@ -237,23 +237,25 @@ def lemma1_check(paths, t):
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not t.size or not np.all(np.isfinite(t)):
         raise ValueError("t must be a nonempty sequence of finite values")
-    parts = [_check_part(part, t) for part in paths]
+    parts = [(_check_part(part, t), np.full(np.size(part.nu), part.n),
+              np.atleast_1d(part.y_nu)) for part in paths]
     if not parts:
         raise ValueError("no path set to check")
-    lhs, rhs = map(np.concatenate, zip(*parts))
+    lhs, n, y = (np.concatenate(col) for col in zip(*parts))
+    # one RHS per distinct (n, Y_nu, t) over all sets; Y_nu takes few values
+    keys, which = np.unique(np.stack([n, y], axis=1), axis=0,
+                            return_inverse=True)
+    rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + v**2 * tj * tj / nk)
+                     for tj in t.tolist()] for nk, v in keys.tolist()])
+    rhs = rhs[which.reshape(-1)]        # NumPy 2.0.0 gives a 2-D inverse
     return Lemma1Result(lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
 def _check_part(paths, t):
-    """(LHS, RHS) of one path set at its own n, each a (paths, t) array."""
-    n = paths.n
-    c = t * t / (2.0 * n)
+    """LHS of one path set at its own n, a (paths, t) array."""
+    c = t * t / (2.0 * paths.n)
     lhs = np.empty((np.size(paths.nu), c.size))
     scratch = np.empty((c.size + 1) * _slab_width(paths.nu))
     for rows, prefix, starts in paths.slabs():
         lhs[rows] = _lemma1_lhs(prefix, starts, c, scratch)
-    # Y_nu takes few values (one per variance level at most)
-    ys, which = np.unique(np.atleast_1d(paths.y_nu), return_inverse=True)
-    rhs = np.array([[math.exp(tj * tj / 2.0) * (1.0 + y**2 * tj * tj / n)
-                     for tj in t.tolist()] for y in ys.tolist()])[which]
-    return lhs, rhs
+    return lhs

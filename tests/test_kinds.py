@@ -28,6 +28,7 @@ def spec(request):
 def test_registry_names_every_kind():
     assert KINDS == tuple(LAWS)
     for kind, law in LAWS.items():
+        assert law.kind == kind
         assert ModelSpec(kind, {}).params == law.defaults
 
 

@@ -317,8 +317,7 @@ class TestSignBalance:
     def test_lanes(self, spec, monkeypatch):
         steps = record_steps(spec.law, monkeypatch)
         lanes = Lanes(spec, np.arange(1000, dtype=np.uint64))
-        models._run_rows(spec.law, lanes, 256.0, spec.step_cap(256.0),
-                         spec.kind)
+        models._run_rows(spec.law, lanes, 256.0, spec.step_cap(256.0))
         assert_fair(steps)
 
     def test_regime_block_rows(self, monkeypatch):
@@ -328,16 +327,27 @@ class TestSignBalance:
         assert_fair(steps)
 
     def test_product_tiles(self, monkeypatch):
-        draws, real = [], models._TileBuffers.draw
+        # each sub-chunk reads its growth bits and then its 0/1 signs, an
+        # (m, cap) matrix each, from the block's reader
+        cap = PRODUCT.step_cap(256.0)
+        grows, signs = [], []
+        real_grows, real_signs = (models._BlockStream.grows,
+                                  models._BlockStream.signs)
 
-        def draw(buf, bits, signs, m, grows, spare):
-            spare = real(buf, bits, signs, m, grows, spare)
-            draws.append((buf.zeta[:m].copy(), buf.grow[:m].copy()))
-            return spare
+        def grow(stream, p, out):
+            real_grows(stream, p, out)
+            grows.append(out.reshape(-1, cap).copy())
 
-        monkeypatch.setattr(models._TileBuffers, "draw", draw)
+        def sign(stream, out):
+            real_signs(stream, out)
+            signs.append(2 * out.reshape(-1, cap).astype(np.int8) - 1)
+
+        monkeypatch.setattr(models._BlockStream, "grows", grow)
+        monkeypatch.setattr(models._BlockStream, "signs", sign)
         law = PRODUCT.law
-        law.sample_block(256.0, 1000, block_rng(17), PRODUCT.step_cap(256.0))
+        law.sample_block(256.0, 1000, block_rng(17), cap)
+        draws = list(zip(signs, grows))
+        assert len(signs) == len(grows)
         steps = []
         for zeta, grow in draws:            # column k holds step k's draws
             level = np.minimum(np.cumsum(grow, axis=1) - grow, 54)  # N_k

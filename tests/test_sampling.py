@@ -294,28 +294,44 @@ GROWTH_PROBABILITIES = [0.0, 2.0 ** -53, 0.05, 0.25, 0.5, 1 - 2.0 ** -53, 1.0]
 
 
 class TestGrowthTest:
-    """The product sampler sets a growth bit where a raw Philox output x
-    lies below ceil(p 2^53) 2^11, which is Generator.random() < p, where
+    """The block reader sets a growth bit where a raw Philox output x lies
+    below ceil(p 2^53) 2^11, which is Generator.random() < p, where
     random() = (x >> 11) 2^-53."""
 
     @staticmethod
-    def grows(q, raw):
-        out = np.empty(raw.size, dtype=bool)
-        models._growth_test(q)(raw, out)
-        return out
+    def grows(q, sizes):
+        """``random() < q`` of a fresh block stream's first outputs, read by
+        ``_BlockStream.grows`` in calls of ``sizes``, and the stream's next
+        3 raw outputs."""
+        stream = models._BlockStream(block_rng().bit_generator)
+        got = [np.empty(k, dtype=bool) for k in sizes]
+        for out in got:
+            stream.grows(q, out)
+        return np.concatenate(got), stream.bits.random_raw(3)
 
     # T 2^11 = 2^64 at q = 1, above every output, and 0 at q = 0
     @pytest.mark.parametrize("q", GROWTH_PROBABILITIES)
     def test_exact_at_the_bound(self, q):
         bound = math.ceil(q * 2.0 ** 53) << 11
         xs = [x for x in (0, bound - 1, bound, 2 ** 64 - 1) if 0 <= x < 2 ** 64]
-        got = self.grows(q, np.array(xs, dtype=np.uint64))
+        got = np.empty(len(xs), dtype=bool)
+        models._growth_test(q, np.array(xs, dtype=np.uint64), got)
         assert got.tolist() == [(x >> 11) * 2.0 ** -53 < q for x in xs]
 
     @pytest.mark.parametrize("q", GROWTH_PROBABILITIES)
     def test_fresh_stream_matches_random(self, q):
-        raw = block_rng().bit_generator.random_raw(10 ** 5)
-        assert np.array_equal(self.grows(q, raw), block_rng().random(10 ** 5) < q)
+        got, _ = self.grows(q, (10 ** 5,))
+        assert np.array_equal(got, block_rng().random(10 ** 5) < q)
+
+    @pytest.mark.parametrize("q", GROWTH_PROBABILITIES)
+    def test_pieces_match_random(self, monkeypatch, q):
+        # 5 outputs a random_raw call, so each call but the empty one splits
+        monkeypatch.setattr(models, "_RAW_PIECE", 5)
+        sizes = (0, 1, 3, 17, 4099, 2)
+        got, after = self.grows(q, sizes)
+        want = block_rng()
+        assert np.array_equal(got, want.random(sum(sizes)) < q)
+        assert np.array_equal(after, want.bit_generator.random_raw(3))
 
 
 class TestRawPieces:

@@ -300,6 +300,19 @@ class TestThreshold:
                 oracle = _lemma1_oracle(sample.sigma_prefix, sample.y_nu, t, n)
                 assert (res.lhs[i, j], res.rhs[i, j]) == oracle, (i, t)
 
+    def test_rhs_once_per_n_y_and_t(self, monkeypatch):
+        # 10,000 single-path sets at one n with one Y_nu and 5 values of
+        # t: one exp per (n, Y_nu, t) over all the sets, not per set
+        t = (0.5, 1.0, 2.0, 5.0, 10.0)
+        sets = [run_path(init_model(IID, seed), 16.0)
+                for seed in range(10_000)]
+        calls, exp = [], math.exp
+        monkeypatch.setattr(stopping.math, "exp",
+                            lambda x: calls.append(x) or exp(x))
+        res = lemma1_check(sets, t)
+        assert res.rhs.shape == (10_000, 5) and res.ok.all()
+        assert len(calls) == 5
+
 
 class TestZeroLedSum:
     """lemma1_check sums each path's terms by np.add.reduceat over a

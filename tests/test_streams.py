@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from stopsum import ModelSpec, derive_seed, init_model
+from stopsum import ModelSpec, derive_seed, init_model, models
 from stopsum.models import (
     _RAW_PIECE,
     Lanes,
     _BlockRows,
-    _cursor,
+    _BlockStream,
     _draw_signs,
     _draw_uniforms,
 )
@@ -132,6 +132,7 @@ def test_block_row_signs_match_int32_integers(rows, shrink):
         if shrink and m > 1:                    # one row stops each step
             block.keep(np.arange(m - 1))
         assert rng.bit_generator.state["has_uint32"] == 0
+        assert block._stream._half is None
     got = np.concatenate(got)
     want = 2.0 * _fresh_rng().integers(0, 2, size=got.size,
                                        dtype=np.int32) - 1.0
@@ -141,14 +142,53 @@ def test_block_row_signs_match_int32_integers(rows, shrink):
 @pytest.mark.parametrize("skip", [0, 1, 2, 3, 4, 5, 7, 8, 255, 256, 257,
                                   512 * 67 + 3])
 def test_cursor_is_a_copy_skip_outputs_ahead(skip):
-    """_cursor is a Philox bit generator that draws the raw outputs the
-    stream would after skip of them, and leaves the stream it copies where
-    it was."""
+    """_BlockStream.ahead reads a Philox bit generator that draws the raw
+    outputs the stream would after skip of them, and leaves the stream it
+    copies where it was."""
     rng = _fresh_rng()
     rng.random(512 * 4)                         # whole blocks of 4 outputs
-    ahead = _cursor(rng.bit_generator, skip)
+    ahead = _BlockStream(rng.bit_generator).ahead(skip).bits
     assert isinstance(ahead, np.random.Philox)
     want = _fresh_rng().bit_generator
     want.random_raw(512 * 4 + skip)
     assert np.array_equal(ahead.random_raw(15), want.random_raw(15))
     assert np.array_equal(rng.random(5), _fresh_rng().random(512 * 4 + 5)[-5:])
+
+
+class TestBlockStream:
+    """The block reader's int32 signs and cursor against numpy's Generator
+    on the same fresh stream."""
+
+    # 0, 1, 3 and 4099 signs and odd runs, so a 32-bit half is held across
+    # calls, and 5 outputs a random_raw call, so the calls split
+    @pytest.mark.parametrize("sizes", [(0, 1, 3, 4099), (4099, 0, 3, 1),
+                                       (1,) * 9 + (4099,), (3, 5, 7, 0, 9),
+                                       (4099,)], ids=str)
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_signs_split_freely(self, monkeypatch, sizes, dtype):
+        monkeypatch.setattr(models, "_RAW_PIECE", 5)
+        stream = _BlockStream(_fresh_rng().bit_generator)
+        got = [np.empty(k, dtype=dtype) for k in sizes + (7,)]
+        for out in got:
+            stream.signs(out)
+        want = _fresh_rng()
+        whole = want.integers(0, 2, size=sum(sizes) + 7, dtype=np.int32)
+        assert np.array_equal(np.concatenate(got), whole)
+        assert np.array_equal(stream.bits.random_raw(3),
+                              want.bit_generator.random_raw(3))
+
+    @pytest.mark.parametrize("drawn", ["one output", "a held half",
+                                       "a held uint32"])
+    def test_ahead_needs_a_block_start(self, drawn):
+        # a cursor skips whole blocks of 4 outputs, so a stream past a
+        # block's start would give one at another position
+        rng = _fresh_rng()
+        stream = _BlockStream(rng.bit_generator)
+        if drawn == "one output":
+            rng.bit_generator.random_raw(1)
+        elif drawn == "a held half":
+            stream.signs(np.empty(7, dtype=bool))   # 4 outputs, 8 halves
+        else:
+            rng.integers(0, 2, size=7, dtype=np.int32)
+        with pytest.raises(ValueError, match="block's start"):
+            stream.ahead(8)
